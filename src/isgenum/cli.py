@@ -109,6 +109,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _parse_dpartition(text: str, size: int):
+    """Blocks of --dpartition in the order given, each sorted."""
     blocks = []
     for chunk in text.split("|"):
         members = []
@@ -122,7 +123,6 @@ def _parse_dpartition(text: str, size: int):
         if not members:
             raise ValueError("empty block in --dpartition")
         blocks.append(tuple(sorted(members)))
-    blocks.sort(key=lambda b: (-len(b), b[0]))
     flat = sorted(x for b in blocks for x in b)
     if flat != list(range(size)):
         raise ValueError("--dpartition must partition the semilattice elements")
@@ -146,9 +146,13 @@ def _cmd_fixed(args) -> int:
     missing = [t for t in names if t not in by_name]
     if missing:
         raise ValueError(f"unknown group name(s): {', '.join(missing)}")
-    f = tuple(by_name[t] for t in names)
-    if len(f) != len(P):
+    if len(names) != len(P):
         raise ValueError("--groups must name one group per block")
+    # the i-th group belongs to the i-th block as given; order the pairs as
+    # the basis needs them, by size descending, then least element
+    pairs = sorted(zip(P, names), key=lambda bg: (-len(bg[0]), bg[0][0]))
+    P = tuple(X for X, _ in pairs)
+    f = tuple(by_name[t] for _, t in pairs)
 
     accepted = enumerate_fixed(E, P, f)
     n = sum(len(X) * len(X) * G.order for X, G in zip(P, f))

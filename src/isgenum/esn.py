@@ -8,7 +8,8 @@ Idempotents keep their semilattice labels, so E(S) is literally 0..|E|-1.
 
 from __future__ import annotations
 
-from .gposets import BasisOrder, GroupoidBasis, _bits
+from .gposets import BasisOrder, GroupoidBasis
+from .orders import _bits
 
 __all__ = [
     "InverseSemigroup",

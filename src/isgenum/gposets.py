@@ -8,7 +8,20 @@ unique restrictions and corestrictions; each such order yields one inverse
 semigroup downstream.
 
 Orders are stored as per-element bitmasks over a global element index in
-which idempotent (block, e, e, identity) is element e of E.
+which idempotent (block, e, e, identity) is element e of E, and the
+non-idempotents of each block follow contiguously in (a, b, g) order.
+`compose` is derived from that layout: each row writes only the products
+inside its own block, from a per-(block size, group) cell table.
+
+The cross-block possibilities between two blocks depend only on their
+groups, the block sizes and which positions of the lower block lie under
+each element of the upper one.  They are computed once per process in
+block-local coordinates (idempotents first, then (a, b, g)), cached under
+(G, H, |X|, |Y|, below), and moved into a basis's global index by one table
+lookup for the idempotent bits and one shift for the rest.  The key holds
+no E labels or global indices, so the cache stays small: 83 entries for a
+whole order-9 count.  Each basis keeps its own memo of the globalised
+lists for the search nodes that reuse them.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import itertools
 from typing import NamedTuple
 
 from .groups import Group
+from .orders import _bits
 
 __all__ = [
     "GroupoidBasis",
@@ -34,11 +48,44 @@ __all__ = [
 DEBUG_VALIDATE = False
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# (|X|, G.name) -> block cell table, see _block_cells
+_BLOCK_CELLS: dict = {}
+
+
+def _block_cells(x: int, G: Group):
+    """Cell table of an x-by-x block over G.
+
+    Cells c = (a, b, g) run in lexicographic order.  Returns the cells; the
+    block-local index of each cell (the idempotents (a, a, 0) are 0..x-1, the
+    other cells follow in cell order); the cell of each cell's inverse; and
+    per cell the pairs (t, product) for every cell t = (b, d, k) that
+    composes with it.
+    """
+    key = (x, G.name)
+    data = _BLOCK_CELLS.get(key)
+    if data is None:
+        h, mul = G.order, G.mul
+        cells = tuple(
+            (a, b, g) for a in range(x) for b in range(x) for g in range(h)
+        )
+        local = []
+        nxt = x
+        for a, b, g in cells:
+            if a == b and g == 0:
+                local.append(a)
+            else:
+                local.append(nxt)
+                nxt += 1
+        inv = tuple((b * x + a) * h + G.inv[g] for a, b, g in cells)
+        prods = tuple(
+            tuple(
+                ((b * x + d) * h + k, (a * x + d) * h + mul[g][k])
+                for d in range(x) for k in range(h)
+            )
+            for a, b, g in cells
+        )
+        data = _BLOCK_CELLS[key] = (cells, tuple(local), inv, prods)
+    return data
 
 
 class GroupoidBasis:
@@ -46,7 +93,7 @@ class GroupoidBasis:
 
     __slots__ = (
         "E", "partition", "groups", "size", "elem", "index", "inv",
-        "dom", "ran", "block_of", "compose",
+        "dom", "ran", "block_of", "compose", "offsets",
         "pos_blocks", "pos_of_block", "pos_elems", "pos_mask",
         "covered_positions", "_poss_memo",
     )
@@ -66,60 +113,65 @@ class GroupoidBasis:
         self.partition = partition
         self.groups = groups
 
-        block_of_label = [0] * E.size
-        for i, X in enumerate(partition):
-            for x in X:
-                block_of_label[x] = i
-
-        elem = [(block_of_label[e], e, e, 0) for e in range(E.size)]
-        for i, X in enumerate(partition):
-            g_order = groups[i].order
-            for a in X:
-                for b in X:
-                    for g in range(g_order):
-                        if a == b and g == 0:
-                            continue
-                        elem.append((i, a, b, g))
-        self.elem = tuple(elem)
-        self.size = len(elem)
-        self.index = {t: s for s, t in enumerate(elem)}
-        self.block_of = tuple(t[0] for t in elem)
-        self.ran = tuple(t[1] for t in elem)
-        self.dom = tuple(t[2] for t in elem)
-        self.inv = tuple(
-            self.index[(i, b, a, groups[i].inv[g])] for i, a, b, g in elem
+        cell_data = [
+            _block_cells(len(X), G) for X, G in zip(partition, groups)
+        ]
+        size = E.size + sum(
+            len(data[0]) - len(X) for X, data in zip(partition, cell_data)
         )
-
-        # partial product: (i,a,b,g)(i,b,c,h) = (i,a,c,gh), else -1
-        compose = []
-        for i, a, b, g in elem:
-            grow = groups[i].mul[g]
-            idx = self.index
-            row = [
-                idx[(i, a, d, grow[h])] if (j == i and c == b) else -1
-                for j, c, d, h in elem
-            ]
-            compose.append(tuple(row))
+        block_of_label = [0] * E.size
+        elem = [None] * E.size
+        inv = [0] * size
+        compose = [None] * size
+        offsets = []
+        block_elems = []
+        block_masks = []
+        for i, X in enumerate(partition):
+            cells, local, cell_inv, cell_prods = cell_data[i]
+            x, off = len(X), len(elem)
+            mask = 0
+            for e in X:
+                block_of_label[e] = i
+                elem[e] = (i, e, e, 0)
+                mask |= 1 << e
+            for l, (a, b, g) in zip(local, cells):
+                if l >= x:
+                    elem.append((i, X[a], X[b], g))
+            # global index of each cell: the block's non-idempotents are
+            # contiguous from off on, in block-local order
+            layout = [X[l] if l < x else off + l - x for l in local]
+            for c, s in enumerate(layout):
+                inv[s] = layout[cell_inv[c]]
+                row = [-1] * size
+                for t, st in cell_prods[c]:
+                    row[layout[t]] = layout[st]
+                compose[s] = tuple(row)
+            offsets.append(off)
+            count = len(elem) - off
+            block_elems.append(tuple(sorted(X)) + tuple(range(off, len(elem))))
+            block_masks.append(mask | (((1 << count) - 1) << off))
+        self.elem = tuple(elem)
+        self.size = size
+        self.offsets = tuple(offsets)
+        self.index = {t: s for s, t in enumerate(elem)}
+        self.block_of, self.ran, self.dom, _ = zip(*elem)
+        self.inv = tuple(inv)
         self.compose = tuple(compose)
 
         # search order: deepest-reaching blocks first
+        level = E.down_level_of
+
         def sort_key(i):
             X = partition[i]
-            reach = max(E.down_level_of(x) for x in X)
-            return (-reach, -len(X), X)
+            return (-max(map(level, X)), -len(X), X)
 
         self.pos_blocks = tuple(sorted(range(len(partition)), key=sort_key))
         pos_of_block = [0] * len(partition)
         for p, i in enumerate(self.pos_blocks):
             pos_of_block[i] = p
         self.pos_of_block = tuple(pos_of_block)
-        self.pos_elems = tuple(
-            tuple(s for s in range(self.size) if self.block_of[s] == i)
-            for i in self.pos_blocks
-        )
-        self.pos_mask = tuple(
-            sum(1 << s for s in elems) for elems in self.pos_elems
-        )
+        self.pos_elems = tuple(block_elems[i] for i in self.pos_blocks)
+        self.pos_mask = tuple(block_masks[i] for i in self.pos_blocks)
 
         cov = [set() for _ in partition]
         for lo, hi in E.covers:
@@ -250,6 +302,56 @@ def _wreath_homs(G: Group, H: Group, m: int):
     return _WREATH_HOM_CACHE[key]
 
 
+# (G.name, H.name, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
+_POSS_CACHE: dict = {}
+
+
+def _local_possibilities(G: Group, H: Group, y: int, below):
+    """Cross-block orders between an upper block X (group G) and a lower
+    block Y (group H, |Y| = y), in block-local coordinates.
+
+    below[a] lists the positions in Y under X[a].  Each possibility is a
+    tuple of masks over the block-local indices of Y (see _block_cells), one
+    per element of X in block-local order.
+    """
+    x = len(below)
+    m = len(below[0])
+    if any(len(v) != m for v in below):
+        return ()
+    if m == 0:
+        return ((0,) * (x * x * G.order),)
+
+    hmul, hinv = H.mul, H.inv
+    hi_cells, hi_local = _block_cells(x, G)[:2]
+    hi_by_local = [None] * len(hi_cells)
+    for l, cell in zip(hi_local, hi_cells):
+        hi_by_local[l] = cell
+    lo_local = _block_cells(y, H)[1]
+    identity = (tuple(range(m)), (0,) * m)
+    tau_options = [
+        (s, h)
+        for s in sorted(itertools.permutations(range(m)))
+        for h in itertools.product(range(H.order), repeat=m)
+    ]
+    results = []
+    for hom in _wreath_homs(G, H, m):
+        for choice in itertools.product(tau_options, repeat=x - 1):
+            tau = (identity,) + choice
+            tauinv = tuple(_winv(w, hinv) for w in tau)
+            masks = []
+            for a, b, g in hi_by_local:
+                sig, hv = _wmul(tau[a], _wmul(hom[g], tauinv[b], hmul), hmul)
+                rows, cols = below[a], below[b]
+                mask = 0
+                for z in range(m):
+                    mask |= 1 << lo_local[
+                        (rows[sig[z]] * y + cols[z]) * H.order + hv[z]
+                    ]
+                masks.append(mask)
+            results.append(tuple(masks))
+    return tuple(results)
+
+
 def poset_possibilities(basis: GroupoidBasis, hi_pos: int, lo_pos: int):
     """All cross-block partial orders between two blocks of the basis.
 
@@ -264,50 +366,43 @@ def poset_possibilities(basis: GroupoidBasis, hi_pos: int, lo_pos: int):
     if cached is not None:
         return cached
 
-    E = basis.E
+    down = basis.E.down
     i_hi = basis.pos_blocks[hi_pos]
     i_lo = basis.pos_blocks[lo_pos]
-    X, G = basis.partition[i_hi], basis.groups[i_hi]
-    Y, H = basis.partition[i_lo], basis.groups[i_lo]
-    below = {
-        a: tuple(c for c in Y if (E.down[a] >> c) & 1) for a in X
-    }
-    elems = basis.pos_elems[hi_pos]
-    m = len(below[X[0]])
-    if any(len(v) != m for v in below.values()):
-        memo[(hi_pos, lo_pos)] = []
-        return []
-    if m == 0:
-        memo[(hi_pos, lo_pos)] = [tuple(0 for _ in elems)]
-        return memo[(hi_pos, lo_pos)]
-
-    hmul, hinv = H.mul, H.inv
-    identity = (tuple(range(m)), (0,) * m)
-    tau_options = [
-        (s, h)
-        for s in sorted(itertools.permutations(range(m)))
-        for h in itertools.product(range(H.order), repeat=m)
+    X, Y = basis.partition[i_hi], basis.partition[i_lo]
+    G, H = basis.groups[i_hi], basis.groups[i_lo]
+    # spread[v]: the E labels of the Y-local idempotent bits in v
+    y = len(Y)
+    if y == 1:
+        yb = Y[0]
+        below = tuple([(0,) if down[a] >> yb & 1 else () for a in X])
+        spread = (0, 1 << yb)
+    else:
+        below = tuple(
+            tuple([c for c in range(y) if down[a] >> Y[c] & 1]) for a in X
+        )
+        spread = [
+            sum(1 << Y[c] for c in range(y) if v >> c & 1)
+            for v in range(1 << y)
+        ]
+    key = (G.name, H.name, len(X), y, below)
+    local = _POSS_CACHE.get(key)
+    if local is None:
+        local = _POSS_CACHE[key] = _local_possibilities(G, H, y, below)
+    if list(X) != sorted(X):
+        # pos_elems lists the idempotents of the upper block by label
+        x = len(X)
+        order = [X.index(a) for a in sorted(X)] + list(
+            range(x, len(basis.pos_elems[hi_pos]))
+        )
+        local = [tuple(poss[k] for k in order) for poss in local]
+    # the non-idempotent bits shift onto the lower block's contiguous range
+    ymask = (1 << y) - 1
+    off = basis.offsets[i_lo]
+    results = [
+        tuple([spread[lm & ymask] | ((lm >> y) << off) for lm in poss])
+        for poss in local
     ]
-    homs = _wreath_homs(G, H, m)
-    index = basis.index
-    results = []
-    others = X[1:]
-    for hom in homs:
-        for choice in itertools.product(tau_options, repeat=len(others)):
-            tau = {X[0]: identity}
-            for a, w in zip(others, choice):
-                tau[a] = w
-            tauinv = {a: _winv(w, hinv) for a, w in tau.items()}
-            masks = []
-            for s in elems:
-                _, a, b, g = basis.elem[s]
-                sig, hv = _wmul(tau[a], _wmul(hom[g], tauinv[b], hmul), hmul)
-                rows, cols = below[a], below[b]
-                mask = 0
-                for z in range(m):
-                    mask |= 1 << index[(i_lo, rows[sig[z]], cols[z], hv[z])]
-                masks.append(mask)
-            results.append(tuple(masks))
     memo[(hi_pos, lo_pos)] = results
     return results
 

@@ -275,19 +275,21 @@ def colored_isomorphisms(A: ColoredPoset, B: ColoredPoset):
 # canonical labeling
 
 
-def _refined_colors(n, down, up):
-    colors = [(down[x].bit_count(), up[x].bit_count()) for x in range(n)]
+def _refined_colors(n, below, above):
+    """Colors from (#below, #above), refined by the multisets of neighbor
+    colors until stable; below[x] and above[x] list the strict neighbors."""
+    colors = [(len(below[x]), len(above[x])) for x in range(n)]
     while True:
         rank = {c: r for r, c in enumerate(sorted(set(colors)))}
-        cur = tuple(rank[c] for c in colors)
+        cur = [rank[c] for c in colors]
         k = len(rank)
         if k == n:
             return cur
-        nxt = []
-        for x in range(n):
-            below = tuple(sorted(cur[y] for y in _bits(down[x] ^ (1 << x))))
-            above = tuple(sorted(cur[y] for y in _bits(up[x] ^ (1 << x))))
-            nxt.append((cur[x], below, above))
+        nxt = [
+            (cur[x], tuple(sorted([cur[y] for y in below[x]])),
+             tuple(sorted([cur[y] for y in above[x]])))
+            for x in range(n)
+        ]
         if len(set(nxt)) == k:
             return cur
         colors = nxt
@@ -298,65 +300,68 @@ def _canonical_labeling(n, down):
 
     Returns (key, labeling) where labeling[i] is the original index of the
     element assigned label i.  The key determines the poset up to isomorphism.
+
+    The search places one minimal unplaced element per level and only
+    follows candidates whose (color, mask) equals the smallest available;
+    the mask has bit i set when the element placed at level i lies below the
+    candidate.  State is kept incrementally: the placed set travels down the
+    recursion, posmask[x] is updated over the up-set of each placed element
+    so that a candidate's key costs O(1), and each node carries whether its
+    prefix equals the best sequence so far (otherwise it is smaller) instead
+    of re-comparing the prefix.  A node whose subtree finds a new best has a
+    prefix equal to it from then on.
     """
-    up = [0] * n
-    for j in range(n):
-        for i in _bits(down[j]):
-            up[i] |= 1 << j
-    colors = _refined_colors(n, down, up)
     sdown = [down[x] ^ (1 << x) for x in range(n)]
+    below = [[i for i in range(n) if sdown[x] >> i & 1] for x in range(n)]
+    above = [[] for _ in range(n)]
+    for x in range(n):
+        for i in below[x]:
+            above[i].append(x)
+    colors = _refined_colors(n, below, above)
+    posmask = [0] * n
     best_seq = None
     best_lab = None
     placed = []
     seq = []
 
-    def rec():
+    def rec(placedmask, equal):
+        """Search below the current prefix; True if a new best was found."""
         nonlocal best_seq, best_lab
         depth = len(placed)
-        equal_prefix = True
-        if best_seq is not None:
-            for i in range(depth):
-                if seq[i] < best_seq[i]:
-                    equal_prefix = False
-                    break
-                if seq[i] > best_seq[i]:
-                    return
         if depth == n:
-            if best_seq is None or tuple(seq) < best_seq:
+            if best_seq is None or not equal:
                 best_seq = tuple(seq)
                 best_lab = placed.copy()
-            return
-        placedmask = 0
-        for p in placed:
-            placedmask |= 1 << p
-        cands = []
-        for x in range(n):
-            if (placedmask >> x) & 1 or sdown[x] & ~placedmask:
-                continue
-            mask = 0
-            dx = down[x]
-            for i, p in enumerate(placed):
-                if (dx >> p) & 1:
-                    mask |= 1 << i
-            cands.append((colors[x], mask, x))
-        key = min((c, m) for c, m, _ in cands)
-        if best_seq is not None and equal_prefix and key > best_seq[depth]:
-            return
-        seen_twins = set()
+                return True
+            return False
+        cands = [
+            (colors[x], posmask[x], x) for x in range(n)
+            if not (placedmask >> x) & 1 and not sdown[x] & ~placedmask
+        ]
+        kc, km, _ = min(cands)
+        key = (kc, km)
+        if best_seq is not None and equal:
+            if key > best_seq[depth]:
+                return False
+            equal = key == best_seq[depth]
+        found = False
+        bit = 1 << depth
         seq.append(key)
         for c, m, x in cands:
-            if (c, m) != key:
+            if c != kc or m != km:
                 continue
-            twin = (down[x], up[x])
-            if twin in seen_twins:
-                continue
-            seen_twins.add(twin)
             placed.append(x)
-            rec()
+            for y in above[x]:
+                posmask[y] |= bit
+            if rec(placedmask | (1 << x), equal):
+                found = equal = True
+            for y in above[x]:
+                posmask[y] ^= bit
             placed.pop()
         seq.pop()
+        return found
 
-    rec()
+    rec(0, True)
     return best_seq, best_lab
 
 

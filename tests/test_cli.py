@@ -113,3 +113,29 @@ def test_exit_code_io_failure(tmp_path):
         "--groups", "C1",
         "--out", str(tmp_path),
     ]) == 3
+
+
+def test_fixed_groups_follow_their_blocks(tmp_path, capsys):
+    # V-shaped semilattice: {0} gets C2 and {1,2} gets C1, so the order is
+    # 1*1*2 + 2*2*1 = 6 whichever order the blocks are listed in
+    sl = tmp_path / "sl3.txt"
+    assert main(["semilattices", "--order", "3", "--out", str(sl)]) == 0
+    assert sl.read_text().splitlines()[0] == "3:0<1,0<2"
+    capsys.readouterr()
+
+    tables = []
+    for blocks, names in (("0|1,2", "C2,C1"), ("1,2|0", "C1,C2")):
+        out = tmp_path / blocks.replace("|", "_").replace(",", "")
+        code = main([
+            "fixed",
+            "--semilattice", f"{sl}:1",
+            "--dpartition", blocks,
+            "--groups", names,
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert "order=6" in capsys.readouterr().out
+        tables.append([
+            (out / name).read_text() for name in sorted(os.listdir(out))
+        ])
+    assert tables[0] and tables[0] == tables[1]

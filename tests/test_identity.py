@@ -1,0 +1,42 @@
+"""Frozen outputs: semilattice order and labels, Cayley tables and ledger
+counters must stay byte-identical across changes to the search kernels."""
+
+import hashlib
+
+from isgenum.engine import (
+    EnumerationConfig,
+    enumerate_counts_only,
+    run_enumeration,
+    write_cayley_files,
+)
+from isgenum.orders import format_cover_line, meet_semilattices
+
+COVER_LINES_SHA256 = (
+    "c48b5c551c3e363b4ec70a9b7330be036c01c0646f329cac613234bb57d5c2a8"
+)
+TABLES_N7_SHA256 = (
+    "0e0f6923a4af1107f94ab30a89998c5357dfd91544e019b9117909370b505232"
+)
+
+
+def test_cover_lines_up_to_order_8():
+    text = "".join(
+        format_cover_line(E) + "\n"
+        for m in range(1, 9) for E in meet_semilattices(m)
+    )
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == COVER_LINES_SHA256
+
+
+def test_tables_of_order_7(tmp_path):
+    result = run_enumeration(EnumerationConfig(order=7, mode="full"))
+    assert write_cayley_files(result, tmp_path) == 911
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*.tbl")):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == TABLES_N7_SHA256
+
+
+def test_ledger_counters():
+    for n, expected in ((7, (921, 650, 285)), (8, (4805, 3203, 1810))):
+        ledger = enumerate_counts_only(n)
+        assert (ledger.generated, ledger.immediate, ledger.iso_tests) == expected

@@ -6,7 +6,9 @@ Every maximal subgroup that can appear in an inverse semigroup of order
 isomorphism class, element 0 always the identity.
 """
 
-from isgenum import automorphisms, bijections, catalog
+import math
+
+from isgenum import catalog
 
 cat = catalog(15)
 
@@ -22,13 +24,13 @@ klein = by_name["C2xC2"]
 print(f"\n{klein.name} multiplication table:")
 for row in klein.mul:
     print("   ", " ".join(str(v) for v in row))
-auts = automorphisms(klein)
+auts = klein.automorphism_images()
 print(f"automorphisms of {klein.name}: {len(auts)}")
 for a in auts:
-    print("   ", a.images)
+    print("   ", a)
 
 # Plain set bijections are a different, much larger pool; the isomorphism
 # search uses them for the off-diagonal cells of a D-class.
 c3 = by_name["C3"]
-print(f"\nall bijections C3 -> C3: {len(bijections(c3, c3))}")
-print(f"of those, automorphisms: {len(automorphisms(c3))}")
+print(f"\nall bijections C3 -> C3: {math.factorial(c3.order)}")
+print(f"of those, automorphisms: {len(c3.automorphism_images())}")

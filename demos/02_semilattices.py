@@ -10,7 +10,6 @@ also the on-disk format: `m:u1<v1,u2<v2,...` lists the cover relations.
 from isgenum import (
     down_levels,
     format_cover_line,
-    has_maximum,
     meet_semilattices,
     up_down_levels,
 )
@@ -18,12 +17,12 @@ from isgenum import (
 print("counts per order (semilattices // those with a maximum):")
 for m in range(1, 9):
     all_of_m = list(meet_semilattices(m))
-    lats = sum(1 for E in all_of_m if has_maximum(E))
+    lats = sum(1 for E in all_of_m if E.has_maximum())
     print(f"  m={m}: {len(all_of_m)} // {lats}")
 
 print("\nthe five semilattices of order 4, as cover lines:")
 for E in meet_semilattices(4):
-    tag = "lattice" if has_maximum(E) else "       "
+    tag = "lattice" if E.has_maximum() else "       "
     print(f"  {format_cover_line(E):<24} {tag}")
 
 # Levels drive both the search ordering and the isomorphism invariants.

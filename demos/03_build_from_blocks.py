@@ -8,14 +8,11 @@ combinatorial inverse semigroup of 2x2 matrix units with zero.
 """
 
 from isgenum import (
-    block_order,
     catalog,
     d_partitions,
     e_groupoid,
     esn,
     g_posets,
-    is_commutative,
-    is_monoid,
     lonely_idempotents,
     parse_cover_line,
     validate_inverse_semigroup,
@@ -32,7 +29,7 @@ print("D-partition of shape (2,1):", P)
 
 basis = e_groupoid(E, P, (by_name["C1"], by_name["C1"]))
 print("basis:", basis)
-print("search order of blocks:", [X for X, _ in block_order(basis)])
+print("search order of blocks:", [P[i] for i in basis.pos_blocks])
 for s, t in enumerate(basis.elem):
     print(f"  element {s}: block={t[0]} row={t[1]} col={t[2]} g={t[3]}")
 
@@ -44,7 +41,7 @@ print("Cayley table:")
 for row in S.table:
     print("   ", " ".join(str(v) for v in row))
 print("valid inverse semigroup:", validate_inverse_semigroup(S.table))
-print("commutative:", is_commutative(S), "| monoid:", is_monoid(S))
+print("commutative:", S.is_commutative(), "| monoid:", S.is_monoid())
 print("interchangeable atoms:", lonely_idempotents(S))
 
 # Swapping the bottom group for C2 doubles the element count and splits the

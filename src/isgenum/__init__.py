@@ -23,8 +23,6 @@ from .esn import (
     InverseSemigroup,
     d_restriction_from_table,
     esn,
-    is_commutative,
-    is_monoid,
     multiply,
     natural_order_from_table,
     validate_inverse_semigroup,
@@ -33,7 +31,6 @@ from .gposets import (
     BasisOrder,
     GroupoidBasis,
     SearchNode,
-    block_order,
     children,
     e_groupoid,
     g_posets,
@@ -44,9 +41,6 @@ from .gposets import (
 from .groups import (
     MAX_CATALOG_ORDER,
     Group,
-    GroupMap,
-    automorphisms,
-    bijections,
     catalog,
     is_isomorphic,
 )
@@ -55,7 +49,6 @@ from .iso import (
     e_coloring,
     invariants,
     is_isoc,
-    is_new,
     lonely_idempotents,
 )
 from .orders import (
@@ -65,7 +58,6 @@ from .orders import (
     colored_isomorphisms,
     down_levels,
     format_cover_line,
-    has_maximum,
     meet_semilattices,
     parse_cover_line,
     semilattice_count,
@@ -88,7 +80,6 @@ __all__ = [
     "CountLedger",
     "EnumerationConfig",
     "Group",
-    "GroupMap",
     "GroupoidBasis",
     "InverseSemigroup",
     "MAX_CATALOG_ORDER",
@@ -97,9 +88,6 @@ __all__ = [
     "RunResult",
     "SearchNode",
     "admissible_compositions",
-    "automorphisms",
-    "bijections",
-    "block_order",
     "breakdown_csv",
     "brute_force_isomorphic",
     "catalog",
@@ -117,14 +105,10 @@ __all__ = [
     "format_cover_line",
     "g_posets",
     "group_maps",
-    "has_maximum",
     "invariants",
-    "is_commutative",
     "is_d_partition",
     "is_isoc",
     "is_isomorphic",
-    "is_monoid",
-    "is_new",
     "lonely_idempotents",
     "meet_semilattices",
     "multiply",

@@ -1,12 +1,21 @@
-"""Full enumeration driver, count ledger, fixed-parameters mode and output.
+"""The enumeration pipeline, the count ledger, the drivers and output.
 
-The main loop follows the nesting: for each order m of the idempotent
-semilattice, for each semilattice E, for each block-size shape with an
-admissible composition, run every (composition, D-partition, group
-assignment, basis order) combination, keep one representative per
-isomorphism class, and flush per (E, shape).  Work is parallelized one
-task per semilattice; results are merged in generation order, so ledgers
-and output files do not depend on the worker count.
+Every mode runs one pipeline per semilattice E and block-size shape:
+
+  _skeletons   the basis of every (composition, D-partition, group map)
+  _candidates  the semigroup of every order on each basis
+  _keep_new    one representative per isomorphism class: candidates are
+               bucketed by `invariants`, then tested with `is_isoc`
+               against their bucket
+
+`run_enumeration` tallies it per shape (counts mode) and keeps the tables
+(full mode), `enumerate_semigroups` streams it, and `enumerate_fixed` runs
+it on one skeleton.  `run_enumeration` runs one task per semilattice,
+serially or on a process pool; results are merged in generation order, so
+ledgers and output files do not depend on the worker count.
+
+The pipeline calls every layer through this module's own names (`esn`,
+`g_posets`, `is_isoc`, ...), which is where `bench/tracer.py` wraps them.
 """
 
 from __future__ import annotations
@@ -49,8 +58,6 @@ class EnumerationConfig:
     order: int
     mode: str = "counts"            # "counts" or "full"
     threads: int = 1
-    out_dir: str | None = None
-    breakdown_path: str | None = None
     progress: bool = False
 
     def __post_init__(self):
@@ -134,7 +141,7 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# per-semilattice work
+# the pipeline
 
 
 def _shapes_with_compositions(n, m):
@@ -146,74 +153,70 @@ def _shapes_with_compositions(n, m):
     return out
 
 
-def _search_semilattice(E, n, catalog, shapes_with_comps, collect):
-    """All accepted semigroups over one semilattice, flushed per shape.
+def _skeletons(E, comps, dparts, catalog):
+    """Basis of every (composition, D-partition, group map) of one shape."""
+    for C in comps:
+        for P in dparts:
+            for f in group_maps(P, C, catalog):
+                yield e_groupoid(E, P, f)
 
-    Returns a list of (shape, count, commutative count, tables, stats).
+
+def _candidates(bases):
+    """The semigroup of every order on every basis, isomorphic copies included."""
+    for basis in bases:
+        for order in g_posets(basis):
+            yield esn(basis, order)
+
+
+def _keep_new(candidates, stats):
+    """Yield each candidate that is not isomorphic to an earlier one.
+
+    Candidates are bucketed by `invariants` and compared with `is_isoc`
+    against their own bucket only.  `stats` is [generated, immediate,
+    iso_tests], updated in place: candidates seen, candidates that found
+    their bucket empty, and `is_isoc` calls.
     """
-    results = []
-    for shape, comps in shapes_with_comps:
-        dparts = d_partitions(E, shape)
-        if not dparts:
-            continue
-        store = {}
-        count = comm = 0
-        generated = immediate = iso_tests = 0
-        tables = [] if collect else None
-        for C in comps:
-            for P in dparts:
-                for f in group_maps(P, C, catalog):
-                    basis = e_groupoid(E, P, f)
-                    for order in g_posets(basis):
-                        S = esn(basis, order)
-                        generated += 1
-                        key = invariants(S)
-                        bucket = store.get(key)
-                        if bucket is None:
-                            immediate += 1
-                            store[key] = [S]
-                        else:
-                            new = True
-                            for T in bucket:
-                                iso_tests += 1
-                                if is_isoc(S, T):
-                                    new = False
-                                    break
-                            if not new:
-                                continue
-                            bucket.append(S)
-                        count += 1
-                        if S.is_commutative():
-                            comm += 1
-                        if collect:
-                            tables.append((S.table, E.size))
-        if count:
-            results.append(
-                (shape, count, comm, tables, (generated, immediate, iso_tests))
-            )
-    return results
+    store = {}
+    for S in candidates:
+        stats[0] += 1
+        bucket = store.setdefault(invariants(S), [])
+        if not bucket:
+            stats[1] += 1
+        for T in bucket:
+            stats[2] += 1
+            if is_isoc(S, T):
+                break
+        else:
+            bucket.append(S)
+            yield S
 
 
-# worker-side globals, set up once per process
-_WORKER_STATE = {}
+def _shape_classes(E, shape, comps, catalog, stats):
+    """One representative per class over E with D-partitions of this shape."""
+    dparts = d_partitions(E, shape)
+    return _keep_new(_candidates(_skeletons(E, comps, dparts, catalog)), stats)
 
 
-def _worker_init(n):
-    _WORKER_STATE["n"] = n
-    _WORKER_STATE["catalog"] = _groups.catalog(n)
-    _WORKER_STATE["shapes"] = {}
+def _search_semilattice(task):
+    """Per-shape tallies over one semilattice; the task of every run.
 
-
-def _worker_task(args):
-    m, down, collect = args
-    n = _WORKER_STATE["n"]
-    shapes = _WORKER_STATE["shapes"].get(m)
-    if shapes is None:
-        shapes = _shapes_with_compositions(n, m)
-        _WORKER_STATE["shapes"][m] = shapes
+    `task` is (n, E.down, shapes with their compositions, collect).  Returns
+    (E has a maximum, results), where results lists (shape, count,
+    commutative count, tables, stats) for the shapes with at least one
+    class, and tables is None unless `collect`.
+    """
+    n, down, shapes, collect = task
     E = MeetSemilattice(down)
-    res = _search_semilattice(E, n, _WORKER_STATE["catalog"], shapes, collect)
-    return E.has_maximum(), res
+    catalog = _groups.catalog(n)
+    results = []
+    for shape, comps in shapes:
+        stats = [0, 0, 0]
+        kept = list(_shape_classes(E, shape, comps, catalog, stats))
+        if kept:
+            comm = sum(S.is_commutative() for S in kept)
+            tables = [(S.table, E.size) for S in kept] if collect else None
+            results.append((shape, len(kept), comm, tables, stats))
+    return E.has_maximum(), results
 
 
 # ---------------------------------------------------------------------------
@@ -227,39 +230,29 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     ledger = CountLedger()
     result = RunResult(order=n, ledger=ledger)
     m_top = n if collect else n - 1
-    catalog = _groups.catalog(n)
 
     pool = None
     if config.threads > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=config.threads,
-            initializer=_worker_init,
-            initargs=(n,),
-        )
+        pool = ProcessPoolExecutor(max_workers=config.threads)
     try:
         for m in range(1, m_top + 1):
             shapes = _shapes_with_compositions(n, m)
             if not shapes:
                 continue
-            semis = list(meet_semilattices(m))
-            if pool is not None:
-                args = [(m, E.down, collect) for E in semis]
-                outcomes = pool.map(_worker_task, args, chunksize=8)
+            tasks = [(n, E.down, shapes, collect) for E in meet_semilattices(m)]
+            if pool is None:
+                outcomes = map(_search_semilattice, tasks)
             else:
-                outcomes = (
-                    (E.has_maximum(),
-                     _search_semilattice(E, n, catalog, shapes, collect))
-                    for E in semis
-                )
+                outcomes = pool.map(_search_semilattice, tasks, chunksize=8)
             for i, (is_lattice, res) in enumerate(outcomes):
                 for shape, count, comm, tables, stats in res:
                     ledger.add_cell(m, shape, count, comm, is_lattice)
                     ledger.add_stats(*stats)
-                    if collect and tables:
+                    if collect:
                         result.tables.extend(tables)
                 if config.progress:
                     print(
-                        f"\rm={m}: {i + 1}/{len(semis)} semilattices",
+                        f"\rm={m}: {i + 1}/{len(tasks)} semilattices",
                         end="", flush=True, file=sys.stderr,
                     )
             if config.progress:
@@ -296,25 +289,7 @@ def enumerate_semigroups(n: int):
             continue
         for E in meet_semilattices(m):
             for shape, comps in shapes:
-                dparts = d_partitions(E, shape)
-                if not dparts:
-                    continue
-                store = {}
-                for C in comps:
-                    for P in dparts:
-                        for f in group_maps(P, C, catalog):
-                            basis = e_groupoid(E, P, f)
-                            for order in g_posets(basis):
-                                S = esn(basis, order)
-                                key = invariants(S)
-                                bucket = store.get(key)
-                                if bucket is None:
-                                    store[key] = [S]
-                                elif any(is_isoc(S, T) for T in bucket):
-                                    continue
-                                else:
-                                    bucket.append(S)
-                                yield S
+                yield from _shape_classes(E, shape, comps, catalog, [0, 0, 0])
 
 
 def enumerate_fixed(E, P, f) -> list:
@@ -323,28 +298,9 @@ def enumerate_fixed(E, P, f) -> list:
     P = tuple(tuple(X) for X in P)
     if sorted(x for X in P for x in X) != list(range(E.size)):
         raise ValueError("P must partition the elements of E")
-    if any(len(P[i]) < len(P[i + 1]) for i in range(len(P) - 1)):
-        raise ValueError("blocks of P must be weakly decreasing in size")
     if not is_d_partition(E, P):
         raise ValueError("P does not satisfy the D-partition condition")
-    f = tuple(f)
-    if len(f) != len(P):
-        raise ValueError("one group per block required")
-    basis = e_groupoid(E, P, f)
-    store = {}
-    accepted = []
-    for order in g_posets(basis):
-        S = esn(basis, order)
-        key = invariants(S)
-        bucket = store.get(key)
-        if bucket is None:
-            store[key] = [S]
-        elif any(is_isoc(S, T) for T in bucket):
-            continue
-        else:
-            bucket.append(S)
-        accepted.append(S)
-    return accepted
+    return list(_keep_new(_candidates([e_groupoid(E, P, f)]), [0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

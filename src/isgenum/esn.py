@@ -15,17 +15,12 @@ __all__ = [
     "InverseSemigroup",
     "esn",
     "multiply",
-    "is_commutative",
-    "is_monoid",
     "validate_inverse_semigroup",
     "natural_order_from_table",
     "d_restriction_from_table",
     "idempotents_of_table",
     "maximal_subgroup_of_table",
 ]
-
-DEBUG_VALIDATE = False
-
 
 class InverseSemigroup:
     """Inverse semigroup with explicit Cayley table and basis bookkeeping."""
@@ -111,10 +106,9 @@ def esn(basis: GroupoidBasis, order: BasisOrder) -> InverseSemigroup:
             e = mrow[ran[t]]
             row.append(compose[rs[e]][corestrict[t][e]])
         table.append(tuple(row))
-    table = tuple(table)
-    S = InverseSemigroup(
+    return InverseSemigroup(
         size=n,
-        table=table,
+        table=tuple(table),
         inv=basis.inv,
         E=basis.E,
         d_restriction=basis.partition,
@@ -123,12 +117,6 @@ def esn(basis: GroupoidBasis, order: BasisOrder) -> InverseSemigroup:
         index=basis.index,
         order_down=down,
     )
-    if DEBUG_VALIDATE:
-        assert validate_inverse_semigroup(table)
-        assert all(
-            table[e][f] == meet[e][f] for e in range(m) for f in range(m)
-        )
-    return S
 
 
 def multiply(basis: GroupoidBasis, order: BasisOrder, s: int, t: int) -> int:
@@ -145,14 +133,6 @@ def multiply(basis: GroupoidBasis, order: BasisOrder, s: int, t: int) -> int:
             u2 = u
             break
     return basis.compose[u1][u2]
-
-
-def is_commutative(S: InverseSemigroup) -> bool:
-    return S.is_commutative()
-
-
-def is_monoid(S: InverseSemigroup) -> bool:
-    return S.is_monoid()
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,12 @@ __all__ = [
     "BasisOrder",
     "SearchNode",
     "e_groupoid",
-    "block_order",
     "poset_possibilities",
     "children",
     "passes_cardinality_test",
     "g_posets",
     "validate_hypotheses",
 ]
-
-DEBUG_VALIDATE = False
-
 
 # (|X|, G.name) -> block cell table, see _block_cells
 _BLOCK_CELLS: dict = {}
@@ -227,13 +223,6 @@ class BasisOrder:
 def e_groupoid(E, P, f) -> GroupoidBasis:
     """Basis of the block algebra determined by (E, D-partition, groups)."""
     return GroupoidBasis(E, P, f)
-
-
-def block_order(basis: GroupoidBasis) -> list:
-    """Blocks in search order: deeper down-level reach first, ties by size."""
-    return [
-        (basis.partition[i], basis.groups[i]) for i in basis.pos_blocks
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +460,6 @@ def g_posets(basis: GroupoidBasis):
 
     def rec(node):
         if node.depth == k:
-            if DEBUG_VALIDATE:
-                validate_hypotheses(basis, node.down)
             yield BasisOrder(basis, node.down)
             return
         for child in children(basis, node):
@@ -482,7 +469,7 @@ def g_posets(basis: GroupoidBasis):
 
 
 # ---------------------------------------------------------------------------
-# full validation (tests and debug runs)
+# full validation (tests)
 
 
 def validate_hypotheses(basis: GroupoidBasis, down) -> bool:

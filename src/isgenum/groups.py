@@ -13,10 +13,7 @@ import itertools
 __all__ = [
     "MAX_CATALOG_ORDER",
     "Group",
-    "GroupMap",
     "catalog",
-    "automorphisms",
-    "bijections",
     "is_isomorphic",
 ]
 
@@ -160,75 +157,6 @@ class Group:
                         auts.append(ext)
                 self._auts = tuple(auts)
         return self._auts
-
-    def automorphisms(self) -> list:
-        return [GroupMap(self, self, images) for images in self.automorphism_images()]
-
-
-class GroupMap:
-    """Bijection between equal-order groups; may or may not be multiplicative."""
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: Group, target: Group, images):
-        if source.order != target.order:
-            raise ValueError("source and target must have equal order")
-        images = tuple(images)
-        if sorted(images) != list(range(source.order)):
-            raise ValueError("images must be a bijection")
-        self.source = source
-        self.target = target
-        self.images = images
-
-    def __repr__(self):
-        return f"GroupMap({self.source.name}->{self.target.name}, {self.images})"
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupMap)
-            and self.source is other.source
-            and self.target is other.target
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((id(self.source), id(self.target), self.images))
-
-    def is_homomorphism(self) -> bool:
-        smul, tmul, img = self.source.mul, self.target.mul, self.images
-        n = self.source.order
-        return all(
-            img[smul[x][y]] == tmul[img[x]][img[y]]
-            for x in range(n)
-            for y in range(n)
-        )
-
-    def is_automorphism(self) -> bool:
-        return self.source is self.target and self.is_homomorphism()
-
-    def compose(self, other: "GroupMap") -> "GroupMap":
-        """self after other."""
-        if other.target is not self.source:
-            raise ValueError("maps are not composable")
-        return GroupMap(
-            other.source, self.target,
-            tuple(self.images[other.images[x]] for x in range(other.source.order)),
-        )
-
-
-def automorphisms(G: Group) -> list:
-    """All automorphisms of G, found by backtracking over generator images."""
-    return G.automorphisms()
-
-
-def bijections(G: Group, H: Group) -> list:
-    """All |G|! set bijections from G to H (orders must agree)."""
-    if G.order != H.order:
-        raise ValueError("bijections require groups of equal order")
-    return [GroupMap(G, H, p) for p in itertools.permutations(range(G.order))]
 
 
 def _iso_images(G: Group, H: Group):

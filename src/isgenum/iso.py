@@ -1,5 +1,7 @@
-"""Isomorphism machinery: invariant keys, colored idempotent posets,
-pairwise isomorphism testing and the keep-if-new filter.
+"""Isomorphism machinery: invariant keys, colored idempotent posets and
+pairwise isomorphism testing.  The keep-if-new filter that combines them,
+bucketing by `invariants` and testing with `is_isoc` inside a bucket, is
+`engine._keep_new`.
 
 Two semigroups produced over the same semilattice are compared by first
 matching their idempotent posets through color-preserving automorphisms
@@ -13,14 +15,13 @@ from __future__ import annotations
 import itertools
 
 from .esn import InverseSemigroup
-from .orders import ColoredPoset, Poset, colored_isomorphisms
+from .orders import ColoredPoset, Poset, colored_isomorphisms, down_levels
 
 __all__ = [
     "lonely_idempotents",
     "invariants",
     "e_coloring",
     "is_isoc",
-    "is_new",
     "brute_force_isomorphic",
 ]
 
@@ -54,33 +55,11 @@ def lonely_idempotents(S: InverseSemigroup):
     return list(S._lonely)
 
 
-def _down_level_sizes(n, down):
-    up = [0] * n
-    for j in range(n):
-        mask = down[j]
-        while mask:
-            low = mask & -mask
-            up[low.bit_length() - 1] |= 1 << j
-            mask ^= low
-    full = (1 << n) - 1
-    removed = 0
-    sizes = []
-    while removed != full:
-        lev = [
-            x for x in range(n)
-            if not (removed >> x) & 1 and not (up[x] & ~removed & ~(1 << x))
-        ]
-        sizes.append(len(lev))
-        for x in lev:
-            removed |= 1 << x
-    return tuple(sizes)
-
-
 def invariants(S: InverseSemigroup):
     """Isomorphism-invariant key: level sizes of the natural order plus, per
     up-down level of E, the multiset of (D-class idempotent count, group)."""
     if S._invariants is None:
-        lev = _down_level_sizes(S.size, S.order_down)
+        lev = tuple(len(L) for L in down_levels(Poset(S.order_down)))
         xmap = tuple(
             (L[0], tuple(sorted(
                 (S.d_class_size(e), S.group_at(e).name) for e in L
@@ -159,14 +138,6 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
             if _is_homomorphism(tab_s, tab_t, dmap):
                 return True
     return False
-
-
-def is_new(S: InverseSemigroup, key, store: dict) -> bool:
-    """True iff no semigroup already stored under `key` is isomorphic to S."""
-    bucket = store.get(key)
-    if bucket is None:
-        return True
-    return not any(is_isoc(S, T) for T in bucket)
 
 
 # ---------------------------------------------------------------------------

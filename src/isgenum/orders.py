@@ -17,7 +17,6 @@ __all__ = [
     "down_levels",
     "up_levels",
     "up_down_levels",
-    "has_maximum",
     "colored_isomorphisms",
     "format_cover_line",
     "parse_cover_line",
@@ -41,8 +40,11 @@ class Poset:
         n = len(down)
         up = [0] * n
         for j in range(n):
-            for i in _bits(down[j]):
-                up[i] |= 1 << j
+            mask = down[j]
+            while mask:
+                low = mask & -mask
+                up[low.bit_length() - 1] |= 1 << j
+                mask ^= low
         self.size = n
         self.down = down
         self.up = tuple(up)
@@ -166,38 +168,31 @@ class ColoredPoset:
 # level decompositions
 
 
-def down_levels(poset: Poset):
-    """Peel maximal elements repeatedly; the levels partition the poset."""
-    n, up = poset.size, poset.up
+def _peel(n, rel):
+    """Levels from repeatedly removing every remaining x whose rel[x] mask
+    holds no other remaining element."""
     full = (1 << n) - 1
     removed = 0
     levels = []
     while removed != full:
         lev = tuple(
             x for x in range(n)
-            if not (removed >> x) & 1 and not (up[x] & ~removed & ~(1 << x))
+            if not (removed >> x) & 1 and not (rel[x] & ~removed & ~(1 << x))
         )
         levels.append(lev)
         for x in lev:
             removed |= 1 << x
     return levels
+
+
+def down_levels(poset: Poset):
+    """Peel maximal elements repeatedly; the levels partition the poset."""
+    return _peel(poset.size, poset.up)
 
 
 def up_levels(poset: Poset):
     """Peel minimal elements repeatedly."""
-    n, down = poset.size, poset.down
-    full = (1 << n) - 1
-    removed = 0
-    levels = []
-    while removed != full:
-        lev = tuple(
-            x for x in range(n)
-            if not (removed >> x) & 1 and not (down[x] & ~removed & ~(1 << x))
-        )
-        levels.append(lev)
-        for x in lev:
-            removed |= 1 << x
-    return levels
+    return _peel(poset.size, poset.down)
 
 
 def up_down_levels(poset: Poset):
@@ -214,10 +209,6 @@ def up_down_levels(poset: Poset):
     for x in range(poset.size):
         classes.setdefault((u_of[x], d_of[x]), []).append(x)
     return sorted((tuple(sorted(v)) for v in classes.values()), key=lambda t: t[0])
-
-
-def has_maximum(E: MeetSemilattice) -> bool:
-    return E.has_maximum()
 
 
 # ---------------------------------------------------------------------------

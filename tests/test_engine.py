@@ -242,6 +242,15 @@ def test_fixed_rejects_bad_partition(groups_by_name):
         )
 
 
+def test_fixed_rejects_misshapen_input(groups_by_name):
+    # both are caught by the basis constructor
+    C1 = groups_by_name["C1"]
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        enumerate_fixed(VEE, ((0,), (1, 2)), (C1, C1))
+    with pytest.raises(ValueError, match="one group per block"):
+        enumerate_fixed(VEE, ((1, 2), (0,)), (C1,))
+
+
 def test_fixed_narrower_than_full(groups_by_name):
     # same (E, P) with all group assignments of order 6 reproduces the cell
     total = 0
@@ -269,6 +278,24 @@ def test_thread_count_does_not_change_tables():
     r1 = run_enumeration(EnumerationConfig(order=5, mode="full", threads=1))
     r2 = run_enumeration(EnumerationConfig(order=5, mode="full", threads=2))
     assert r1.tables == r2.tables
+
+
+def test_thread_count_does_not_change_counters():
+    # CountLedger.__eq__ compares cells only; the counters are checked here
+    for threads in (1, 2):
+        ledger = enumerate_counts_only(7, threads=threads)
+        assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
+            921, 650, 285
+        )
+
+
+def test_consumers_agree():
+    # streaming and full mode at either thread count emit the same tables
+    for n in range(1, 7):
+        streamed = [(S.table, S.E.size) for S in enumerate_semigroups(n)]
+        for threads in (1, 2):
+            cfg = EnumerationConfig(order=n, mode="full", threads=threads)
+            assert run_enumeration(cfg).tables == streamed
 
 
 def test_repeated_runs_identical():

@@ -3,26 +3,17 @@ from collections import Counter
 from isgenum.esn import (
     d_restriction_from_table,
     esn,
-    is_commutative,
-    is_monoid,
     maximal_subgroup_of_table,
     multiply,
     natural_order_from_table,
     validate_inverse_semigroup,
 )
 from isgenum.gposets import e_groupoid, g_posets
-from isgenum.orders import parse_cover_line
+from isgenum.orders import _bits, parse_cover_line
 from isgenum.engine import enumerate_semigroups
 
 VEE = parse_cover_line("3:0<1,0<2")
 CHAIN2 = parse_cover_line("2:0<1")
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _build(E, P, names, groups_by_name):
@@ -112,26 +103,26 @@ def test_multiply_chain_restriction(groups_by_name):
 
 def test_is_commutative_examples(groups_by_name):
     _, _, brandt = _brandt(groups_by_name)
-    assert not is_commutative(brandt)
+    assert not brandt.is_commutative()
 
     E1 = parse_cover_line("1:")
     basis, orders = _build(E1, ((0,),), ("C2",), groups_by_name)
-    assert is_commutative(esn(basis, orders[0]))
+    assert esn(basis, orders[0]).is_commutative()
 
     basis, orders = _build(
         CHAIN2, ((0,), (1,)), ("C2", "C1"), groups_by_name
     )
-    assert is_commutative(esn(basis, orders[0]))
+    assert esn(basis, orders[0]).is_commutative()
 
 
 def test_is_monoid_examples(groups_by_name):
     _, _, brandt = _brandt(groups_by_name)
-    assert not is_monoid(brandt)
+    assert not brandt.is_monoid()
     basis, orders = _build(CHAIN2, ((0,), (1,)), ("C2", "C1"), groups_by_name)
-    assert is_monoid(esn(basis, orders[0]))
+    assert esn(basis, orders[0]).is_monoid()
     E1 = parse_cover_line("1:")
     basis, orders = _build(E1, ((0,),), ("C1",), groups_by_name)
-    assert is_monoid(esn(basis, orders[0]))
+    assert esn(basis, orders[0]).is_monoid()
 
 
 # ---------------------------------------------------------------------------

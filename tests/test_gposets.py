@@ -2,10 +2,8 @@ import itertools
 
 import pytest
 
-from isgenum import gposets
 from isgenum.gposets import (
     SearchNode,
-    block_order,
     children,
     e_groupoid,
     g_posets,
@@ -228,16 +226,19 @@ def test_e_groupoid_validates_input(groups_by_name):
         e_groupoid(VEE, ((0,), (1, 2)), (groups_by_name["C1"],) * 2)
 
 
+def _search_blocks(basis):
+    return [basis.partition[i] for i in basis.pos_blocks]
+
+
 def test_block_order_examples(groups_by_name):
     basis = _brandt_basis(groups_by_name)
-    blocks = block_order(basis)
-    assert [X for X, _ in blocks] == [(0,), (1, 2)]  # bottom block first
+    assert _search_blocks(basis) == [(0,), (1, 2)]  # bottom block first
 
     single = _basis(parse_cover_line("1:"), ((0,),), ("C4",), groups_by_name)
-    assert [X for X, _ in block_order(single)] == [(0,)]
+    assert _search_blocks(single) == [(0,)]
 
     chain = _basis(CHAIN3, ((0,), (1,), (2,)), ("C1",) * 3, groups_by_name)
-    assert [X for X, _ in block_order(chain)] == [(0,), (1,), (2,)]
+    assert _search_blocks(chain) == [(0,), (1,), (2,)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +412,8 @@ def test_literal_checker_rejects_nonidempotent_below_idempotent(groups_by_name):
 
 
 def test_debug_validation_flag(groups_by_name):
-    old = gposets.DEBUG_VALIDATE
-    gposets.DEBUG_VALIDATE = True
-    try:
-        assert len(list(g_posets(_vee_c2_basis(groups_by_name)))) == 2
-    finally:
-        gposets.DEBUG_VALIDATE = old
+    basis = _vee_c2_basis(groups_by_name)
+    orders = list(g_posets(basis))
+    assert len(orders) == 2
+    for o in orders:
+        assert validate_hypotheses(basis, o.down)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from isgenum.engine import enumerate_semigroups
+from isgenum.engine import _keep_new, enumerate_semigroups
 from isgenum.esn import (
     d_restriction_from_table,
     esn,
@@ -17,21 +17,13 @@ from isgenum.iso import (
     e_coloring,
     invariants,
     is_isoc,
-    is_new,
     lonely_idempotents,
 )
-from isgenum.orders import MeetSemilattice, parse_cover_line, up_down_levels
+from isgenum.orders import MeetSemilattice, _bits, parse_cover_line, up_down_levels
 
 VEE = parse_cover_line("3:0<1,0<2")
 CHAIN2 = parse_cover_line("2:0<1")
 CHAIN3 = parse_cover_line("3:0<1,1<2")
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _build_one(E, P, names, groups_by_name):
@@ -312,35 +304,42 @@ def test_is_isoc_accepts_lonely_permuted_twin(groups_by_name):
 
 
 # ---------------------------------------------------------------------------
-# is_new
+# the keep-if-new filter (engine._keep_new)
 
 
 def test_is_new_empty_store(groups_by_name):
     (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
-    assert is_new(S, invariants(S), {})
+    stats = [0, 0, 0]
+    assert list(_keep_new([S], stats)) == [S]
+    assert stats == [1, 1, 0]
 
 
 def test_is_new_detects_duplicate(groups_by_name):
     (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
     twin = _relabeled_twin(S, [0, 2, 1])
-    store = {invariants(S): [S]}
-    assert not is_new(twin, invariants(twin), store)
+    stats = [0, 0, 0]
+    assert list(_keep_new([S, twin], stats)) == [S]
+    assert stats == [2, 1, 1]
 
 
 def test_is_new_keeps_same_key_sibling(groups_by_name):
+    # a pair with different keys is kept without an isomorphism test
     pair = _build_one(VEE, ((1, 2), (0,)), ("C1", "C2"), groups_by_name)
-    with_same_key = [
-        (A, B) for A, B in itertools.permutations(pair, 2)
-        if invariants(A) == invariants(B)
-    ]
-    for A, B in with_same_key:
-        assert is_new(B, invariants(B), {invariants(A): [A]})
-    # regardless of key equality the pair is non-isomorphic
-    store = {}
-    for S in pair:
-        assert is_new(S, invariants(S), store)
-        store.setdefault(invariants(S), []).append(S)
-    assert sum(len(v) for v in store.values()) == 2
+    stats = [0, 0, 0]
+    assert list(_keep_new(pair, stats)) == pair
+    assert stats == [2, 2, 0]
+    # over a 3-chain with C2 at every idempotent, two of the four semigroups
+    # share an invariant key without being isomorphic
+    semis = _build_one(CHAIN3, ((0,), (1,), (2,)), ("C2",) * 3, groups_by_name)
+    by_key = {}
+    for S in semis:
+        by_key.setdefault(invariants(S), []).append(S)
+    ((A, B),) = [b for b in by_key.values() if len(b) == 2]
+    assert not brute_force_isomorphic(A, B)
+    for pair in ((A, B), (B, A)):
+        stats = [0, 0, 0]
+        assert list(_keep_new(pair, stats)) == list(pair)
+        assert stats == [2, 1, 1]
 
 
 # ---------------------------------------------------------------------------

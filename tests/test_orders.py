@@ -9,7 +9,6 @@ from isgenum.orders import (
     colored_isomorphisms,
     down_levels,
     format_cover_line,
-    has_maximum,
     meet_semilattices,
     parse_cover_line,
     semilattice_count,
@@ -51,7 +50,7 @@ def test_generation_counts_small():
 
 def test_lattice_counts_small():
     for m in range(1, 9):
-        got = sum(1 for E in meet_semilattices(m) if has_maximum(E))
+        got = sum(1 for E in meet_semilattices(m) if E.has_maximum())
         assert got == LATTICES[m]
 
 
@@ -137,9 +136,9 @@ def test_levels_partition_and_refine():
 
 
 def test_has_maximum_examples():
-    assert has_maximum(CHAIN3)
-    assert not has_maximum(VEE)
-    assert has_maximum(parse_cover_line("1:"))
+    assert CHAIN3.has_maximum()
+    assert not VEE.has_maximum()
+    assert parse_cover_line("1:").has_maximum()
 
 
 # ---------------------------------------------------------------------------

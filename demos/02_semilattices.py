@@ -25,10 +25,11 @@ for E in meet_semilattices(4):
     tag = "lattice" if E.has_maximum() else "       "
     print(f"  {format_cover_line(E):<24} {tag}")
 
-# Levels drive both the search ordering and the isomorphism invariants.
+# Levels drive both the search ordering and the isomorphism invariants; the
+# level functions take the down-set masks, so they work on any poset.
 print("\nlevel structure of each order-5 semilattice:")
 for E in meet_semilattices(5):
     print(
-        f"  {format_cover_line(E):<28} down-levels {down_levels(E)}"
-        f"  up-down {up_down_levels(E)}"
+        f"  {format_cover_line(E):<28} down-levels {down_levels(E.down)}"
+        f"  up-down {up_down_levels(E.down)}"
     )

@@ -3,8 +3,9 @@
 
 Generation visits isomorphic semigroups more than once.  A cheap invariant
 key buckets candidates first; only same-key candidates are compared, by
-matching their idempotent posets through color-preserving automorphisms
-and extending the match cell by cell over the D-blocks.
+the automorphisms of their shared semilattice that carry one idempotent
+coloring to the other, and extending each match cell by cell over the
+D-blocks.
 """
 
 from collections import Counter
@@ -12,6 +13,7 @@ from collections import Counter
 from isgenum import (
     brute_force_isomorphic,
     catalog,
+    colored_isomorphisms,
     e_coloring,
     e_groupoid,
     enumerate_semigroups,
@@ -36,7 +38,11 @@ print("  second:", invariants(b))
 print("equal keys:", invariants(a) == invariants(b))
 print("is_isoc:", is_isoc(a, b), "| brute force:", brute_force_isomorphic(a, b))
 
-print("\nidempotent coloring of the first one:", e_coloring(a).colors)
+print("\nidempotent coloring of the first one:", e_coloring(a))
+# is_isoc only tries the automorphisms of E that carry one coloring to the
+# other; here E is a chain, so the identity is the only one.
+print("E automorphisms matching the colorings:",
+      list(colored_isomorphisms(E, e_coloring(a), e_coloring(b))))
 
 # How well do the invariants separate order-7 semigroups?
 buckets = Counter()

@@ -52,7 +52,6 @@ from .iso import (
     lonely_idempotents,
 )
 from .orders import (
-    ColoredPoset,
     MeetSemilattice,
     Poset,
     colored_isomorphisms,
@@ -76,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisOrder",
-    "ColoredPoset",
     "CountLedger",
     "EnumerationConfig",
     "Group",

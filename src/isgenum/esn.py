@@ -28,7 +28,7 @@ class InverseSemigroup:
     __slots__ = (
         "size", "table", "inv", "E", "d_restriction", "groups",
         "elem", "index", "order_down",
-        "label_block", "_lonely", "_invariants", "_commutative",
+        "label_block", "_colors",
     )
 
     def __init__(self, size, table, inv, E, d_restriction, groups,
@@ -47,9 +47,7 @@ class InverseSemigroup:
             for x in X:
                 label_block[x] = i
         self.label_block = tuple(label_block)
-        self._lonely = None
-        self._invariants = None
-        self._commutative = None
+        self._colors = None
 
     def __len__(self):
         return self.size
@@ -69,14 +67,12 @@ class InverseSemigroup:
         return len(self.d_restriction[self.label_block[e]])
 
     def is_commutative(self) -> bool:
-        if self._commutative is None:
-            table = self.table
-            n = self.size
-            self._commutative = all(
-                table[x][y] == table[y][x]
-                for x in range(n) for y in range(x + 1, n)
-            )
-        return self._commutative
+        table = self.table
+        n = self.size
+        return all(
+            table[x][y] == table[y][x]
+            for x in range(n) for y in range(x + 1, n)
+        )
 
     def is_monoid(self) -> bool:
         return self.E.has_maximum()

@@ -20,8 +20,8 @@ block-local coordinates (idempotents first, then (a, b, g)), cached under
 (G, H, |X|, |Y|, below), and moved into a basis's global index by one table
 lookup for the idempotent bits and one shift for the rest.  The key holds
 no E labels or global indices, so the cache stays small: 83 entries for a
-whole order-9 count.  Each basis keeps its own memo of the globalised
-lists for the search nodes that reuse them.
+whole order-9 count.  Groups enter every cache key as objects, not names,
+so two different groups that share a name never share an entry.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "validate_hypotheses",
 ]
 
-# (|X|, G.name) -> block cell table, see _block_cells
+# (|X|, G) -> block cell table, see _block_cells
 _BLOCK_CELLS: dict = {}
 
 
@@ -57,7 +57,7 @@ def _block_cells(x: int, G: Group):
     per cell the pairs (t, product) for every cell t = (b, d, k) that
     composes with it.
     """
-    key = (x, G.name)
+    key = (x, G)
     data = _BLOCK_CELLS.get(key)
     if data is None:
         h, mul = G.order, G.mul
@@ -91,7 +91,7 @@ class GroupoidBasis:
         "E", "partition", "groups", "size", "elem", "index", "inv",
         "dom", "ran", "block_of", "compose", "offsets",
         "pos_blocks", "pos_of_block", "pos_elems", "pos_mask",
-        "covered_positions", "_poss_memo",
+        "covered_positions",
     )
 
     def __init__(self, E, partition, groups):
@@ -144,7 +144,7 @@ class GroupoidBasis:
                 compose[s] = tuple(row)
             offsets.append(off)
             count = len(elem) - off
-            block_elems.append(tuple(sorted(X)) + tuple(range(off, len(elem))))
+            block_elems.append(tuple(X) + tuple(range(off, len(elem))))
             block_masks.append(mask | (((1 << count) - 1) << off))
         self.elem = tuple(elem)
         self.size = size
@@ -175,7 +175,6 @@ class GroupoidBasis:
             if bl != bh:
                 cov[pos_of_block[bh]].add(pos_of_block[bl])
         self.covered_positions = tuple(tuple(sorted(c)) for c in cov)
-        self._poss_memo = {}
 
     def __repr__(self):
         sig = ", ".join(
@@ -251,7 +250,7 @@ def _winv(w, hinv):
 def _wreath_homs(G: Group, H: Group, m: int):
     """All homomorphisms from G into the wreath-style group of pairs
     (permutation of m slots, H-element per slot); one image per G element."""
-    key = (G.name, H.name, m)
+    key = (G, H, m)
     cached = _WREATH_HOM_CACHE.get(key)
     if cached is not None:
         return cached
@@ -265,7 +264,6 @@ def _wreath_homs(G: Group, H: Group, m: int):
     table = tuple(
         tuple(index[_wmul(w1, w2, hmul)] for w2 in elements) for w1 in elements
     )
-    W = Group(table, f"Wr({H.name},{m})")
     gens = G.generating_set()
     homs = []
     if not gens:
@@ -275,7 +273,7 @@ def _wreath_homs(G: Group, H: Group, m: int):
         for g in gens:
             o = G.element_order(g)
             ok = []
-            for wi in range(W.order):
+            for wi in range(len(elements)):
                 acc, k = 0, 0
                 while k < o:
                     acc = table[acc][wi]
@@ -291,7 +289,7 @@ def _wreath_homs(G: Group, H: Group, m: int):
     return _WREATH_HOM_CACHE[key]
 
 
-# (G.name, H.name, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
+# (G, H, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
 _POSS_CACHE: dict = {}
 
 
@@ -350,11 +348,6 @@ def poset_possibilities(basis: GroupoidBasis, hi_pos: int, lo_pos: int):
     equality inside them, and satisfies closure under inverses and products
     as well as unique restriction/corestriction on the pair.
     """
-    memo = basis._poss_memo
-    cached = memo.get((hi_pos, lo_pos))
-    if cached is not None:
-        return cached
-
     down = basis.E.down
     i_hi = basis.pos_blocks[hi_pos]
     i_lo = basis.pos_blocks[lo_pos]
@@ -374,26 +367,17 @@ def poset_possibilities(basis: GroupoidBasis, hi_pos: int, lo_pos: int):
             sum(1 << Y[c] for c in range(y) if v >> c & 1)
             for v in range(1 << y)
         ]
-    key = (G.name, H.name, len(X), y, below)
+    key = (G, H, len(X), y, below)
     local = _POSS_CACHE.get(key)
     if local is None:
         local = _POSS_CACHE[key] = _local_possibilities(G, H, y, below)
-    if list(X) != sorted(X):
-        # pos_elems lists the idempotents of the upper block by label
-        x = len(X)
-        order = [X.index(a) for a in sorted(X)] + list(
-            range(x, len(basis.pos_elems[hi_pos]))
-        )
-        local = [tuple(poss[k] for k in order) for poss in local]
     # the non-idempotent bits shift onto the lower block's contiguous range
     ymask = (1 << y) - 1
     off = basis.offsets[i_lo]
-    results = [
+    return [
         tuple([spread[lm & ymask] | ((lm >> y) << off) for lm in poss])
         for poss in local
     ]
-    memo[(hi_pos, lo_pos)] = results
-    return results
 
 
 # ---------------------------------------------------------------------------

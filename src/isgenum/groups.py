@@ -67,14 +67,6 @@ class Group:
             self._orders = tuple(orders)
         return self._orders[x]
 
-    def is_abelian(self) -> bool:
-        mul = self.mul
-        return all(
-            mul[x][y] == mul[y][x]
-            for x in range(self.order)
-            for y in range(x + 1, self.order)
-        )
-
     def _closure(self, seed):
         mul = self.mul
         closed = set(seed)
@@ -141,35 +133,22 @@ class Group:
     def automorphism_images(self) -> tuple:
         """All automorphisms as image tuples (cached)."""
         if self._auts is None:
-            gens = self.generating_set()
-            if not gens:
-                self._auts = ((0,),)
-            else:
-                cands = [
-                    [y for y in range(self.order)
-                     if self.element_order(y) == self.element_order(g)]
-                    for g in gens
-                ]
-                auts = []
-                for imgs in itertools.product(*cands):
-                    ext = self.extend_hom(imgs, self.mul)
-                    if ext is not None and len(set(ext)) == self.order:
-                        auts.append(ext)
-                self._auts = tuple(auts)
+            self._auts = tuple(_isomorphisms(self, self))
         return self._auts
 
 
-def _iso_images(G: Group, H: Group):
-    if G.order != H.order:
-        return None
+def _isomorphisms(G: Group, H: Group):
+    """Yield every isomorphism G -> H as an image tuple, trying generator
+    images of matching element order in ascending order."""
     n = G.order
-    if sorted(G.element_order(x) for x in range(n)) != sorted(
+    if H.order != n or sorted(G.element_order(x) for x in range(n)) != sorted(
         H.element_order(x) for x in range(n)
     ):
-        return None
+        return
     gens = G.generating_set()
     if not gens:
-        return (0,)
+        yield (0,)
+        return
     cands = [
         [y for y in range(n) if H.element_order(y) == G.element_order(g)]
         for g in gens
@@ -177,12 +156,11 @@ def _iso_images(G: Group, H: Group):
     for imgs in itertools.product(*cands):
         ext = G.extend_hom(imgs, H.mul)
         if ext is not None and len(set(ext)) == n:
-            return ext
-    return None
+            yield ext
 
 
 def is_isomorphic(G: Group, H: Group) -> bool:
-    return _iso_images(G, H) is not None
+    return next(_isomorphisms(G, H), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Isomorphism machinery: invariant keys, colored idempotent posets and
-pairwise isomorphism testing.  The keep-if-new filter that combines them,
-bucketing by `invariants` and testing with `is_isoc` inside a bucket, is
+"""Isomorphism machinery: invariant keys, idempotent colorings and pairwise
+isomorphism testing.  The keep-if-new filter that combines them, bucketing
+by `invariants` and testing with `is_isoc` inside a bucket, is
 `engine._keep_new`.
 
-Two semigroups produced over the same semilattice are compared by first
-matching their idempotent posets through color-preserving automorphisms
-(colors combine the maximal subgroup and the idempotent count of the
-D-class), then extending each match cell by cell over the D-blocks and
-checking the homomorphism property.
+Two semigroups produced over the same semilattice E are compared on E
+itself: `colored_isomorphisms` lists the automorphisms of E that carry one
+semigroup's idempotent coloring to the other's (colors combine the maximal
+subgroup and the idempotent count of the D-class), and each match is then
+extended cell by cell over the D-blocks and checked for the homomorphism
+property.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .esn import InverseSemigroup
-from .orders import ColoredPoset, Poset, colored_isomorphisms, down_levels
+from .orders import colored_isomorphisms, down_levels
 
 __all__ = [
     "lonely_idempotents",
@@ -39,49 +40,48 @@ def _all_bijection_tuples(k: int):
 def lonely_idempotents(S: InverseSemigroup):
     """Idempotents with trivial maximal subgroup and singleton D-class that
     cover the minimum of E and are covered by nothing, in index order."""
-    if S._lonely is None:
-        E = S.E
-        cover_of_min = {hi for lo, hi in E.covers if lo == 0}
-        out = []
-        for e in range(E.size):
-            if (
-                S.d_class_size(e) == 1
-                and S.group_at(e).order == 1
-                and e in cover_of_min
-                and E.up[e] == 1 << e
-            ):
-                out.append(e)
-        S._lonely = tuple(out)
-    return list(S._lonely)
+    E = S.E
+    cover_of_min = {hi for lo, hi in E.covers if lo == 0}
+    out = []
+    for e in range(E.size):
+        if (
+            S.d_class_size(e) == 1
+            and S.group_at(e).order == 1
+            and e in cover_of_min
+            and E.up[e] == 1 << e
+        ):
+            out.append(e)
+    return out
 
 
 def invariants(S: InverseSemigroup):
     """Isomorphism-invariant key: level sizes of the natural order plus, per
     up-down level of E, the multiset of (D-class idempotent count, group)."""
-    if S._invariants is None:
-        lev = tuple(len(L) for L in down_levels(Poset(S.order_down)))
-        xmap = tuple(
-            (L[0], tuple(sorted(
-                (S.d_class_size(e), S.group_at(e).name) for e in L
-            )))
-            for L in S.E.up_down_levels()
-        )
-        S._invariants = (lev, xmap)
-    return S._invariants
+    lev = tuple(len(L) for L in down_levels(S.order_down))
+    xmap = tuple(
+        (L[0], tuple(sorted(
+            (S.d_class_size(e), S.group_at(e).name) for e in L
+        )))
+        for L in S.E.up_down_levels()
+    )
+    return (lev, xmap)
 
 
-def e_coloring(S: InverseSemigroup) -> ColoredPoset:
-    """E with idempotents colored by (group, D-class size); the interchangeable
-    idempotents found by lonely_idempotents get distinguished rank colors."""
-    lonely = lonely_idempotents(S)
-    rank = {e: i + 1 for i, e in enumerate(lonely)}
-    colors = []
-    for e in range(S.E.size):
-        if e in rank:
-            colors.append(("lone", rank[e]))
-        else:
-            colors.append(("grp", S.group_at(e).name, S.d_class_size(e)))
-    return ColoredPoset(Poset(S.E.down), tuple(colors))
+def e_coloring(S: InverseSemigroup) -> tuple:
+    """One color per idempotent: (group, D-class size), except that the
+    interchangeable idempotents found by lonely_idempotents get distinguished
+    rank colors.  Cached on S, since is_isoc asks once per test."""
+    if S._colors is None:
+        lonely = lonely_idempotents(S)
+        rank = {e: i + 1 for i, e in enumerate(lonely)}
+        colors = []
+        for e in range(S.E.size):
+            if e in rank:
+                colors.append(("lone", rank[e]))
+            else:
+                colors.append(("grp", S.group_at(e).name, S.d_class_size(e)))
+        S._colors = tuple(colors)
+    return S._colors
 
 
 def _is_homomorphism(tab_s, tab_t, dmap):
@@ -106,7 +106,7 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
     t_block_of = {frozenset(X): i for i, X in enumerate(T.d_restriction)}
     tab_s, tab_t = S.table, T.table
     t_index = T.index
-    for p in colored_isomorphisms(e_coloring(S), e_coloring(T)):
+    for p in colored_isomorphisms(S.E, e_coloring(S), e_coloring(T)):
         pb = []
         for i, X in enumerate(S.d_restriction):
             j = t_block_of.get(frozenset(p[x] for x in X))

@@ -5,6 +5,10 @@ Every emitted structure is labeled by a canonical linear extension, so
 x <= y implies index(x) <= index(y) and the minimum is element 0.  That
 normalization is load-bearing: meets, cover parsing and the extension step
 all use "highest set bit" as "greatest element of a down-set".
+
+A poset is its tuple of down-set masks: the level decompositions take that
+tuple directly, and `colored_isomorphisms` searches the automorphisms of
+one poset that carry one coloring of its elements to another.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 __all__ = [
     "Poset",
     "MeetSemilattice",
-    "ColoredPoset",
     "meet_semilattices",
     "down_levels",
     "up_levels",
@@ -89,9 +92,6 @@ class Poset:
                     raise ValueError("relation is not transitive")
         return True
 
-    def maximal_mask(self) -> int:
-        return sum(1 << x for x in range(self.size) if self.up[x] == 1 << x)
-
 
 class MeetSemilattice(Poset):
     """Poset with all binary meets, in canonical linear-extension labels."""
@@ -123,13 +123,14 @@ class MeetSemilattice(Poset):
         self._up_down = None
 
     def has_maximum(self) -> bool:
-        return self.maximal_mask().bit_count() == 1
+        """The labels are a linear extension, so only the last can be top."""
+        return self.down[-1] == (1 << self.size) - 1
 
     def down_level_of(self, x: int) -> int:
         """0-based down-level index of x (0 = maximal elements)."""
         if self._down_level_of is None:
             lev = [0] * self.size
-            for i, level in enumerate(down_levels(self)):
+            for i, level in enumerate(down_levels(self.down)):
                 for x_ in level:
                     lev[x_] = i
             self._down_level_of = tuple(lev)
@@ -137,76 +138,54 @@ class MeetSemilattice(Poset):
 
     def up_down_levels(self):
         if self._up_down is None:
-            self._up_down = up_down_levels(self)
+            self._up_down = up_down_levels(self.down)
         return self._up_down
 
 
-class ColoredPoset:
-    """Poset together with one opaque, orderable color token per element."""
-
-    __slots__ = ("poset", "colors")
-
-    def __init__(self, poset: Poset, colors):
-        colors = tuple(colors)
-        if len(colors) != poset.size:
-            raise ValueError("one color per element required")
-        self.poset = poset
-        self.colors = colors
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ColoredPoset)
-            and self.poset == other.poset
-            and self.colors == other.colors
-        )
-
-    def __hash__(self):
-        return hash((self.poset, self.colors))
-
-
 # ---------------------------------------------------------------------------
-# level decompositions
+# level decompositions; down[x] is the down-set mask of x, as in Poset.down
 
 
-def _peel(n, rel):
-    """Levels from repeatedly removing every remaining x whose rel[x] mask
-    holds no other remaining element."""
-    full = (1 << n) - 1
-    removed = 0
+def down_levels(down):
+    """Peel maximal elements repeatedly; the levels partition the poset."""
+    left = (1 << len(down)) - 1
     levels = []
-    while removed != full:
-        lev = tuple(
-            x for x in range(n)
-            if not (removed >> x) & 1 and not (rel[x] & ~removed & ~(1 << x))
-        )
-        levels.append(lev)
-        for x in lev:
-            removed |= 1 << x
+    while left:
+        below = 0
+        for x in _bits(left):
+            below |= down[x] ^ (1 << x)
+        top = left & ~below
+        levels.append(tuple(_bits(top)))
+        left ^= top
     return levels
 
 
-def down_levels(poset: Poset):
-    """Peel maximal elements repeatedly; the levels partition the poset."""
-    return _peel(poset.size, poset.up)
-
-
-def up_levels(poset: Poset):
+def up_levels(down):
     """Peel minimal elements repeatedly."""
-    return _peel(poset.size, poset.down)
+    left = (1 << len(down)) - 1
+    levels = []
+    while left:
+        bottom = 0
+        for x in _bits(left):
+            if not down[x] & left & ~(1 << x):
+                bottom |= 1 << x
+        levels.append(tuple(_bits(bottom)))
+        left ^= bottom
+    return levels
 
 
-def up_down_levels(poset: Poset):
+def up_down_levels(down):
     """Common refinement of up-levels and down-levels, sorted by min element."""
     d_of = {}
-    for i, level in enumerate(down_levels(poset)):
+    for i, level in enumerate(down_levels(down)):
         for x in level:
             d_of[x] = i
     u_of = {}
-    for i, level in enumerate(up_levels(poset)):
+    for i, level in enumerate(up_levels(down)):
         for x in level:
             u_of[x] = i
     classes = {}
-    for x in range(poset.size):
+    for x in range(len(down)):
         classes.setdefault((u_of[x], d_of[x]), []).append(x)
     return sorted((tuple(sorted(v)) for v in classes.values()), key=lambda t: t[0])
 
@@ -215,27 +194,26 @@ def up_down_levels(poset: Poset):
 # colored isomorphism search
 
 
-def colored_isomorphisms(A: ColoredPoset, B: ColoredPoset):
-    """Yield every color-preserving poset isomorphism A -> B as an image tuple."""
-    pa, pb = A.poset, B.poset
-    ca, cb = A.colors, B.colors
-    n = pa.size
-    if pb.size != n or sorted(ca) != sorted(cb):
+def colored_isomorphisms(poset: Poset, ca, cb):
+    """Yield every automorphism p of the poset with cb[p[x]] == ca[x] for
+    all x, as an image tuple; ca and cb hold one orderable color per element."""
+    n = poset.size
+    if len(ca) != n or len(cb) != n:
+        raise ValueError("one color per element required")
+    if sorted(ca) != sorted(cb):
         return
+    down = poset.down
+    sizes = [(down[x].bit_count(), poset.up[x].bit_count()) for x in range(n)]
     cand = []
     for a in range(n):
         opts = [
-            b for b in range(n)
-            if cb[b] == ca[a]
-            and pb.down[b].bit_count() == pa.down[a].bit_count()
-            and pb.up[b].bit_count() == pa.up[a].bit_count()
+            b for b in range(n) if cb[b] == ca[a] and sizes[b] == sizes[a]
         ]
         if not opts:
             return
         cand.append(opts)
     images = [-1] * n
     used = [False] * n
-    da, db = pa.down, pb.down
 
     def rec(a):
         if a == n:
@@ -247,9 +225,9 @@ def colored_isomorphisms(A: ColoredPoset, B: ColoredPoset):
             ok = True
             for a2 in range(a):
                 b2 = images[a2]
-                if ((da[a] >> a2) & 1) != ((db[b] >> b2) & 1) or (
-                    (da[a2] >> a) & 1
-                ) != ((db[b2] >> b) & 1):
+                if ((down[a] >> a2) & 1) != ((down[b] >> b2) & 1) or (
+                    (down[a2] >> a) & 1
+                ) != ((down[b2] >> b) & 1):
                     ok = False
                     break
             if ok:
@@ -413,11 +391,7 @@ def _ensure_level(m):
         seen = set()
         nxt = []
         for pdown in _LEVELS[n0 - 1]:
-            pup = [0] * n0
-            for j in range(n0):
-                for i in _bits(pdown[j]):
-                    pup[i] |= 1 << j
-            for D in _extension_ideals(n0, pdown, pup):
+            for D in _extension_ideals(n0, pdown, Poset(pdown).up):
                 cdown = pdown + (D | (1 << n0),)
                 key, lab = _canonical_labeling(n0 + 1, cdown)
                 if key in seen:

@@ -16,7 +16,7 @@ from isgenum.engine import (
 )
 from isgenum.esn import esn, validate_inverse_semigroup
 from isgenum.gposets import e_groupoid, g_posets
-from isgenum.groups import catalog
+from isgenum.groups import Group, catalog, is_isomorphic
 from isgenum.iso import brute_force_isomorphic
 from isgenum.orders import meet_semilattices, parse_cover_line
 from isgenum.shapes import admissible_compositions, d_partitions, group_maps, partitions
@@ -249,6 +249,18 @@ def test_fixed_rejects_misshapen_input(groups_by_name):
         enumerate_fixed(VEE, ((0,), (1, 2)), (C1, C1))
     with pytest.raises(ValueError, match="one group per block"):
         enumerate_fixed(VEE, ((1, 2), (0,)), (C1,))
+
+
+def test_fixed_same_named_groups_stay_apart(groups_by_name):
+    # the search caches must not hand one group's cells to another group
+    # that merely shares its name
+    E1 = parse_cover_line("1:")
+    for name, orders in (("C4", [1, 2, 4, 4]), ("C2xC2", [1, 2, 2, 2])):
+        G = Group(groups_by_name[name].mul, "G")
+        (S,) = enumerate_fixed(E1, ((0,),), (G,))
+        T = Group(S.table, "table")
+        assert sorted(T.element_order(x) for x in range(4)) == orders
+        assert is_isomorphic(T, groups_by_name[name])
 
 
 def test_fixed_narrower_than_full(groups_by_name):

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
+from isgenum.engine import enumerate_semigroups
 from isgenum.orders import (
-    ColoredPoset,
     MeetSemilattice,
     Poset,
     colored_isomorphisms,
@@ -16,7 +17,7 @@ from isgenum.orders import (
     up_levels,
 )
 
-from expected_counts import LATTICES, SEMILATTICES
+from expected_counts import LATTICES, SEMILATTICES, TOTALS
 
 CHAIN3 = parse_cover_line("3:0<1,1<2")
 VEE = parse_cover_line("3:0<1,0<2")
@@ -104,41 +105,83 @@ def test_invalid_meet_semilattice_rejected():
 
 
 def test_down_levels_examples():
-    assert down_levels(CHAIN3) == [(2,), (1,), (0,)]
-    assert down_levels(ANTICHAIN2) == [(0, 1)]
-    assert down_levels(VEE) == [(1, 2), (0,)]
+    assert down_levels(CHAIN3.down) == [(2,), (1,), (0,)]
+    assert down_levels(ANTICHAIN2.down) == [(0, 1)]
+    assert down_levels(VEE.down) == [(1, 2), (0,)]
 
 
 def test_up_levels_examples():
-    assert up_levels(CHAIN3) == [(0,), (1,), (2,)]
-    assert up_levels(VEE) == [(0,), (1, 2)]
+    assert up_levels(CHAIN3.down) == [(0,), (1,), (2,)]
+    assert up_levels(VEE.down) == [(0,), (1, 2)]
 
 
 def test_up_down_levels_examples():
-    assert up_down_levels(CHAIN3) == [(0,), (1,), (2,)]
-    assert up_down_levels(VEE) == [(0,), (1, 2)]
-    assert up_down_levels(DIAMOND) == [(0,), (1, 2), (3,)]
+    assert up_down_levels(CHAIN3.down) == [(0,), (1,), (2,)]
+    assert up_down_levels(VEE.down) == [(0,), (1, 2)]
+    assert up_down_levels(DIAMOND.down) == [(0,), (1, 2), (3,)]
 
 
 def test_levels_partition_and_refine():
     for E in meet_semilattices(6):
         n = E.size
-        for levels in (down_levels(E), up_levels(E)):
+        for levels in (down_levels(E.down), up_levels(E.down)):
             flat = sorted(x for lev in levels for x in lev)
             assert flat == list(range(n))
-        ud = up_down_levels(E)
+        ud = up_down_levels(E.down)
         assert sorted(x for lev in ud for x in lev) == list(range(n))
-        dmap = {x: i for i, lev in enumerate(down_levels(E)) for x in lev}
-        umap = {x: i for i, lev in enumerate(up_levels(E)) for x in lev}
+        dmap = {x: i for i, lev in enumerate(down_levels(E.down)) for x in lev}
+        umap = {x: i for i, lev in enumerate(up_levels(E.down)) for x in lev}
         for lev in ud:
             assert len({dmap[x] for x in lev}) == 1
             assert len({umap[x] for x in lev}) == 1
+
+
+def _levels_oracle(down, from_top):
+    """Repeatedly remove the elements with no strict upper (from_top) or
+    lower bound among the elements left, by pairwise comparison."""
+    n = len(down)
+
+    def less(x, y):
+        return x != y and down[y] >> x & 1
+
+    left = set(range(n))
+    levels = []
+    while left:
+        if from_top:
+            lev = [x for x in left if not any(less(x, y) for y in left)]
+        else:
+            lev = [x for x in left if not any(less(y, x) for y in left)]
+        levels.append(tuple(sorted(lev)))
+        left -= set(lev)
+    return levels
+
+
+def test_levels_of_natural_orders_match_oracle():
+    # the natural order of an inverse semigroup is a poset, in general not a
+    # semilattice; a random relabelling also makes its labels stop being a
+    # linear extension
+    rng = random.Random(5)
+    checked = 0
+    for n in range(1, 6):
+        for S in enumerate_semigroups(n):
+            perm = rng.sample(range(n), n)
+            shuffled = [0] * n
+            for t in range(n):
+                shuffled[perm[t]] = sum(
+                    1 << perm[s] for s in range(n) if S.order_down[t] >> s & 1
+                )
+            for down in (S.order_down, tuple(shuffled)):
+                assert down_levels(down) == _levels_oracle(down, True)
+                assert up_levels(down) == _levels_oracle(down, False)
+            checked += 1
+    assert checked == sum(TOTALS[n][0] for n in range(1, 6))
 
 
 def test_has_maximum_examples():
     assert CHAIN3.has_maximum()
     assert not VEE.has_maximum()
     assert parse_cover_line("1:").has_maximum()
+    assert DIAMOND.has_maximum()
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +189,35 @@ def test_has_maximum_examples():
 
 
 def test_colored_isoms_identical_chain():
-    cp = ColoredPoset(Poset(CHAIN3.down), ("a", "b", "c"))
-    assert list(colored_isomorphisms(cp, cp)) == [(0, 1, 2)]
+    colors = ("a", "b", "c")
+    assert list(colored_isomorphisms(CHAIN3, colors, colors)) == [(0, 1, 2)]
 
 
 def test_colored_isoms_antichain_same_color():
-    cp = ColoredPoset(ANTICHAIN2, ("x", "x"))
-    assert sorted(colored_isomorphisms(cp, cp)) == [(0, 1), (1, 0)]
+    colors = ("x", "x")
+    got = sorted(colored_isomorphisms(ANTICHAIN2, colors, colors))
+    assert got == [(0, 1), (1, 0)]
 
 
 def test_colored_isoms_mismatched_colors():
-    a = ColoredPoset(ANTICHAIN2, ("x", "x"))
-    b = ColoredPoset(ANTICHAIN2, ("x", "y"))
-    assert list(colored_isomorphisms(a, b)) == []
+    assert list(colored_isomorphisms(ANTICHAIN2, ("x", "x"), ("x", "y"))) == []
+
+
+def test_colored_isoms_reject_wrong_color_count():
+    with pytest.raises(ValueError):
+        list(colored_isomorphisms(ANTICHAIN2, ("x",), ("x",)))
 
 
 def test_colored_isoms_respect_order():
-    a = ColoredPoset(Poset(CHAIN3.down), ("x", "x", "x"))
-    maps = list(colored_isomorphisms(a, a))
+    colors = ("x", "x", "x")
+    maps = list(colored_isomorphisms(CHAIN3, colors, colors))
     assert maps == [(0, 1, 2)]  # chain is rigid even with uniform colors
 
 
 def test_colored_isoms_form_group():
     for E in meet_semilattices(5):
-        cp = ColoredPoset(Poset(E.down), ("c",) * E.size)
-        maps = set(colored_isomorphisms(cp, cp))
+        colors = ("c",) * E.size
+        maps = set(colored_isomorphisms(E, colors, colors))
         assert tuple(range(E.size)) in maps
         for p in maps:
             inv = [0] * E.size
@@ -184,17 +231,49 @@ def test_colored_isoms_form_group():
 def test_colored_isoms_match_uncolored_oracle():
     # with a constant coloring these are exactly the poset automorphisms
     for E in meet_semilattices(5):
-        cp = ColoredPoset(Poset(E.down), (0,) * E.size)
-        got = sorted(colored_isomorphisms(cp, cp))
-        n = E.size
-        expect = sorted(
-            p for p in itertools.permutations(range(n))
-            if all(
-                ((E.down[j] >> i) & 1) == ((E.down[p[j]] >> p[i]) & 1)
-                for i in range(n) for j in range(n)
-            )
+        colors = (0,) * E.size
+        got = sorted(colored_isomorphisms(E, colors, colors))
+        assert got == _automorphisms(E)
+
+
+def _automorphisms(E):
+    n = E.size
+    return [
+        p for p in itertools.permutations(range(n))
+        if all(
+            ((E.down[j] >> i) & 1) == ((E.down[p[j]] >> p[i]) & 1)
+            for i in range(n) for j in range(n)
         )
-        assert got == expect
+    ]
+
+
+def test_colored_isoms_between_two_colorings_match_oracle():
+    # cb is ca carried along an automorphism of E (a match exists) or along
+    # an arbitrary relabelling (usually none does), so ca and cb differ
+    # while their multisets agree
+    rng = random.Random(7)
+    checked = differing = matched = 0
+    for m in range(1, 6):
+        for E in meet_semilattices(m):
+            auts = _automorphisms(E)
+            perms = list(itertools.permutations(range(m)))
+            for _ in range(4):
+                ca = tuple(rng.choice("abc") for _ in range(m))
+                for sigma in auts + rng.sample(perms, min(2, len(perms))):
+                    cb = [None] * m
+                    for x in range(m):
+                        cb[sigma[x]] = ca[x]
+                    cb = tuple(cb)
+                    got = sorted(colored_isomorphisms(E, ca, cb))
+                    expect = [
+                        p for p in auts
+                        if all(cb[p[x]] == ca[x] for x in range(m))
+                    ]
+                    assert got == expect
+                    checked += 1
+                    differing += ca != cb
+                    matched += ca != cb and bool(got)
+    assert checked > 400 and differing > 250 and matched > 150
 
 
 # ---------------------------------------------------------------------------

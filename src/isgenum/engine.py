@@ -10,9 +10,10 @@ Every mode runs one pipeline per semilattice E and block-size shape:
 
 `run_enumeration` tallies it per shape (counts mode) and keeps the tables
 (full mode), `enumerate_semigroups` streams it, and `enumerate_fixed` runs
-it on one skeleton.  `run_enumeration` runs one task per semilattice,
-serially or on a process pool; results are merged in generation order, so
-ledgers and output files do not depend on the worker count.
+it on one skeleton.  `run_enumeration` builds the semilattice levels and
+then runs one task per semilattice, both serially or on one process pool;
+results are merged in generation order, so levels, ledgers and output files
+do not depend on the worker count.
 
 The pipeline calls every layer through this module's own names (`esn`,
 `g_posets`, `is_isoc`, ...), which is where `bench/tracer.py` wraps them.
@@ -24,12 +25,19 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from time import perf_counter
 
 from . import groups as _groups
 from .esn import esn
 from .gposets import e_groupoid, g_posets
 from .iso import invariants, is_isoc
-from .orders import MeetSemilattice, format_cover_line, meet_semilattices
+from .orders import (
+    MeetSemilattice,
+    format_cover_line,
+    meet_semilattices,
+    semilattice_level,
+)
 from .shapes import (
     admissible_compositions,
     d_partitions,
@@ -232,27 +240,33 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     m_top = n if collect else n - 1
 
     pool = None
+    mapper = map
     if config.threads > 1:
         pool = ProcessPoolExecutor(max_workers=config.threads)
+        mapper = partial(pool.map, chunksize=8)
     try:
+        # every level up to n is built here, on the pool if there is one;
+        # meet_semilattices then reads it from the cache, and counts mode
+        # needs only the masks of level n
+        level_n = semilattice_level(n, mapper)
         for m in range(1, m_top + 1):
             shapes = _shapes_with_compositions(n, m)
             if not shapes:
                 continue
             tasks = [(n, E.down, shapes, collect) for E in meet_semilattices(m)]
-            if pool is None:
-                outcomes = map(_search_semilattice, tasks)
-            else:
-                outcomes = pool.map(_search_semilattice, tasks, chunksize=8)
-            for i, (is_lattice, res) in enumerate(outcomes):
+            start = perf_counter()
+            for i, (is_lattice, res) in enumerate(
+                    mapper(_search_semilattice, tasks), 1):
                 for shape, count, comm, tables, stats in res:
                     ledger.add_cell(m, shape, count, comm, is_lattice)
                     ledger.add_stats(*stats)
                     if collect:
                         result.tables.extend(tables)
                 if config.progress:
+                    rate = i / max(perf_counter() - start, 1e-9)
                     print(
-                        f"\rm={m}: {i + 1}/{len(tasks)} semilattices",
+                        f"\rm={m}: {i}/{len(tasks)} semilattices, "
+                        f"{rate:.1f}/s, ETA {(len(tasks) - i) / rate:.0f}s",
                         end="", flush=True, file=sys.stderr,
                     )
             if config.progress:
@@ -263,10 +277,11 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 
     if not collect:
         # pure-semilattice row: the only inverse semigroup of order n whose
-        # idempotents exhaust it is the semilattice itself
-        shape = (1,) * n
-        for E in meet_semilattices(n):
-            ledger.add_cell(n, shape, 1, 1, E.has_maximum())
+        # idempotents exhaust it is the semilattice itself; its labels are a
+        # linear extension, so it has a maximum iff the last down-set is full
+        shape, full = (1,) * n, (1 << n) - 1
+        for down in level_n:
+            ledger.add_cell(n, shape, 1, 1, down[-1] == full)
     return result
 
 

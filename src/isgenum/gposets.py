@@ -20,8 +20,9 @@ block-local coordinates (idempotents first, then (a, b, g)), cached under
 (G, H, |X|, |Y|, below), and moved into a basis's global index by one table
 lookup for the idempotent bits and one shift for the rest.  The key holds
 no E labels or global indices, so the cache stays small: 83 entries for a
-whole order-9 count.  Groups enter every cache key as objects, not names,
-so two different groups that share a name never share an entry.
+whole order-9 count.  Groups enter every cache key as their Cayley tables
+(`G.mul`): two groups that share a name but not a table never share an
+entry, and a new `Group` object with a known table adds none.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "validate_hypotheses",
 ]
 
-# (|X|, G) -> block cell table, see _block_cells
+# (|X|, G.mul) -> block cell table, see _block_cells
 _BLOCK_CELLS: dict = {}
 
 
@@ -57,7 +58,7 @@ def _block_cells(x: int, G: Group):
     per cell the pairs (t, product) for every cell t = (b, d, k) that
     composes with it.
     """
-    key = (x, G)
+    key = (x, G.mul)
     data = _BLOCK_CELLS.get(key)
     if data is None:
         h, mul = G.order, G.mul
@@ -250,7 +251,7 @@ def _winv(w, hinv):
 def _wreath_homs(G: Group, H: Group, m: int):
     """All homomorphisms from G into the wreath-style group of pairs
     (permutation of m slots, H-element per slot); one image per G element."""
-    key = (G, H, m)
+    key = (G.mul, H.mul, m)
     cached = _WREATH_HOM_CACHE.get(key)
     if cached is not None:
         return cached
@@ -289,7 +290,7 @@ def _wreath_homs(G: Group, H: Group, m: int):
     return _WREATH_HOM_CACHE[key]
 
 
-# (G, H, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
+# (G.mul, H.mul, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
 _POSS_CACHE: dict = {}
 
 
@@ -367,7 +368,7 @@ def poset_possibilities(basis: GroupoidBasis, hi_pos: int, lo_pos: int):
             sum(1 << Y[c] for c in range(y) if v >> c & 1)
             for v in range(1 << y)
         ]
-    key = (G, H, len(X), y, below)
+    key = (G.mul, H.mul, len(X), y, below)
     local = _POSS_CACHE.get(key)
     if local is None:
         local = _POSS_CACHE[key] = _local_possibilities(G, H, y, below)

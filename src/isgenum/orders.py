@@ -6,6 +6,16 @@ x <= y implies index(x) <= index(y) and the minimum is element 0.  That
 normalization is load-bearing: meets, cover parsing and the extension step
 all use "highest set bit" as "greatest element of a down-set".
 
+Level m+1 is generated from level m: each parent is extended by a new
+maximal element in every admissible way, and each child is reduced to its
+canonical form, which is read off its canonical key (the key lists every
+element's strict down-set in canonical labels).  The canonical search tries
+one member of each class of twins (elements with equal strict down- and
+up-sets), since swapping twins is an automorphism.  Parents are independent,
+so `semilattice_level(m, mapper)` can map them over a process pool; the
+first of each form over the parents in order is kept, which gives the same
+level, order and labels for every mapper.
+
 A poset is its tuple of down-set masks: the level decompositions take that
 tuple directly, and `colored_isomorphisms` searches the automorphisms of
 one poset that carry one coloring of its elements to another.
@@ -17,6 +27,7 @@ __all__ = [
     "Poset",
     "MeetSemilattice",
     "meet_semilattices",
+    "semilattice_level",
     "down_levels",
     "up_levels",
     "up_down_levels",
@@ -267,17 +278,23 @@ def _refined_colors(n, below, above):
 def _canonical_labeling(n, down):
     """Minimal (color, predecessors-mask) sequence over all linear extensions.
 
-    Returns (key, labeling) where labeling[i] is the original index of the
-    element assigned label i.  The key determines the poset up to isomorphism.
+    The returned key determines the poset up to isomorphism.  Entry i is the
+    (color, mask) of the element labeled i, and the mask has bit j set when
+    the element labeled j lies below it: the mask is that element's strict
+    down-set in canonical labels, so the key spells the canonical form (see
+    `_canonical_form`).
 
     The search places one minimal unplaced element per level and only
-    follows candidates whose (color, mask) equals the smallest available;
-    the mask has bit i set when the element placed at level i lies below the
-    candidate.  State is kept incrementally: the placed set travels down the
-    recursion, posmask[x] is updated over the up-set of each placed element
-    so that a candidate's key costs O(1), and each node carries whether its
-    prefix equals the best sequence so far (otherwise it is smaller) instead
-    of re-comparing the prefix.  A node whose subtree finds a new best has a
+    follows candidates whose (color, mask) equals the smallest available.
+    Twins, elements with equal strict down-sets and equal strict up-sets,
+    are interchangeable: swapping two unplaced twins is an automorphism that
+    fixes the prefix, so only the first unplaced member of each twin class
+    is tried (k interchangeable atoms give one path, not k! of them).
+    State is kept incrementally: the placed set travels down the recursion,
+    posmask[x] is updated over the up-set of each placed element so that a
+    candidate's key costs O(1), and each node carries whether its prefix
+    equals the best sequence so far (otherwise it is smaller) instead of
+    re-comparing the prefix.  A node whose subtree finds a new best has a
     prefix equal to it from then on.
     """
     sdown = [down[x] ^ (1 << x) for x in range(n)]
@@ -287,65 +304,61 @@ def _canonical_labeling(n, down):
         for i in below[x]:
             above[i].append(x)
     colors = _refined_colors(n, below, above)
+    # earlier[x]: the twins of x with smaller indices
+    earlier = [0] * n
+    twins = {}
+    for x in range(n):
+        cls = (sdown[x], tuple(above[x]))
+        earlier[x] = twins.get(cls, 0)
+        twins[cls] = earlier[x] | 1 << x
     posmask = [0] * n
-    best_seq = None
-    best_lab = None
-    placed = []
+    best = None
     seq = []
 
     def rec(placedmask, equal):
         """Search below the current prefix; True if a new best was found."""
-        nonlocal best_seq, best_lab
-        depth = len(placed)
+        nonlocal best
+        depth = len(seq)
         if depth == n:
-            if best_seq is None or not equal:
-                best_seq = tuple(seq)
-                best_lab = placed.copy()
+            if best is None or not equal:
+                best = tuple(seq)
                 return True
             return False
         cands = [
             (colors[x], posmask[x], x) for x in range(n)
             if not (placedmask >> x) & 1 and not sdown[x] & ~placedmask
+            and not earlier[x] & ~placedmask
         ]
         kc, km, _ = min(cands)
         key = (kc, km)
-        if best_seq is not None and equal:
-            if key > best_seq[depth]:
+        if best is not None and equal:
+            if key > best[depth]:
                 return False
-            equal = key == best_seq[depth]
+            equal = key == best[depth]
         found = False
         bit = 1 << depth
         seq.append(key)
         for c, m, x in cands:
             if c != kc or m != km:
                 continue
-            placed.append(x)
             for y in above[x]:
                 posmask[y] |= bit
             if rec(placedmask | (1 << x), equal):
                 found = equal = True
             for y in above[x]:
                 posmask[y] ^= bit
-            placed.pop()
         seq.pop()
         return found
 
     rec(0, True)
-    return best_seq, best_lab
+    return best
 
 
-def _relabel(down, lab):
-    n = len(down)
-    pos = [0] * n
-    for i, p in enumerate(lab):
-        pos[p] = i
-    out = []
-    for i in range(n):
-        mask = 0
-        for q in _bits(down[lab[i]]):
-            mask |= 1 << pos[q]
-        out.append(mask)
-    return tuple(out)
+def _canonical_form(n, down):
+    """Down-set masks of the poset in canonical labels, read off its key."""
+    return tuple(
+        mask | 1 << i for i, (_, mask) in enumerate(_canonical_labeling(n, down))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,39 +395,45 @@ def _extension_ideals(n, down, up):
     return res
 
 
-_LEVELS: list[list[tuple]] = [[(1,)]]
+def _children(pdown):
+    """Canonical forms of the one-point extensions of one semilattice by a
+    new maximal element, in the order of their ideals, each form once."""
+    n = len(pdown)
+    return list(dict.fromkeys(
+        _canonical_form(n + 1, pdown + (D | (1 << n),))
+        for D in _extension_ideals(n, pdown, Poset(pdown).up)
+    ))
 
 
-def _ensure_level(m):
+_LEVELS: list[tuple] = [((1,),)]
+
+
+def semilattice_level(m: int, mapper=map):
+    """Down-set masks of the meet-semilattices of order m, one per
+    isomorphism class, in generation order; levels are cached per process.
+
+    A missing level is built from the one below: `mapper(_children, parents)`
+    gives each parent's forms, and the first of each form over the parents
+    in order is kept.  Any mapper that returns results in input order, such
+    as a process pool's `map`, builds the same level.
+    """
+    if m < 1:
+        raise ValueError("order must be positive")
     while len(_LEVELS) < m:
-        n0 = len(_LEVELS)
-        seen = set()
-        nxt = []
-        for pdown in _LEVELS[n0 - 1]:
-            for D in _extension_ideals(n0, pdown, Poset(pdown).up):
-                cdown = pdown + (D | (1 << n0),)
-                key, lab = _canonical_labeling(n0 + 1, cdown)
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(_relabel(cdown, lab))
-        _LEVELS.append(nxt)
+        _LEVELS.append(tuple(dict.fromkeys(
+            form for forms in mapper(_children, _LEVELS[-1]) for form in forms
+        )))
+    return _LEVELS[m - 1]
 
 
 def meet_semilattices(m: int):
     """Stream the meet-semilattices of order m, one per isomorphism class."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    _ensure_level(m)
-    for down in _LEVELS[m - 1]:
+    for down in semilattice_level(m):
         yield MeetSemilattice(down)
 
 
 def semilattice_count(m: int) -> int:
-    if m < 1:
-        raise ValueError("order must be positive")
-    _ensure_level(m)
-    return len(_LEVELS[m - 1])
+    return len(semilattice_level(m))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from isgenum import gposets
 from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
@@ -263,6 +264,24 @@ def test_fixed_same_named_groups_stay_apart(groups_by_name):
         assert is_isomorphic(T, groups_by_name[name])
 
 
+def test_fixed_caches_do_not_grow_with_fresh_groups(groups_by_name):
+    # the search caches are keyed by group tables, so new Group objects
+    # with a table already seen add no entries
+    caches = (gposets._BLOCK_CELLS, gposets._WREATH_HOM_CACHE,
+              gposets._POSS_CACHE)
+    mul = groups_by_name["C2"].mul
+
+    def call():
+        f = (Group(mul, "C2"), Group(mul, "C2"))
+        assert len(enumerate_fixed(CHAIN2, ((0,), (1,)), f)) == 2
+
+    call()
+    sizes = [len(cache) for cache in caches]
+    for _ in range(199):
+        call()
+    assert [len(cache) for cache in caches] == sizes
+
+
 def test_fixed_narrower_than_full(groups_by_name):
     # same (E, P) with all group assignments of order 6 reproduces the cell
     total = 0
@@ -351,6 +370,20 @@ def test_semilattice_file(tmp_path):
     assert all(line.startswith("5:") for line in lines)
     for line in lines:
         parse_cover_line(line)
+
+
+def test_progress_reports_rate_and_eta(capsys):
+    enumerate_counts_only(5, progress=True)
+    err = capsys.readouterr().err
+    lines = [line.split("\r")[-1] for line in err.rstrip("\n").split("\n")]
+    # one line per level searched; counts mode fills level 5 directly
+    assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",
+                                                      "m=4"]
+    assert lines[3].startswith("m=4: 5/5 semilattices, ")
+    for line in lines:
+        rate, eta = line.split(", ")[1:]
+        assert float(rate.removesuffix("/s")) > 0
+        assert eta == "ETA 0s"
 
 
 def test_counts_mode_emits_no_tables():

@@ -14,6 +14,11 @@ from isgenum.orders import format_cover_line, meet_semilattices
 COVER_LINES_SHA256 = (
     "c48b5c551c3e363b4ec70a9b7330be036c01c0646f329cac613234bb57d5c2a8"
 )
+# cover lines of orders 9 and 10, one digest per order
+COVER_LINES_9_10_SHA256 = {
+    9: "b4d86785941dff58eb681c218988c32f09b53ce7bce17699012582662f3e58dc",
+    10: "6fd0e81dedc4a866375b71d4564af461243658b196711dad4915e2b01cdc1aff",
+}
 TABLES_N7_SHA256 = (
     "0e0f6923a4af1107f94ab30a89998c5357dfd91544e019b9117909370b505232"
 )
@@ -25,6 +30,12 @@ def test_cover_lines_up_to_order_8():
         for m in range(1, 9) for E in meet_semilattices(m)
     )
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == COVER_LINES_SHA256
+
+
+def test_cover_lines_of_orders_9_and_10():
+    for m, expected in COVER_LINES_9_10_SHA256.items():
+        text = "".join(format_cover_line(E) + "\n" for E in meet_semilattices(m))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected
 
 
 def test_tables_of_order_7(tmp_path):

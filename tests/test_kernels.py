@@ -1,5 +1,5 @@
 """Properties of the search kernels: the block-local possibility cache and
-the incremental canonical labeling."""
+the incremental canonical labeling with its twin pruning."""
 
 from isgenum import gposets
 from isgenum.gposets import GroupoidBasis, poset_possibilities
@@ -7,9 +7,9 @@ from isgenum.groups import catalog
 import random
 
 from isgenum.orders import (
+    _canonical_form,
     _canonical_labeling,
     _refined_colors,
-    _relabel,
     meet_semilattices,
     parse_cover_line,
 )
@@ -61,7 +61,7 @@ def test_possibilities_same_with_cold_and_warm_cache():
 
 
 def test_cache_keys_are_block_local():
-    groups = set(catalog(6))
+    tables = {G.mul for G in catalog(6)}
     gposets._POSS_CACHE.clear()
     calls = 0
     for E, P, f in _skeletons(6):
@@ -70,8 +70,8 @@ def test_cache_keys_are_block_local():
             poset_possibilities(basis, hi, lo)
             calls += 1
     assert 0 < len(gposets._POSS_CACHE) < calls // 10
-    for G, H, x, y, below in gposets._POSS_CACHE:
-        assert G in groups and H in groups
+    for gmul, hmul, x, y, below in gposets._POSS_CACHE:
+        assert gmul in tables and hmul in tables
         assert len(below) == x
         for positions in below:
             assert list(positions) == sorted(set(positions))
@@ -144,17 +144,47 @@ def _linear_extensions(down):
     yield from rec(0)
 
 
+def _relabel(down, lab):
+    """The poset with label i given to element lab[i]."""
+    pos = {p: i for i, p in enumerate(lab)}
+    return tuple(
+        sum(1 << pos[q] for q in range(len(down)) if down[p] >> q & 1)
+        for p in lab
+    )
+
+
 def test_canonical_labeling_invariant_under_linear_extensions():
     for m in range(1, 7):
         for E in meet_semilattices(m):
-            key, lab = _canonical_labeling(m, E.down)
-            form = _relabel(E.down, lab)
+            key = _canonical_labeling(m, E.down)
+            form = _canonical_form(m, E.down)
             assert form == E.down  # generation emits canonical forms
             for ext in _linear_extensions(E.down):
                 relabeled = _relabel(E.down, ext)
-                key2, lab2 = _canonical_labeling(m, relabeled)
-                assert key2 == key
-                assert _relabel(relabeled, lab2) == form
+                assert _canonical_labeling(m, relabeled) == key
+                assert _canonical_form(m, relabeled) == form
+
+
+def _atoms(k, top):
+    """A bottom under k atoms, and a top over them if asked: all k atoms are
+    twins, so a search that branches on each has k! leaves."""
+    down = [1] + [1 | 1 << i for i in range(1, k + 1)]
+    if top:
+        down.append((1 << (k + 2)) - 1)
+    return tuple(down)
+
+
+def test_canonical_form_of_interchangeable_atoms():
+    rng = random.Random(5)
+    for k in range(1, 9):
+        for top in (False, True):
+            down = _atoms(k, top)
+            n = len(down)
+            assert _canonical_form(n, down) == down
+            for _ in range(10):
+                atoms = rng.sample(range(1, k + 1), k)
+                ext = (0, *atoms, *range(k + 1, n))
+                assert _canonical_form(n, _relabel(down, ext)) == down
 
 
 def _random_posets(count, n, seed):
@@ -174,6 +204,7 @@ def _random_posets(count, n, seed):
 def test_canonical_key_is_least_sequence_over_linear_extensions():
     posets = [E.down for m in range(1, 7) for E in meet_semilattices(m)]
     posets += list(_random_posets(150, 7, seed=3))
+    posets += [_atoms(k, top) for k in range(1, 6) for top in (False, True)]
     for down in posets:
         n = len(down)
         below = [[i for i in range(n) if i != x and down[x] >> i & 1]
@@ -188,6 +219,7 @@ def test_canonical_key_is_least_sequence_over_linear_extensions():
                 for k, x in enumerate(ext)
             )
 
-        key, lab = _canonical_labeling(n, down)
-        assert key == min(sequence(ext) for ext in _linear_extensions(down))
-        assert sequence(lab) == key
+        best = min(_linear_extensions(down), key=sequence)
+        assert _canonical_labeling(n, down) == sequence(best)
+        # the labeling that attains the key spells the canonical form
+        assert _relabel(down, best) == _canonical_form(n, down)

@@ -1,8 +1,11 @@
 import itertools
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
+from isgenum import orders
 from isgenum.engine import enumerate_semigroups
 from isgenum.orders import (
     MeetSemilattice,
@@ -13,6 +16,7 @@ from isgenum.orders import (
     meet_semilattices,
     parse_cover_line,
     semilattice_count,
+    semilattice_level,
     up_down_levels,
     up_levels,
 )
@@ -67,6 +71,16 @@ def test_generation_is_deterministic():
     first = [E.down for E in meet_semilattices(6)]
     second = [E.down for E in meet_semilattices(6)]
     assert first == second
+
+
+def test_pooled_levels_match_serial(monkeypatch):
+    serial = [semilattice_level(m) for m in range(1, 9)]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for mapper in (pool.map, partial(pool.map, chunksize=8)):
+            # a fresh cache, restored after the test
+            monkeypatch.setattr(orders, "_LEVELS", [((1,),)])
+            assert semilattice_level(8, mapper) == serial[7]
+            assert orders._LEVELS == serial
 
 
 def test_emitted_labels_are_linear_extensions():

@@ -23,18 +23,14 @@ from .esn import (
     InverseSemigroup,
     d_restriction_from_table,
     esn,
-    multiply,
     natural_order_from_table,
     validate_inverse_semigroup,
 )
 from .gposets import (
     BasisOrder,
     GroupoidBasis,
-    SearchNode,
-    children,
     e_groupoid,
     g_posets,
-    passes_cardinality_test,
     poset_possibilities,
     validate_hypotheses,
 )
@@ -84,12 +80,10 @@ __all__ = [
     "MeetSemilattice",
     "Poset",
     "RunResult",
-    "SearchNode",
     "admissible_compositions",
     "breakdown_csv",
     "brute_force_isomorphic",
     "catalog",
-    "children",
     "colored_isomorphisms",
     "d_partitions",
     "d_restriction_from_table",
@@ -109,11 +103,9 @@ __all__ = [
     "is_isomorphic",
     "lonely_idempotents",
     "meet_semilattices",
-    "multiply",
     "natural_order_from_table",
     "parse_cover_line",
     "partitions",
-    "passes_cardinality_test",
     "poset_possibilities",
     "run_enumeration",
     "semilattice_count",

@@ -71,6 +71,9 @@ class EnumerationConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be positive")
+        if self.order > _groups.MAX_CATALOG_ORDER:
+            raise ValueError("group catalog is limited to order "
+                             f"{_groups.MAX_CATALOG_ORDER}")
         if self.threads < 1:
             raise ValueError("thread count must be positive")
         if self.mode not in ("counts", "full"):
@@ -238,6 +241,9 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     ledger = CountLedger()
     result = RunResult(order=n, ledger=ledger)
     m_top = n if collect else n - 1
+    # a terminal gets every update, each over the last; a log one line per level
+    tty = config.progress and sys.stderr.isatty()
+    lead = "\r" if tty else ""
 
     pool = None
     mapper = map
@@ -262,10 +268,10 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
                     ledger.add_stats(*stats)
                     if collect:
                         result.tables.extend(tables)
-                if config.progress:
+                if config.progress and (tty or i == len(tasks)):
                     rate = i / max(perf_counter() - start, 1e-9)
                     print(
-                        f"\rm={m}: {i}/{len(tasks)} semilattices, "
+                        f"{lead}m={m}: {i}/{len(tasks)} semilattices, "
                         f"{rate:.1f}/s, ETA {(len(tasks) - i) / rate:.0f}s",
                         end="", flush=True, file=sys.stderr,
                     )

@@ -1,9 +1,11 @@
 """Build a concrete inverse semigroup from a basis and one of its orders.
 
-Products are computed by restriction: to multiply s and t, meet dom(s) with
-ran(t) in E, take the unique element below s with that domain and the unique
-element below t with that range, and compose them in the basis groupoid.
-Idempotents keep their semilattice labels, so E(S) is literally 0..|E|-1.
+Products are computed by restriction: the product of s and t meets dom(s)
+with ran(t) in E, takes the unique element below s with that domain and the
+unique element below t with that range, and composes them in the basis
+groupoid.  Idempotents keep their semilattice labels, so E(S) is literally
+0..|E|-1.  The semigroup holds only its table and order; its skeleton (E,
+D-restriction, maximal subgroups) and element labels are the basis's own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .orders import _bits
 __all__ = [
     "InverseSemigroup",
     "esn",
-    "multiply",
     "validate_inverse_semigroup",
     "natural_order_from_table",
     "d_restriction_from_table",
@@ -23,30 +24,24 @@ __all__ = [
 ]
 
 class InverseSemigroup:
-    """Inverse semigroup with explicit Cayley table and basis bookkeeping."""
+    """Inverse semigroup with an explicit Cayley table and the basis order
+    it was built from."""
 
     __slots__ = (
-        "size", "table", "inv", "E", "d_restriction", "groups",
-        "elem", "index", "order_down",
-        "label_block", "_colors",
+        "size", "table", "E", "d_restriction", "groups",
+        "elem", "index", "order_down", "label_block", "_colors",
     )
 
-    def __init__(self, size, table, inv, E, d_restriction, groups,
-                 elem, index, order_down):
-        self.size = size
+    def __init__(self, basis: GroupoidBasis, table, order_down):
+        self.size = basis.size
         self.table = table
-        self.inv = inv
-        self.E = E
-        self.d_restriction = d_restriction
-        self.groups = groups
-        self.elem = elem
-        self.index = index
+        self.E = basis.E
+        self.d_restriction = basis.partition
+        self.groups = basis.groups
+        self.elem = basis.elem
+        self.index = basis.index
         self.order_down = order_down
-        label_block = [0] * E.size
-        for i, X in enumerate(d_restriction):
-            for x in X:
-                label_block[x] = i
-        self.label_block = tuple(label_block)
+        self.label_block = basis.block_of  # block of every element
         self._colors = None
 
     def __len__(self):
@@ -54,9 +49,6 @@ class InverseSemigroup:
 
     def __repr__(self):
         return f"InverseSemigroup(n={self.size}, idempotents={self.E.size})"
-
-    def multiply(self, s: int, t: int) -> int:
-        return self.table[s][t]
 
     def group_at(self, e: int):
         """Catalog group isomorphic to the maximal subgroup at idempotent e."""
@@ -102,33 +94,7 @@ def esn(basis: GroupoidBasis, order: BasisOrder) -> InverseSemigroup:
             e = mrow[ran[t]]
             row.append(compose[rs[e]][corestrict[t][e]])
         table.append(tuple(row))
-    return InverseSemigroup(
-        size=n,
-        table=tuple(table),
-        inv=basis.inv,
-        E=basis.E,
-        d_restriction=basis.partition,
-        groups=basis.groups,
-        elem=basis.elem,
-        index=basis.index,
-        order_down=down,
-    )
-
-
-def multiply(basis: GroupoidBasis, order: BasisOrder, s: int, t: int) -> int:
-    """Single product under the order, without building the full table."""
-    e = basis.E.meet[basis.dom[s]][basis.ran[t]]
-    down = order.down
-    u1 = u2 = -1
-    for u in _bits(down[s]):
-        if basis.dom[u] == e:
-            u1 = u
-            break
-    for u in _bits(down[t]):
-        if basis.ran[u] == e:
-            u2 = u
-            break
-    return basis.compose[u1][u2]
+    return InverseSemigroup(basis, tuple(table), down)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ per block, the basis consists of all tuples (block, row, col, g).  The
 search enumerates every partial order on the basis that restricts to the
 semilattice order on idempotents, to equality inside blocks, and admits
 unique restrictions and corestrictions; each such order yields one inverse
-semigroup downstream.
+semigroup downstream.  The search relates one block at a time, in
+`pos_blocks` order: its state is the number of blocks done and the tuple of
+down-set masks, and each complete order is yielded as a `BasisOrder`.
 
 Orders are stored as per-element bitmasks over a global element index in
 which idempotent (block, e, e, identity) is element e of E, and the
@@ -36,11 +38,8 @@ from .orders import _bits
 __all__ = [
     "GroupoidBasis",
     "BasisOrder",
-    "SearchNode",
     "e_groupoid",
     "poset_possibilities",
-    "children",
-    "passes_cardinality_test",
     "g_posets",
     "validate_hypotheses",
 ]
@@ -192,32 +191,9 @@ class GroupoidBasis:
         )
 
 
-class SearchNode(NamedTuple):
-    depth: int          # number of blocks (in search order) already related
-    down: tuple         # per-element down-set masks
-
-
-class BasisOrder:
+class BasisOrder(NamedTuple):
     """A partial order on a basis satisfying the construction hypotheses."""
-
-    __slots__ = ("basis", "down")
-
-    def __init__(self, basis: GroupoidBasis, down):
-        self.basis = basis
-        self.down = tuple(down)
-
-    def leq(self, s: int, t: int) -> bool:
-        return bool((self.down[t] >> s) & 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasisOrder)
-            and self.basis is other.basis
-            and self.down == other.down
-        )
-
-    def __hash__(self):
-        return hash(self.down)
+    down: tuple         # per-element down-set masks
 
 
 def e_groupoid(E, P, f) -> GroupoidBasis:
@@ -385,7 +361,7 @@ def poset_possibilities(basis: GroupoidBasis, hi_pos: int, lo_pos: int):
 # depth-first search
 
 
-def passes_cardinality_test(basis: GroupoidBasis, down, new_pos: int) -> bool:
+def _passes_cardinality_test(basis: GroupoidBasis, down, new_pos: int) -> bool:
     """Every element of the new block must dominate, in each earlier block,
     as many elements as the block's least idempotent does."""
     elems = basis.pos_elems[new_pos]
@@ -399,12 +375,11 @@ def passes_cardinality_test(basis: GroupoidBasis, down, new_pos: int) -> bool:
     return True
 
 
-def children(basis: GroupoidBasis, node: SearchNode):
-    """Extend the order of `node` over the next block in every valid way."""
-    new_pos = node.depth
+def _children(basis: GroupoidBasis, down, new_pos: int):
+    """Extend `down`, an order on the first `new_pos` blocks in search
+    order, over the next block in every valid way."""
     if new_pos >= len(basis.pos_blocks):
         return
-    down = node.down
     elems = basis.pos_elems[new_pos]
     covered = basis.covered_positions[new_pos]
     polists = [poset_possibilities(basis, new_pos, q) for q in covered]
@@ -435,22 +410,22 @@ def children(basis: GroupoidBasis, node: SearchNode):
                     break
             if not ok:
                 break
-        if ok and passes_cardinality_test(basis, nd, new_pos):
-            yield SearchNode(node.depth + 1, tuple(nd))
+        if ok and _passes_cardinality_test(basis, nd, new_pos):
+            yield tuple(nd)
 
 
 def g_posets(basis: GroupoidBasis):
     """Stream every partial order on the basis usable by the construction."""
     k = len(basis.pos_blocks)
 
-    def rec(node):
-        if node.depth == k:
-            yield BasisOrder(basis, node.down)
+    def rec(depth, down):
+        if depth == k:
+            yield BasisOrder(down)
             return
-        for child in children(basis, node):
-            yield from rec(child)
+        for child in _children(basis, down, depth):
+            yield from rec(depth + 1, child)
 
-    yield from rec(SearchNode(1, basis.root_down()))
+    yield from rec(1, basis.root_down())
 
 
 # ---------------------------------------------------------------------------

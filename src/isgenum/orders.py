@@ -90,19 +90,6 @@ class Poset:
             self._covers = tuple(sorted(out))
         return self._covers
 
-    def check(self):
-        """Validate reflexivity, antisymmetry and transitivity."""
-        n, down = self.size, self.down
-        for j in range(n):
-            if not (down[j] >> j) & 1:
-                raise ValueError("relation is not reflexive")
-            for i in _bits(down[j]):
-                if i != j and (down[i] >> j) & 1:
-                    raise ValueError("relation is not antisymmetric")
-                if down[i] & ~down[j]:
-                    raise ValueError("relation is not transitive")
-        return True
-
 
 class MeetSemilattice(Poset):
     """Poset with all binary meets, in canonical linear-extension labels."""

@@ -1,5 +1,7 @@
 import os
+import time
 
+from isgenum import engine
 from isgenum.cli import main
 
 from expected_counts import TOTALS
@@ -101,6 +103,20 @@ def test_exit_code_invalid_input(tmp_path, capsys):
         "--out", str(tmp_path / "x"),
     ])
     assert code == 2
+
+
+def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
+    # rejected with the config, before any semilattice level is built
+    def no_levels(*args):
+        raise AssertionError("semilattice levels built beyond the catalog")
+
+    monkeypatch.setattr(engine, "semilattice_level", no_levels)
+    for argv in (["count", "--order", "16"],
+                 ["enumerate", "--order", "16", "--out", str(tmp_path / "x")]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "limited to order 15" in capsys.readouterr().err
 
 
 def test_exit_code_io_failure(tmp_path):

@@ -375,6 +375,8 @@ def test_semilattice_file(tmp_path):
 def test_progress_reports_rate_and_eta(capsys):
     enumerate_counts_only(5, progress=True)
     err = capsys.readouterr().err
+    # captured stderr is not a terminal: one plain line per level
+    assert "\r" not in err
     lines = [line.split("\r")[-1] for line in err.rstrip("\n").split("\n")]
     # one line per level searched; counts mode fills level 5 directly
     assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",

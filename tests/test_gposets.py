@@ -3,11 +3,10 @@ import itertools
 import pytest
 
 from isgenum.gposets import (
-    SearchNode,
-    children,
+    _children,
+    _passes_cardinality_test,
     e_groupoid,
     g_posets,
-    passes_cardinality_test,
     poset_possibilities,
     validate_hypotheses,
 )
@@ -295,31 +294,27 @@ def test_possibilities_match_bruteforce_sweep(groups_by_name):
 
 def test_children_root_is_leaf_for_single_block(groups_by_name):
     basis = _basis(parse_cover_line("1:"), ((0,),), ("C4",), groups_by_name)
-    root = SearchNode(1, basis.root_down())
-    assert list(children(basis, root)) == []
+    assert list(_children(basis, basis.root_down(), 1)) == []
     assert len(list(g_posets(basis))) == 1
 
 
 def test_children_counts(groups_by_name):
     brandt = _brandt_basis(groups_by_name)
-    root = SearchNode(1, brandt.root_down())
-    assert len(list(children(brandt, root))) == 1
+    assert len(list(_children(brandt, brandt.root_down(), 1))) == 1
 
     vee = _vee_c2_basis(groups_by_name)
-    root = SearchNode(1, vee.root_down())
-    assert len(list(children(vee, root))) == 2
+    assert len(list(_children(vee, vee.root_down(), 1))) == 2
 
 
 def test_cardinality_test_vacuous_at_root(groups_by_name):
     basis = _brandt_basis(groups_by_name)
-    assert passes_cardinality_test(basis, basis.root_down(), 0)
+    assert _passes_cardinality_test(basis, basis.root_down(), 0)
 
 
 def test_cardinality_test_accepts_children(groups_by_name):
     basis = _vee_c2_basis(groups_by_name)
-    root = SearchNode(1, basis.root_down())
-    for child in children(basis, root):
-        assert passes_cardinality_test(basis, child.down, 1)
+    for child in _children(basis, basis.root_down(), 1):
+        assert _passes_cardinality_test(basis, child, 1)
 
 
 def test_cardinality_test_rejects_lopsided_order(groups_by_name):
@@ -332,7 +327,7 @@ def test_cardinality_test_rejects_lopsided_order(groups_by_name):
     victim = upper[-1]
     down[victim] &= ~bottom_mask | (1 << victim)
     down[victim] |= 1 << victim
-    assert not passes_cardinality_test(basis, down, 1)
+    assert not _passes_cardinality_test(basis, down, 1)
 
 
 # ---------------------------------------------------------------------------

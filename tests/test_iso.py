@@ -59,7 +59,7 @@ def _relabeled_twin(S, sigma):
         for u in _bits(S.order_down[t]):
             mask |= 1 << emap[u]
         down2[emap[t]] = mask
-    return esn(basis2, BasisOrder(basis2, tuple(down2)))
+    return esn(basis2, BasisOrder(tuple(down2)))
 
 
 def _e_automorphisms(E):

@@ -13,7 +13,8 @@ Every mode runs one pipeline per semilattice E and block-size shape:
 it on one skeleton.  `run_enumeration` builds the semilattice levels and
 then runs one task per semilattice, both serially or on one process pool;
 results are merged in generation order, so levels, ledgers and output files
-do not depend on the worker count.
+do not depend on the worker count.  In both of its modes the all-idempotent
+row, the semilattices themselves, is read off the masks of level n.
 
 The pipeline calls every layer through this module's own names (`esn`,
 `g_posets`, `is_isoc`, ...), which is where `bench/tracer.py` wraps them.
@@ -76,6 +77,10 @@ class EnumerationConfig:
                              f"{_groups.MAX_CATALOG_ORDER}")
         if self.threads < 1:
             raise ValueError("thread count must be positive")
+        # the pool forks every worker at its first task
+        limit = max(2, os.cpu_count() or 1)
+        if self.threads > limit:
+            raise ValueError(f"thread count is limited to {limit} here")
         if self.mode not in ("counts", "full"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -240,7 +245,6 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     collect = config.mode == "full"
     ledger = CountLedger()
     result = RunResult(order=n, ledger=ledger)
-    m_top = n if collect else n - 1
     # a terminal gets every update, each over the last; a log one line per level
     tty = config.progress and sys.stderr.isatty()
     lead = "\r" if tty else ""
@@ -252,10 +256,10 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
         mapper = partial(pool.map, chunksize=8)
     try:
         # every level up to n is built here, on the pool if there is one;
-        # meet_semilattices then reads it from the cache, and counts mode
+        # meet_semilattices then reads it from the cache, and the final row
         # needs only the masks of level n
         level_n = semilattice_level(n, mapper)
-        for m in range(1, m_top + 1):
+        for m in range(1, n):
             shapes = _shapes_with_compositions(n, m)
             if not shapes:
                 continue
@@ -281,13 +285,14 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
         if pool is not None:
             pool.shutdown()
 
-    if not collect:
-        # pure-semilattice row: the only inverse semigroup of order n whose
-        # idempotents exhaust it is the semilattice itself; its labels are a
-        # linear extension, so it has a maximum iff the last down-set is full
-        shape, full = (1,) * n, (1 << n) - 1
-        for down in level_n:
-            ledger.add_cell(n, shape, 1, 1, down[-1] == full)
+    # pure-semilattice row: the only inverse semigroup of order n whose
+    # idempotents exhaust it is the semilattice itself; its labels are a
+    # linear extension, so it has a maximum iff the last down-set is full
+    shape, full = (1,) * n, (1 << n) - 1
+    for down in level_n:
+        ledger.add_cell(n, shape, 1, 1, down[-1] == full)
+        if collect:
+            result.tables.append((MeetSemilattice(down).meet, n))
     return result
 
 

@@ -1,17 +1,17 @@
 """Build a concrete inverse semigroup from a basis and one of its orders.
 
 Products are computed by restriction: the product of s and t meets dom(s)
-with ran(t) in E, takes the unique element below s with that domain and the
-unique element below t with that range, and composes them in the basis
-groupoid.  Idempotents keep their semilattice labels, so E(S) is literally
-0..|E|-1.  The semigroup holds only its table and order; its skeleton (E,
-D-restriction, maximal subgroups) and element labels are the basis's own.
+with ran(t) in E, reads the unique element below s with that domain and the
+one below t with that range off the down-set masks, and composes them in the
+basis groupoid.  Idempotents keep their semilattice labels, so E(S) is
+literally 0..|E|-1.  The semigroup holds only its table and order; its
+skeleton (E, D-restriction, maximal subgroups) and element labels are the
+basis's own.
 """
 
 from __future__ import annotations
 
 from .gposets import BasisOrder, GroupoidBasis
-from .orders import _bits
 
 __all__ = [
     "InverseSemigroup",
@@ -71,28 +71,24 @@ class InverseSemigroup:
 
 
 def esn(basis: GroupoidBasis, order: BasisOrder) -> InverseSemigroup:
-    """Apply the order to the basis; sums of down-sets under matrix product."""
-    n = basis.size
-    m = basis.E.size
+    """Apply the order to the basis; sums of down-sets under matrix product.
+
+    The restriction of s to e is the highest element of down[s] & with_dom[e],
+    the corestriction of t to e that of down[t] & with_ran[e].
+    """
     down = order.down
     dom, ran = basis.dom, basis.ran
-    restrict = [[-1] * m for _ in range(n)]
-    corestrict = [[-1] * m for _ in range(n)]
-    for s in range(n):
-        rs, cs = restrict[s], corestrict[s]
-        for u in _bits(down[s]):
-            rs[dom[u]] = u
-            cs[ran[u]] = u
+    with_dom, with_ran = basis.with_dom, basis.with_ran
     meet = basis.E.meet
     compose = basis.compose
     table = []
-    for s in range(n):
+    for s, ds in enumerate(down):
         mrow = meet[dom[s]]
-        rs = restrict[s]
         row = []
-        for t in range(n):
-            e = mrow[ran[t]]
-            row.append(compose[rs[e]][corestrict[t][e]])
+        for r, dt in zip(ran, down):
+            e = mrow[r]
+            row.append(compose[(ds & with_dom[e]).bit_length() - 1]
+                       [(dt & with_ran[e]).bit_length() - 1])
         table.append(tuple(row))
     return InverseSemigroup(basis, tuple(table), down)
 

@@ -89,7 +89,7 @@ class GroupoidBasis:
 
     __slots__ = (
         "E", "partition", "groups", "size", "elem", "index", "inv",
-        "dom", "ran", "block_of", "compose", "offsets",
+        "dom", "ran", "with_dom", "with_ran", "block_of", "compose", "offsets",
         "pos_blocks", "pos_of_block", "pos_elems", "pos_mask",
         "covered_positions",
     )
@@ -151,6 +151,12 @@ class GroupoidBasis:
         self.offsets = tuple(offsets)
         self.index = {t: s for s, t in enumerate(elem)}
         self.block_of, self.ran, self.dom, _ = zip(*elem)
+        # per idempotent e, the mask of the elements with domain (range) e
+        with_dom, with_ran = [0] * E.size, [0] * E.size
+        for s, (_, r, d, _) in enumerate(elem):
+            with_dom[d] |= 1 << s
+            with_ran[r] |= 1 << s
+        self.with_dom, self.with_ran = tuple(with_dom), tuple(with_ran)
         self.inv = tuple(inv)
         self.compose = tuple(compose)
 
@@ -282,8 +288,6 @@ def _local_possibilities(G: Group, H: Group, y: int, below):
     m = len(below[0])
     if any(len(v) != m for v in below):
         return ()
-    if m == 0:
-        return ((0,) * (x * x * G.order),)
 
     hmul, hinv = H.mul, H.inv
     hi_cells, hi_local = _block_cells(x, G)[:2]
@@ -377,15 +381,19 @@ def _passes_cardinality_test(basis: GroupoidBasis, down, new_pos: int) -> bool:
 
 def _children(basis: GroupoidBasis, down, new_pos: int):
     """Extend `down`, an order on the first `new_pos` blocks in search
-    order, over the next block in every valid way."""
+    order, over the next block in every valid way.
+
+    `_passes_cardinality_test` is the only check after the closure: a pair
+    the closure adds beyond the chosen possibility on a covered block (an
+    earlier one, by the D-partition condition) lifts an element's count in
+    that block above that of the new block's least idempotent, which keeps
+    its E-down-set there.
+    """
     if new_pos >= len(basis.pos_blocks):
         return
     elems = basis.pos_elems[new_pos]
     covered = basis.covered_positions[new_pos]
     polists = [poset_possibilities(basis, new_pos, q) for q in covered]
-    if any(not pl for pl in polists):
-        return
-    qmasks = [basis.pos_mask[q] for q in covered]
     for combo in itertools.product(*polists):
         nd = list(down)
         for ti, t in enumerate(elems):
@@ -399,18 +407,7 @@ def _children(basis: GroupoidBasis, down, new_pos: int):
                 dd ^= low
                 acc |= down[low.bit_length() - 1]
             nd[t] = acc
-        # the closure must not add cross-block pairs beyond the chosen
-        # possibility on any covered block; anything else cannot satisfy
-        # the uniqueness hypotheses downstream
-        ok = True
-        for part, bm in zip(combo, qmasks):
-            for ti, t in enumerate(elems):
-                if nd[t] & bm != part[ti]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and _passes_cardinality_test(basis, nd, new_pos):
+        if _passes_cardinality_test(basis, nd, new_pos):
             yield tuple(nd)
 
 

@@ -119,6 +119,21 @@ def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
         assert "limited to order 15" in capsys.readouterr().err
 
 
+def test_thread_count_beyond_host_fails_fast(tmp_path, capsys, monkeypatch):
+    # rejected with the config, before the pool could fork a single worker
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started for an unbounded --threads")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    limit = max(2, os.cpu_count() or 1)
+    for argv in (["count", "--order", "5", "--threads", "100000"],
+                 ["count", "--order", "5", "--threads", str(limit + 1)],
+                 ["enumerate", "--order", "5", "--threads", "100000",
+                  "--out", str(tmp_path / "x")]):
+        assert main(argv) == 2
+        assert f"thread count is limited to {limit}" in capsys.readouterr().err
+
+
 def test_exit_code_io_failure(tmp_path):
     missing = tmp_path / "nope" / "deep" / "out.txt"
     assert main(["semilattices", "--order", "3", "--out", str(missing)]) == 3

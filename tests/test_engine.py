@@ -320,6 +320,17 @@ def test_thread_count_does_not_change_counters():
         )
 
 
+def test_count_and_enumerate_ledgers_agree():
+    # both modes fill the all-idempotent row from the level masks, so they
+    # search the same candidates
+    counts = enumerate_counts_only(6)
+    full = run_enumeration(EnumerationConfig(order=6, mode="full")).ledger
+    assert full == counts
+    assert (full.generated, full.immediate, full.iso_tests) == (
+        counts.generated, counts.immediate, counts.iso_tests
+    )
+
+
 def test_consumers_agree():
     # streaming and full mode at either thread count emit the same tables
     for n in range(1, 7):

@@ -269,15 +269,20 @@ def test_possibilities_vee_c2(groups_by_name):
 
 def test_possibilities_match_bruteforce_examples(groups_by_name):
     cases = [
-        _brandt_basis(groups_by_name),
-        _vee_c2_basis(groups_by_name),
-        _basis(CHAIN2, ((0,), (1,)), ("C2", "C1"), groups_by_name),
-        _basis(CHAIN2, ((0,), (1,)), ("C2", "C2"), groups_by_name),
-        _basis(CHAIN2, ((0,), (1,)), ("C1", "C3"), groups_by_name),
+        (_brandt_basis(groups_by_name), 1, 0),
+        (_vee_c2_basis(groups_by_name), 1, 0),
+        (_basis(CHAIN2, ((0,), (1,)), ("C2", "C1"), groups_by_name), 1, 0),
+        (_basis(CHAIN2, ((0,), (1,)), ("C2", "C2"), groups_by_name), 1, 0),
+        (_basis(CHAIN2, ((0,), (1,)), ("C1", "C3"), groups_by_name), 1, 0),
+        # the atoms of the vee: nothing of block (1,) lies under (2,)
+        (_basis(VEE, ((0,), (1,), (2,)), ("C1", "C2", "C2"), groups_by_name),
+         2, 1),
     ]
-    for basis in cases:
-        got = set(poset_possibilities(basis, 1, 0))
-        assert got == _possibilities_bruteforce(basis, 1, 0)
+    for basis, hi, lo in cases:
+        got = set(poset_possibilities(basis, hi, lo))
+        assert got == _possibilities_bruteforce(basis, hi, lo)
+    # the last case has nothing below: one possibility, all masks empty
+    assert poset_possibilities(basis, hi, lo) == [(0, 0)]
 
 
 def test_possibilities_match_bruteforce_sweep(groups_by_name):
@@ -342,7 +347,12 @@ def test_g_posets_counts(groups_by_name):
 
 
 def test_g_posets_no_duplicates_and_validates(groups_by_name):
-    for basis in _all_bases_up_to(5, 5):
+    # plus the one n = 8 skeleton where a closure adds a cross-block pair
+    # beyond the chosen possibility, which only the cardinality test stops
+    closure = _basis(parse_cover_line("5:0<1,0<2,1<4,2<3,3<4"),
+                     ((1, 2), (0,), (3,), (4,)), ("C1", "C1", "C1", "C2"),
+                     groups_by_name)
+    for basis in itertools.chain(_all_bases_up_to(5, 5), [closure]):
         downs = [o.down for o in g_posets(basis)]
         assert len(downs) == len(set(downs))
         for d in downs:

@@ -13,7 +13,6 @@ from isgenum import (
     e_groupoid,
     esn,
     g_posets,
-    lonely_idempotents,
     parse_cover_line,
     validate_inverse_semigroup,
 )
@@ -42,7 +41,7 @@ for row in S.table:
     print("   ", " ".join(str(v) for v in row))
 print("valid inverse semigroup:", validate_inverse_semigroup(S.table))
 print("commutative:", S.is_commutative(), "| monoid:", S.is_monoid())
-print("interchangeable atoms:", lonely_idempotents(S))
+print("idempotent colors (D-class size, group):", S.colors)
 
 # Swapping the bottom group for C2 doubles the element count and splits the
 # search into two order choices, giving two non-isomorphic semigroups.

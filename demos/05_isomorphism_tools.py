@@ -14,7 +14,6 @@ from isgenum import (
     brute_force_isomorphic,
     catalog,
     colored_isomorphisms,
-    e_coloring,
     e_groupoid,
     enumerate_semigroups,
     esn,
@@ -38,11 +37,11 @@ print("  second:", invariants(b))
 print("equal keys:", invariants(a) == invariants(b))
 print("is_isoc:", is_isoc(a, b), "| brute force:", brute_force_isomorphic(a, b))
 
-print("\nidempotent coloring of the first one:", e_coloring(a))
+print("\nidempotent coloring of the first one:", a.colors)
 # is_isoc only tries the automorphisms of E that carry one coloring to the
 # other; here E is a chain, so the identity is the only one.
 print("E automorphisms matching the colorings:",
-      list(colored_isomorphisms(E, e_coloring(a), e_coloring(b))))
+      list(colored_isomorphisms(E, a.colors, b.colors)))
 
 # How well do the invariants separate order-7 semigroups?
 buckets = Counter()

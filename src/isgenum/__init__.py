@@ -42,10 +42,8 @@ from .groups import (
 )
 from .iso import (
     brute_force_isomorphic,
-    e_coloring,
     invariants,
     is_isoc,
-    lonely_idempotents,
 )
 from .orders import (
     MeetSemilattice,
@@ -88,7 +86,6 @@ __all__ = [
     "d_partitions",
     "d_restriction_from_table",
     "down_levels",
-    "e_coloring",
     "e_groupoid",
     "enumerate_counts_only",
     "enumerate_fixed",
@@ -101,7 +98,6 @@ __all__ = [
     "is_d_partition",
     "is_isoc",
     "is_isomorphic",
-    "lonely_idempotents",
     "meet_semilattices",
     "natural_order_from_table",
     "parse_cover_line",

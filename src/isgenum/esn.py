@@ -6,7 +6,7 @@ one below t with that range off the down-set masks, and composes them in the
 basis groupoid.  Idempotents keep their semilattice labels, so E(S) is
 literally 0..|E|-1.  The semigroup holds only its table and order; its
 skeleton (E, D-restriction, maximal subgroups) and element labels are the
-basis's own.
+basis's own, as is the coloring of E by (D-class size, maximal subgroup).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class InverseSemigroup:
 
     __slots__ = (
         "size", "table", "E", "d_restriction", "groups",
-        "elem", "index", "order_down", "label_block", "_colors",
+        "elem", "index", "order_down", "label_block", "colors",
     )
 
     def __init__(self, basis: GroupoidBasis, table, order_down):
@@ -42,21 +42,13 @@ class InverseSemigroup:
         self.index = basis.index
         self.order_down = order_down
         self.label_block = basis.block_of  # block of every element
-        self._colors = None
+        self.colors = basis.colors
 
     def __len__(self):
         return self.size
 
     def __repr__(self):
         return f"InverseSemigroup(n={self.size}, idempotents={self.E.size})"
-
-    def group_at(self, e: int):
-        """Catalog group isomorphic to the maximal subgroup at idempotent e."""
-        return self.groups[self.label_block[e]]
-
-    def d_class_size(self, e: int) -> int:
-        """Number of idempotents D-related to e."""
-        return len(self.d_restriction[self.label_block[e]])
 
     def is_commutative(self) -> bool:
         table = self.table

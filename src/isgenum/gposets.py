@@ -91,7 +91,7 @@ class GroupoidBasis:
         "E", "partition", "groups", "size", "elem", "index", "inv",
         "dom", "ran", "with_dom", "with_ran", "block_of", "compose", "offsets",
         "pos_blocks", "pos_of_block", "pos_elems", "pos_mask",
-        "covered_positions",
+        "covered_positions", "colors",
     )
 
     def __init__(self, E, partition, groups):
@@ -159,6 +159,10 @@ class GroupoidBasis:
         self.with_dom, self.with_ran = tuple(with_dom), tuple(with_ran)
         self.inv = tuple(inv)
         self.compose = tuple(compose)
+        # per idempotent: (size of its D-class, name of its maximal subgroup)
+        self.colors = tuple(
+            (len(partition[i]), groups[i].name) for i in block_of_label
+        )
 
         # search order: deepest-reaching blocks first
         level = E.down_level_of
@@ -389,8 +393,6 @@ def _children(basis: GroupoidBasis, down, new_pos: int):
     that block above that of the new block's least idempotent, which keeps
     its E-down-set there.
     """
-    if new_pos >= len(basis.pos_blocks):
-        return
     elems = basis.pos_elems[new_pos]
     covered = basis.covered_positions[new_pos]
     polists = [poset_possibilities(basis, new_pos, q) for q in covered]

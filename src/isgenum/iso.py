@@ -1,87 +1,39 @@
-"""Isomorphism machinery: invariant keys, idempotent colorings and pairwise
-isomorphism testing.  The keep-if-new filter that combines them, bucketing
-by `invariants` and testing with `is_isoc` inside a bucket, is
-`engine._keep_new`.
+"""Isomorphism machinery: invariant keys and pairwise isomorphism testing.
+The keep-if-new filter that combines them, bucketing by `invariants` and
+testing with `is_isoc` inside a bucket, is `engine._keep_new`.
 
+Both read one coloring of the idempotents, the basis's `colors`: per
+idempotent, the size of its D-class and the name of its maximal subgroup.
 Two semigroups produced over the same semilattice E are compared on E
 itself: `colored_isomorphisms` lists the automorphisms of E that carry one
-semigroup's idempotent coloring to the other's (colors combine the maximal
-subgroup and the idempotent count of the D-class), and each match is then
-extended cell by cell over the D-blocks and checked for the homomorphism
-property.
+coloring to the other, and each match is then extended cell by cell over
+the D-blocks and checked for the homomorphism property.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .esn import InverseSemigroup
+from .esn import InverseSemigroup, _as_table
 from .orders import colored_isomorphisms, down_levels
 
 __all__ = [
-    "lonely_idempotents",
     "invariants",
-    "e_coloring",
     "is_isoc",
     "brute_force_isomorphic",
 ]
 
-_BIJECTIONS_CACHE: dict = {}
-
-
-def _all_bijection_tuples(k: int):
-    cached = _BIJECTIONS_CACHE.get(k)
-    if cached is None:
-        cached = tuple(itertools.permutations(range(k)))
-        _BIJECTIONS_CACHE[k] = cached
-    return cached
-
-
-def lonely_idempotents(S: InverseSemigroup):
-    """Idempotents with trivial maximal subgroup and singleton D-class that
-    cover the minimum of E and are covered by nothing, in index order."""
-    E = S.E
-    cover_of_min = {hi for lo, hi in E.covers if lo == 0}
-    out = []
-    for e in range(E.size):
-        if (
-            S.d_class_size(e) == 1
-            and S.group_at(e).order == 1
-            and e in cover_of_min
-            and E.up[e] == 1 << e
-        ):
-            out.append(e)
-    return out
-
 
 def invariants(S: InverseSemigroup):
     """Isomorphism-invariant key: level sizes of the natural order plus, per
-    up-down level of E, the multiset of (D-class idempotent count, group)."""
+    up-down level of E, the multiset of idempotent colors."""
     lev = tuple(len(L) for L in down_levels(S.order_down))
+    colors = S.colors
     xmap = tuple(
-        (L[0], tuple(sorted(
-            (S.d_class_size(e), S.group_at(e).name) for e in L
-        )))
+        (L[0], tuple(sorted(colors[e] for e in L)))
         for L in S.E.up_down_levels()
     )
     return (lev, xmap)
-
-
-def e_coloring(S: InverseSemigroup) -> tuple:
-    """One color per idempotent: (group, D-class size), except that the
-    interchangeable idempotents found by lonely_idempotents get distinguished
-    rank colors.  Cached on S, since is_isoc asks once per test."""
-    if S._colors is None:
-        lonely = lonely_idempotents(S)
-        rank = {e: i + 1 for i, e in enumerate(lonely)}
-        colors = []
-        for e in range(S.E.size):
-            if e in rank:
-                colors.append(("lone", rank[e]))
-            else:
-                colors.append(("grp", S.group_at(e).name, S.d_class_size(e)))
-        S._colors = tuple(colors)
-    return S._colors
 
 
 def _is_homomorphism(tab_s, tab_t, dmap):
@@ -103,18 +55,19 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
         raise ValueError("is_isoc requires identical idempotent semilattices")
     if S.size != T.size:
         return False
-    t_block_of = {frozenset(X): i for i, X in enumerate(T.d_restriction)}
     tab_s, tab_t = S.table, T.table
-    t_index = T.index
-    for p in colored_isomorphisms(S.E, e_coloring(S), e_coloring(T)):
+    t_index, t_block = T.index, T.label_block
+    for p in colored_isomorphisms(S.E, S.colors, T.colors):
+        # p carries each D-block onto one of T's: colors fix the block sizes
         pb = []
         for i, X in enumerate(S.d_restriction):
-            j = t_block_of.get(frozenset(p[x] for x in X))
-            if j is None or T.groups[j] is not S.groups[i]:
-                pb = None
+            j = t_block[p[X[0]]]
+            if T.groups[j] is not S.groups[i] or any(
+                t_block[p[x]] != j for x in X
+            ):
                 break
             pb.append(j)
-        if pb is None:
+        if len(pb) < len(S.d_restriction):
             continue
         cells = []
         layout = []
@@ -125,7 +78,7 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
                     layout.append((i, j, k, G.order))
                     cells.append(
                         G.automorphism_images() if j == k
-                        else _all_bijection_tuples(G.order)
+                        else itertools.permutations(range(G.order))
                     )
         s_index = S.index
         for assignment in itertools.product(*cells):
@@ -142,12 +95,6 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
-
-
-def _table_of(S):
-    if isinstance(S, InverseSemigroup):
-        return S.table
-    return tuple(tuple(row) for row in S)
 
 
 def _element_profile(table):
@@ -167,7 +114,7 @@ def _element_profile(table):
 
 def brute_force_isomorphic(S, T) -> bool:
     """Exhaustive bijection search preserving multiplication; |S| <= 7 only."""
-    ts, tt = _table_of(S), _table_of(T)
+    ts, tt = _as_table(S), _as_table(T)
     n = len(ts)
     if n != len(tt):
         return False

@@ -8,6 +8,7 @@ D-relation of an inverse semigroup to its idempotents.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 __all__ = [
@@ -98,30 +99,12 @@ def d_partitions(E, shape) -> list:
         raise ValueError("shape must sum to the order of E")
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
         raise ValueError("shape must be weakly decreasing")
-    down = E.down
-    dsize = [down[e].bit_count() for e in range(E.size)]
+    dsize = [d.bit_count() for d in E.down]
     remaining = {}
     for p in shape:
         remaining[p] = remaining.get(p, 0) + 1
     open_blocks = []  # (size, members list)
     out = []
-
-    def close_check(members):
-        # completed block: members must agree on their total down-set size and
-        # on their down-counts into every other completed block
-        bm = sum(1 << x for x in members)
-        first = down[members[0]]
-        for e in members[1:]:
-            if (down[e] & bm).bit_count() != (first & bm).bit_count():
-                return False
-        for size, other in open_blocks:
-            if size != len(other):
-                continue
-            om = sum(1 << x for x in other)
-            c0 = (down[members[0]] & om).bit_count()
-            if any((down[e] & om).bit_count() != c0 for e in members[1:]):
-                return False
-        return True
 
     def rec(e):
         if e == E.size:
@@ -136,18 +119,15 @@ def d_partitions(E, shape) -> list:
         for size, members in open_blocks:
             if len(members) < size and dsize[members[0]] == dsize[e]:
                 members.append(e)
-                if len(members) < size or close_check(members):
-                    rec(e + 1)
+                rec(e + 1)
                 members.pop()
         # or open one new block per distinct remaining size
         for size in sorted(remaining, reverse=True):
             if remaining[size] == 0:
                 continue
             remaining[size] -= 1
-            entry = (size, [e])
-            open_blocks.append(entry)
-            if size > 1 or close_check(entry[1]):
-                rec(e + 1)
+            open_blocks.append((size, [e]))
+            rec(e + 1)
             open_blocks.pop()
             remaining[size] += 1
 
@@ -159,13 +139,6 @@ def group_maps(P, C, group_catalog) -> list:
     """All per-block group assignments with |f(X_i)| = C_i, as tuples of groups."""
     if len(P) != len(C):
         raise ValueError("partition and composition must have equal length")
-    per_block = []
-    for c in C:
-        opts = [G for G in group_catalog if G.order == c]
-        if not opts:
-            return []
-        per_block.append(opts)
-    out = [()]
-    for opts in per_block:
-        out = [tup + (G,) for tup in out for G in opts]
-    return out
+    return list(itertools.product(
+        *([G for G in group_catalog if G.order == c] for c in C)
+    ))

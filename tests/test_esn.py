@@ -192,13 +192,13 @@ def test_maximal_subgroups_match_assignment(groups_by_name):
     for S in enumerate_semigroups(6):
         for e in range(S.E.size):
             elems = maximal_subgroup_of_table(S.table, e)
-            assert len(elems) == S.group_at(e).order
+            assert len(elems) == S.groups[S.label_block[e]].order
             relabel = {x: i for i, x in enumerate([e] + [x for x in elems if x != e])}
             tab = [[0] * len(elems) for _ in elems]
             for x in elems:
                 for y in elems:
                     tab[relabel[x]][relabel[y]] = relabel[S.table[x][y]]
-            assert is_isomorphic(Group(tab, "tmp"), S.group_at(e))
+            assert is_isomorphic(Group(tab, "tmp"), S.groups[S.label_block[e]])
 
 
 def test_product_equals_expanded_sum():

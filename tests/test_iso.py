@@ -12,13 +12,7 @@ from isgenum.esn import (
 )
 from isgenum.gposets import BasisOrder, e_groupoid, g_posets
 from isgenum.groups import Group, is_isomorphic
-from isgenum.iso import (
-    brute_force_isomorphic,
-    e_coloring,
-    invariants,
-    is_isoc,
-    lonely_idempotents,
-)
+from isgenum.iso import brute_force_isomorphic, invariants, is_isoc
 from isgenum.orders import MeetSemilattice, _bits, parse_cover_line, up_down_levels
 
 VEE = parse_cover_line("3:0<1,0<2")
@@ -70,36 +64,6 @@ def _e_automorphisms(E):
             for i in range(n) for j in range(n)
         ):
             yield p
-
-
-# ---------------------------------------------------------------------------
-# lonely idempotents
-
-
-def test_lonely_vee_semilattice(groups_by_name):
-    S = _semilattice_semigroup(VEE, groups_by_name)
-    assert lonely_idempotents(S) == [1, 2]
-
-
-def test_lonely_chain_top(groups_by_name):
-    S = _semilattice_semigroup(CHAIN2, groups_by_name)
-    assert lonely_idempotents(S) == [1]
-
-
-def test_lonely_brandt_none(groups_by_name):
-    (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
-    assert lonely_idempotents(S) == []
-
-
-def test_lonely_c2_with_identity(groups_by_name):
-    # order 3: chain E with C2 at the bottom; the top is interchangeable-free
-    (S,) = _build_one(CHAIN2, ((0,), (1,)), ("C2", "C1"), groups_by_name)
-    assert lonely_idempotents(S) == [1]
-
-
-def test_lonely_group_has_none(groups_by_name):
-    (S,) = _build_one(parse_cover_line("1:"), ((0,),), ("C2",), groups_by_name)
-    assert lonely_idempotents(S) == []
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +179,25 @@ def test_invariants_stable_under_e_automorphism(groups_by_name):
 
 def test_e_coloring_brandt(groups_by_name):
     (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
-    colors = e_coloring(S)
-    assert colors == (("grp", "C1", 1), ("grp", "C1", 2), ("grp", "C1", 2))
+    assert S.colors == ((1, "C1"), (2, "C1"), (2, "C1"))
 
 
 def test_e_coloring_vee_semilattice(groups_by_name):
     S = _semilattice_semigroup(VEE, groups_by_name)
-    colors = e_coloring(S)
-    assert colors == (("grp", "C1", 1), ("lone", 1), ("lone", 2))
+    assert S.colors == ((1, "C1"), (1, "C1"), (1, "C1"))
 
 
 def test_e_coloring_c2_with_identity(groups_by_name):
     (S,) = _build_one(CHAIN2, ((0,), (1,)), ("C2", "C1"), groups_by_name)
-    colors = e_coloring(S)
-    assert colors == (("grp", "C2", 1), ("lone", 1))
+    assert S.colors == ((1, "C2"), (1, "C1"))
 
 
 def test_e_coloring_multiset_is_invariant(groups_by_name):
     for S in enumerate_semigroups(6):
-        base = sorted(e_coloring(S))
+        base = sorted(S.colors)
         for sigma in _e_automorphisms(S.E):
             twin = _relabeled_twin(S, list(sigma))
-            assert sorted(e_coloring(twin)) == base
+            assert sorted(twin.colors) == base
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +256,6 @@ def test_is_isoc_accepts_lonely_permuted_twin(groups_by_name):
     E = parse_cover_line("4:0<1,0<2,0<3")
     P = ((1,), (2,), (3,), (0,))
     (S,) = _build_one(E, P, ("C1", "C2", "C1", "C1"), groups_by_name)
-    assert lonely_idempotents(S) == [1, 3]
     sigma = [0, 3, 2, 1]  # swaps the two lonely atoms
     twin = _relabeled_twin(S, sigma)
     assert invariants(twin) == invariants(S)

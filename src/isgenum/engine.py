@@ -117,13 +117,6 @@ class CountLedger:
         self.immediate += immediate
         self.iso_tests += iso_tests
 
-    def merge(self, other: "CountLedger"):
-        for key, vals in other.cells.items():
-            cell = self.cells.setdefault(key, [0, 0, 0, 0, 0, 0])
-            for i, v in enumerate(vals):
-                cell[i] += v
-        self.add_stats(other.generated, other.immediate, other.iso_tests)
-
     def totals(self):
         """(inverse semigroups, commutative, monoids, commutative monoids)."""
         out = [0, 0, 0, 0]
@@ -361,9 +354,9 @@ def write_cayley_files(result: RunResult, out_dir: str) -> int:
 
 def write_semilattice_file(m: int, path: str) -> int:
     """Cover-relation lines for every semilattice of order m."""
-    count = 0
+    # build the level first, so a bad m leaves an existing file untouched
+    level = semilattice_level(m)
     with open(path, "w", encoding="ascii") as fh:
-        for E in meet_semilattices(m):
-            fh.write(format_cover_line(E) + "\n")
-            count += 1
-    return count
+        for down in level:
+            fh.write(format_cover_line(MeetSemilattice(down)) + "\n")
+    return len(level)

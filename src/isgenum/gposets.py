@@ -12,17 +12,20 @@ down-set masks, and each complete order is yielded as a `BasisOrder`.
 Orders are stored as per-element bitmasks over a global element index in
 which idempotent (block, e, e, identity) is element e of E, and the
 non-idempotents of each block follow contiguously in (a, b, g) order.
-`compose` is derived from that layout: each row writes only the products
-inside its own block, from a per-(block size, group) cell table.
+`_block_cells` lists a block's cells in that same storage order
+(idempotents first, then (a, b, g)), so a cell's position is its
+block-local index; `compose` rows are written from its per-(block size,
+group) product table through the block's element list.
 
 The cross-block possibilities between two blocks depend only on their
 groups, the block sizes and which positions of the lower block lie under
 each element of the upper one.  They are computed once per process in
-block-local coordinates (idempotents first, then (a, b, g)), cached under
-(G, H, |X|, |Y|, below), and moved into a basis's global index by one table
-lookup for the idempotent bits and one shift for the rest.  The key holds
-no E labels or global indices, so the cache stays small: 83 entries for a
-whole order-9 count.  Groups enter every cache key as their Cayley tables
+block-local coordinates, cached under (G, H, |X|, |Y|, below), and moved
+into a basis's global index by one table lookup for the idempotent bits and
+one shift for the rest.  The key holds no E labels or global indices, so
+the cache stays small: 83 entries for a whole order-9 count.  It is the
+only cache of that step: the wreath-group homomorphisms are rebuilt for
+each new entry.  Groups enter every cache key as their Cayley tables
 (`G.mul`): two groups that share a name but not a table never share an
 entry, and a new `Group` object with a known table adds none.
 """
@@ -49,38 +52,35 @@ _BLOCK_CELLS: dict = {}
 
 
 def _block_cells(x: int, G: Group):
-    """Cell table of an x-by-x block over G.
+    """Cell table of an x-by-x block over G, in block-local order.
 
-    Cells c = (a, b, g) run in lexicographic order.  Returns the cells; the
-    block-local index of each cell (the idempotents (a, a, 0) are 0..x-1, the
-    other cells follow in cell order); the cell of each cell's inverse; and
-    per cell the pairs (t, product) for every cell t = (b, d, k) that
-    composes with it.
+    The cells (a, b, g) list the idempotents (a, a, 0) first, then the other
+    cells in (a, b, g) order: the order in which a basis stores the block's
+    elements, so a cell's position is its block-local index.  Returns the
+    cells; `at`, where at[(a * x + b) * |G| + g] is the local index of cell
+    (a, b, g); and per cell the pairs (t, product) of local indices for
+    every cell t = (b, d, k) that composes with it.
     """
     key = (x, G.mul)
     data = _BLOCK_CELLS.get(key)
     if data is None:
         h, mul = G.order, G.mul
-        cells = tuple(
-            (a, b, g) for a in range(x) for b in range(x) for g in range(h)
-        )
-        local = []
-        nxt = x
-        for a, b, g in cells:
-            if a == b and g == 0:
-                local.append(a)
-            else:
-                local.append(nxt)
-                nxt += 1
-        inv = tuple((b * x + a) * h + G.inv[g] for a, b, g in cells)
+        cells = [(a, a, 0) for a in range(x)] + [
+            (a, b, g)
+            for a in range(x) for b in range(x) for g in range(h)
+            if a != b or g
+        ]
+        at = [0] * len(cells)
+        for l, (a, b, g) in enumerate(cells):
+            at[(a * x + b) * h + g] = l
         prods = tuple(
             tuple(
-                ((b * x + d) * h + k, (a * x + d) * h + mul[g][k])
+                (at[(b * x + d) * h + k], at[(a * x + d) * h + mul[g][k]])
                 for d in range(x) for k in range(h)
             )
             for a, b, g in cells
         )
-        data = _BLOCK_CELLS[key] = (cells, tuple(local), inv, prods)
+        data = _BLOCK_CELLS[key] = (tuple(cells), tuple(at), prods)
     return data
 
 
@@ -88,9 +88,9 @@ class GroupoidBasis:
     """Matrix-unit basis with blocks indexed by a D-partition of E."""
 
     __slots__ = (
-        "E", "partition", "groups", "size", "elem", "index", "inv",
+        "E", "partition", "groups", "size", "elem", "index",
         "dom", "ran", "with_dom", "with_ran", "block_of", "compose", "offsets",
-        "pos_blocks", "pos_of_block", "pos_elems", "pos_mask",
+        "pos_blocks", "pos_elems", "pos_mask",
         "covered_positions", "colors",
     )
 
@@ -117,35 +117,26 @@ class GroupoidBasis:
         )
         block_of_label = [0] * E.size
         elem = [None] * E.size
-        inv = [0] * size
         compose = [None] * size
         offsets = []
         block_elems = []
-        block_masks = []
         for i, X in enumerate(partition):
-            cells, local, cell_inv, cell_prods = cell_data[i]
-            x, off = len(X), len(elem)
-            mask = 0
+            cells, _, cell_prods = cell_data[i]
+            off = len(elem)
             for e in X:
                 block_of_label[e] = i
                 elem[e] = (i, e, e, 0)
-                mask |= 1 << e
-            for l, (a, b, g) in zip(local, cells):
-                if l >= x:
-                    elem.append((i, X[a], X[b], g))
-            # global index of each cell: the block's non-idempotents are
-            # contiguous from off on, in block-local order
-            layout = [X[l] if l < x else off + l - x for l in local]
-            for c, s in enumerate(layout):
-                inv[s] = layout[cell_inv[c]]
+            elem.extend((i, X[a], X[b], g) for a, b, g in cells[len(X):])
+            # the block's elements in local order: its idempotents, then its
+            # contiguous range of non-idempotents
+            members = X + tuple(range(off, len(elem)))
+            for s, pairs in zip(members, cell_prods):
                 row = [-1] * size
-                for t, st in cell_prods[c]:
-                    row[layout[t]] = layout[st]
+                for t, st in pairs:
+                    row[members[t]] = members[st]
                 compose[s] = tuple(row)
             offsets.append(off)
-            count = len(elem) - off
-            block_elems.append(tuple(X) + tuple(range(off, len(elem))))
-            block_masks.append(mask | (((1 << count) - 1) << off))
+            block_elems.append(members)
         self.elem = tuple(elem)
         self.size = size
         self.offsets = tuple(offsets)
@@ -157,7 +148,6 @@ class GroupoidBasis:
             with_dom[d] |= 1 << s
             with_ran[r] |= 1 << s
         self.with_dom, self.with_ran = tuple(with_dom), tuple(with_ran)
-        self.inv = tuple(inv)
         self.compose = tuple(compose)
         # per idempotent: (size of its D-class, name of its maximal subgroup)
         self.colors = tuple(
@@ -175,9 +165,10 @@ class GroupoidBasis:
         pos_of_block = [0] * len(partition)
         for p, i in enumerate(self.pos_blocks):
             pos_of_block[i] = p
-        self.pos_of_block = tuple(pos_of_block)
         self.pos_elems = tuple(block_elems[i] for i in self.pos_blocks)
-        self.pos_mask = tuple(block_masks[i] for i in self.pos_blocks)
+        self.pos_mask = tuple(
+            sum(1 << s for s in elems) for elems in self.pos_elems
+        )
 
         cov = [set() for _ in partition]
         for lo, hi in E.covers:
@@ -214,9 +205,6 @@ def e_groupoid(E, P, f) -> GroupoidBasis:
 # ---------------------------------------------------------------------------
 # cross-block possibilities
 
-_WREATH_HOM_CACHE: dict = {}
-
-
 def _wmul(w1, w2, hmul):
     s1, h1 = w1
     s2, h2 = w2
@@ -235,12 +223,9 @@ def _winv(w, hinv):
 
 
 def _wreath_homs(G: Group, H: Group, m: int):
-    """All homomorphisms from G into the wreath-style group of pairs
-    (permutation of m slots, H-element per slot); one image per G element."""
-    key = (G.mul, H.mul, m)
-    cached = _WREATH_HOM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The elements of the wreath-style group of pairs (permutation of m
+    slots, H-element per slot), identity first, and all homomorphisms from G
+    into it, one image per G element."""
     elements = [
         (s, h)
         for s in sorted(itertools.permutations(range(m)))
@@ -251,29 +236,24 @@ def _wreath_homs(G: Group, H: Group, m: int):
     table = tuple(
         tuple(index[_wmul(w1, w2, hmul)] for w2 in elements) for w1 in elements
     )
-    gens = G.generating_set()
+    cands = []
+    for g in G.generating_set():
+        o = G.element_order(g)
+        ok = []
+        for wi in range(len(elements)):
+            acc, k = 0, 0
+            while k < o:
+                acc = table[acc][wi]
+                k += 1
+            if acc == 0:
+                ok.append(wi)
+        cands.append(ok)
     homs = []
-    if not gens:
-        homs.append((elements[0],) * G.order)
-    else:
-        cands = []
-        for g in gens:
-            o = G.element_order(g)
-            ok = []
-            for wi in range(len(elements)):
-                acc, k = 0, 0
-                while k < o:
-                    acc = table[acc][wi]
-                    k += 1
-                if acc == 0:
-                    ok.append(wi)
-            cands.append(ok)
-        for imgs in itertools.product(*cands):
-            ext = G.extend_hom(imgs, table)
-            if ext is not None:
-                homs.append(tuple(elements[wi] for wi in ext))
-    _WREATH_HOM_CACHE[key] = tuple(homs)
-    return _WREATH_HOM_CACHE[key]
+    for imgs in itertools.product(*cands):
+        ext = G.extend_hom(imgs, table)
+        if ext is not None:
+            homs.append(tuple(elements[wi] for wi in ext))
+    return elements, homs
 
 
 # (G.mul, H.mul, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
@@ -294,29 +274,22 @@ def _local_possibilities(G: Group, H: Group, y: int, below):
         return ()
 
     hmul, hinv = H.mul, H.inv
-    hi_cells, hi_local = _block_cells(x, G)[:2]
-    hi_by_local = [None] * len(hi_cells)
-    for l, cell in zip(hi_local, hi_cells):
-        hi_by_local[l] = cell
-    lo_local = _block_cells(y, H)[1]
-    identity = (tuple(range(m)), (0,) * m)
-    tau_options = [
-        (s, h)
-        for s in sorted(itertools.permutations(range(m)))
-        for h in itertools.product(range(H.order), repeat=m)
-    ]
+    hi_cells = _block_cells(x, G)[0]
+    lo_at = _block_cells(y, H)[1]
+    elements, homs = _wreath_homs(G, H, m)
+    identity = elements[0]
     results = []
-    for hom in _wreath_homs(G, H, m):
-        for choice in itertools.product(tau_options, repeat=x - 1):
+    for hom in homs:
+        for choice in itertools.product(elements, repeat=x - 1):
             tau = (identity,) + choice
             tauinv = tuple(_winv(w, hinv) for w in tau)
             masks = []
-            for a, b, g in hi_by_local:
+            for a, b, g in hi_cells:
                 sig, hv = _wmul(tau[a], _wmul(hom[g], tauinv[b], hmul), hmul)
                 rows, cols = below[a], below[b]
                 mask = 0
                 for z in range(m):
-                    mask |= 1 << lo_local[
+                    mask |= 1 << lo_at[
                         (rows[sig[z]] * y + cols[z]) * H.order + hv[z]
                     ]
                 masks.append(mask)
@@ -435,7 +408,8 @@ def validate_hypotheses(basis: GroupoidBasis, down) -> bool:
     """Check all construction hypotheses on a full basis order; raises on failure."""
     n = basis.size
     E = basis.E
-    inv = basis.inv
+    index, groups = basis.index, basis.groups
+    inv = [index[(i, b, a, groups[i].inv[g])] for i, a, b, g in basis.elem]
     compose = basis.compose
     dom, ran = basis.dom, basis.ran
 

@@ -145,13 +145,9 @@ def _isomorphisms(G: Group, H: Group):
         H.element_order(x) for x in range(n)
     ):
         return
-    gens = G.generating_set()
-    if not gens:
-        yield (0,)
-        return
     cands = [
         [y for y in range(n) if H.element_order(y) == G.element_order(g)]
-        for g in gens
+        for g in G.generating_set()
     ]
     for imgs in itertools.product(*cands):
         ext = G.extend_hom(imgs, H.mul)

@@ -134,6 +134,14 @@ def test_thread_count_beyond_host_fails_fast(tmp_path, capsys, monkeypatch):
         assert f"thread count is limited to {limit}" in capsys.readouterr().err
 
 
+def test_semilattices_bad_order_keeps_out_file(tmp_path, capsys):
+    path = tmp_path / "keep.txt"
+    path.write_text("3:0<1,0<2\n")
+    assert main(["semilattices", "--order", "0", "--out", str(path)]) == 2
+    assert "order must be positive" in capsys.readouterr().err
+    assert path.read_text() == "3:0<1,0<2\n"
+
+
 def test_exit_code_io_failure(tmp_path):
     missing = tmp_path / "nope" / "deep" / "out.txt"
     assert main(["semilattices", "--order", "3", "--out", str(missing)]) == 3

@@ -168,10 +168,8 @@ def test_stream_pairwise_non_isomorphic_small():
 def test_ledger_merge_and_totals():
     a = CountLedger()
     a.add_cell(2, (1, 1), 3, 2, True)
-    b = CountLedger()
-    b.add_cell(2, (1, 1), 1, 1, False)
-    b.add_cell(3, (2, 1), 2, 0, False)
-    a.merge(b)
+    a.add_cell(2, (1, 1), 1, 1, False)
+    a.add_cell(3, (2, 1), 2, 0, False)
     assert a.cell(2, (1, 1)) == (4, 3, 3, 2, 2, 1)
     assert a.cell(3, (2, 1)) == (2, 0, 0, 0, 1, 0)
     assert a.totals() == (6, 3, 3, 2)
@@ -267,8 +265,7 @@ def test_fixed_same_named_groups_stay_apart(groups_by_name):
 def test_fixed_caches_do_not_grow_with_fresh_groups(groups_by_name):
     # the search caches are keyed by group tables, so new Group objects
     # with a table already seen add no entries
-    caches = (gposets._BLOCK_CELLS, gposets._WREATH_HOM_CACHE,
-              gposets._POSS_CACHE)
+    caches = (gposets._BLOCK_CELLS, gposets._POSS_CACHE)
     mul = groups_by_name["C2"].mul
 
     def call():

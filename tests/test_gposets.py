@@ -38,7 +38,11 @@ def _literal_order_ok(basis, down, elements):
     """Transcribe the construction hypotheses on the given element subset."""
     elems = sorted(elements)
     E = basis.E
-    dom, ran, inv, compose = basis.dom, basis.ran, basis.inv, basis.compose
+    dom, ran, compose = basis.dom, basis.ran, basis.compose
+    inv = {
+        s: basis.elem.index((i, b, a, basis.groups[i].inv[g]))
+        for s, (i, a, b, g) in enumerate(basis.elem)
+    }
 
     def rel(a, b):
         return bool((down[b] >> a) & 1)
@@ -206,16 +210,15 @@ def test_e_groupoid_element_indexing(groups_by_name):
 
 
 def test_e_groupoid_inverses_and_products(groups_by_name):
-    basis = _vee_c2_basis(groups_by_name)
-    for s, (i, a, b, g) in enumerate(basis.elem):
-        assert basis.elem[basis.inv[s]] == (i, b, a, basis.groups[i].inv[g])
-        assert basis.ran[s] == a and basis.dom[s] == b
-        for t, (j, c, d, h) in enumerate(basis.elem):
-            p = basis.compose[s][t]
-            if i == j and b == c:
-                assert basis.elem[p] == (i, a, d, basis.groups[i].mul[g][h])
-            else:
-                assert p == -1
+    for basis in _all_bases_up_to(6, 6):
+        for s, (i, a, b, g) in enumerate(basis.elem):
+            assert basis.ran[s] == a and basis.dom[s] == b
+            for t, (j, c, d, h) in enumerate(basis.elem):
+                p = basis.compose[s][t]
+                if i == j and b == c:
+                    assert basis.elem[p] == (i, a, d, basis.groups[i].mul[g][h])
+                else:
+                    assert p == -1
 
 
 def test_e_groupoid_validates_input(groups_by_name):
@@ -362,7 +365,7 @@ def test_g_posets_within_block_is_equality(groups_by_name):
     for basis in (_brandt_basis(groups_by_name), _vee_c2_basis(groups_by_name)):
         for order in g_posets(basis):
             for t in range(basis.size):
-                own = basis.pos_mask[basis.pos_of_block[basis.block_of[t]]]
+                own = basis.pos_mask[basis.pos_blocks.index(basis.block_of[t])]
                 assert order.down[t] & own == 1 << t
 
 
@@ -395,8 +398,8 @@ def test_cross_block_covers_have_idempotent_witnesses(groups_by_name):
                         )
                         if between:
                             continue
-                        pt = basis.pos_of_block[basis.block_of[t]]
-                        pu = basis.pos_of_block[basis.block_of[x]]
+                        pt = basis.pos_blocks.index(basis.block_of[t])
+                        pu = basis.pos_blocks.index(basis.block_of[x])
                         assert pu in basis.covered_positions[pt]
             break  # one order per basis keeps the sweep quick
 
@@ -413,6 +416,54 @@ def test_literal_checker_rejects_nonidempotent_below_idempotent(groups_by_name):
     down = list(basis.root_down())
     down[1] |= 1 << 2
     assert not _literal_order_ok(basis, down, range(3))
+
+
+def _down_with(basis, relations):
+    """The root order plus the given (lower, upper) element pairs, which
+    must already be transitively closed over it."""
+    down = list(basis.root_down())
+    for lo, hi in relations:
+        down[basis.index[hi]] |= 1 << basis.index[lo]
+    return tuple(down)
+
+
+def test_validate_hypotheses_rejects_order_not_closed_under_inverses(
+        groups_by_name):
+    # the vee with a C1 Brandt block over a C3 bottom: u = (1 -> 2) lies
+    # over h_k and its inverse over h_k^-1, for each k in C3
+    basis = _basis(VEE, ((1, 2), (0,)), ("C1", "C3"), groups_by_name)
+    u, u_inv = (0, 1, 2, 0), (0, 2, 1, 0)
+    orders = [o.down for o in g_posets(basis)]
+    assert sorted(orders) == sorted(
+        _down_with(basis, [((1, 0, 0, k), u), ((1, 0, 0, (3 - k) % 3), u_inv)])
+        for k in range(3)
+    )
+    for down in orders:
+        assert validate_hypotheses(basis, down)
+    # u over h_1 with nothing under u^-1 is closed under products (no
+    # composable pair has something under both factors) but not under
+    # inverses; the restriction of u^-1 to 0 is missing too, since products
+    # and unique restrictions together imply closure under inverses
+    for relations in ([((1, 0, 0, 1), u)],
+                      # u and u^-1 both over h_1: fails inverses, and
+                      # products (h_1 h_1 = h_2 is not under u u^-1 = 1)
+                      [((1, 0, 0, 1), u), ((1, 0, 0, 1), u_inv)]):
+        with pytest.raises(AssertionError,
+                           match="order not closed under inverses"):
+            validate_hypotheses(basis, _down_with(basis, relations))
+
+
+def test_validate_hypotheses_rejects_order_not_closed_under_products(
+        groups_by_name):
+    # C4 over C4 on a 2-chain: the top's g, g^2, g^3 over h, the bottom
+    # idempotent and h^3 preserve inverses and give unique restrictions,
+    # but g g = g^2 is not over h h = h^2
+    basis = _basis(CHAIN2, ((1,), (0,)), ("C4", "C4"), groups_by_name)
+    down = _down_with(basis, [((1, 0, 0, 1), (0, 1, 1, 1)),
+                              ((1, 0, 0, 0), (0, 1, 1, 2)),
+                              ((1, 0, 0, 3), (0, 1, 1, 3))])
+    with pytest.raises(AssertionError, match="order not closed under products"):
+        validate_hypotheses(basis, down)
 
 
 def test_debug_validation_flag(groups_by_name):

@@ -72,13 +72,13 @@ def _print_summary(ledger, n):
         f"n={n} inverse_semigroups={t[0]} commutative={t[1]} "
         f"monoids={t[2]} commutative_monoids={t[3]}"
     )
-    if ledger.generated:
-        pct = 100.0 * ledger.immediate / ledger.generated
-        rate = ledger.iso_tests / ledger.generated
-        print(
-            f"generated={ledger.generated} accepted_immediately={pct:.1f}% "
-            f"iso_tests_per_generated={rate:.3f}"
-        )
+    searched = max(ledger.generated, 1)  # reads 0 when nothing was searched
+    pct = 100.0 * ledger.immediate / searched
+    rate = ledger.iso_tests / searched
+    print(
+        f"generated={ledger.generated} accepted_immediately={pct:.1f}% "
+        f"iso_tests_per_generated={rate:.3f}"
+    )
 
 
 def _cmd_count(args) -> int:

@@ -13,8 +13,11 @@ Every mode runs one pipeline per semilattice E and block-size shape:
 it on one skeleton.  `run_enumeration` builds the semilattice levels and
 then runs one task per semilattice, both serially or on one process pool;
 results are merged in generation order, so levels, ledgers and output files
-do not depend on the worker count.  In both of its modes the all-idempotent
-row, the semilattices themselves, is read off the masks of level n.
+do not depend on the worker count.  Full mode searches every row below n
+and reads the all-idempotent row off the masks of level n.  Counts mode
+searches the rows below n - 1 and builds no level above n - 1: per E there,
+`parent_counts` gives its Aut(E)-orbits on points, which are its classes,
+and the semilattices of order n it owns under canonical augmentation.
 
 The pipeline calls every layer through this module's own names (`esn`,
 `g_posets`, `is_isoc`, ...), which is where `bench/tracer.py` wraps them.
@@ -37,6 +40,7 @@ from .orders import (
     MeetSemilattice,
     format_cover_line,
     meet_semilattices,
+    parent_counts,
     semilattice_level,
 )
 from .shapes import (
@@ -241,51 +245,67 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     # a terminal gets every update, each over the last; a log one line per level
     tty = config.progress and sys.stderr.isatty()
     lead = "\r" if tty else ""
+    # counts mode reads rows n - 1 and n off level n - 1, which needs n > 1
+    top = n if collect or n == 1 else n - 1
 
     pool = None
     mapper = map
     if config.threads > 1:
         pool = ProcessPoolExecutor(max_workers=config.threads)
         mapper = partial(pool.map, chunksize=8)
+
+    def mapped(fn, tasks, m):
+        """mapper(fn, tasks), reporting progress over the semilattices of m."""
+        start = perf_counter()
+        for i, out in enumerate(mapper(fn, tasks), 1):
+            yield out
+            if config.progress and (tty or i == len(tasks)):
+                rate = i / max(perf_counter() - start, 1e-9)
+                print(
+                    f"{lead}m={m}: {i}/{len(tasks)} semilattices, "
+                    f"{rate:.1f}/s, ETA {(len(tasks) - i) / rate:.0f}s",
+                    end="", flush=True, file=sys.stderr,
+                )
+        if config.progress:
+            print(file=sys.stderr)
+
     try:
-        # every level up to n is built here, on the pool if there is one;
-        # meet_semilattices then reads it from the cache, and the final row
-        # needs only the masks of level n
-        level_n = semilattice_level(n, mapper)
-        for m in range(1, n):
+        # levels up to top are built here, on the pool if there is one
+        level_top = semilattice_level(top, mapper)
+        for m in range(1, top):
             shapes = _shapes_with_compositions(n, m)
             if not shapes:
                 continue
             tasks = [(n, E.down, shapes, collect) for E in meet_semilattices(m)]
-            start = perf_counter()
-            for i, (is_lattice, res) in enumerate(
-                    mapper(_search_semilattice, tasks), 1):
+            for is_lattice, res in mapped(_search_semilattice, tasks, m):
                 for shape, count, comm, tables, stats in res:
                     ledger.add_cell(m, shape, count, comm, is_lattice)
                     ledger.add_stats(*stats)
                     if collect:
                         result.tables.extend(tables)
-                if config.progress and (tty or i == len(tasks)):
-                    rate = i / max(perf_counter() - start, 1e-9)
-                    print(
-                        f"{lead}m={m}: {i}/{len(tasks)} semilattices, "
-                        f"{rate:.1f}/s, ETA {(len(tasks) - i) / rate:.0f}s",
-                        end="", flush=True, file=sys.stderr,
-                    )
-            if config.progress:
-                print(file=sys.stderr)
+        # labels are linear extensions: E has a maximum iff down[-1] is full
+        full = (1 << top) - 1
+        if top == n:
+            # pure-semilattice row: the only inverse semigroup of order n
+            # whose idempotents exhaust it is the semilattice itself
+            for down in level_top:
+                ledger.add_cell(n, (1,) * n, 1, 1, down[-1] == full)
+                if collect:
+                    result.tables.append((MeetSemilattice(down).meet, n))
+        else:
+            # at m = n - 1 one point carries C2, and two choices of it are
+            # isomorphic iff an automorphism of E swaps them.  Each form of
+            # level n has one owner, whose one lattice child adds a top.
+            # zip exhausts the results first, which ends their progress line
+            for (orbits, children), down in zip(
+                    mapped(parent_counts, level_top, top), level_top):
+                ledger.add_cell(top, (1,) * top, orbits, orbits,
+                                down[-1] == full)
+                for child in range(children):
+                    ledger.add_cell(n, (1,) * n, 1, 1, child == 0)
     finally:
         if pool is not None:
             pool.shutdown()
-
-    # pure-semilattice row: the only inverse semigroup of order n whose
-    # idempotents exhaust it is the semilattice itself; its labels are a
-    # linear extension, so it has a maximum iff the last down-set is full
-    shape, full = (1,) * n, (1 << n) - 1
-    for down in level_n:
-        ledger.add_cell(n, shape, 1, 1, down[-1] == full)
-        if collect:
-            result.tables.append((MeetSemilattice(down).meet, n))
     return result
 
 

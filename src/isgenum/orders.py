@@ -16,6 +16,11 @@ so `semilattice_level(m, mapper)` can map them over a process pool; the
 first of each form over the parents in order is kept, which gives the same
 level, order and labels for every mapper.
 
+The canonical search also yields automorphism generators, from which
+`parent_counts` counts a semilattice's Aut-orbits on points and the
+children it owns under canonical augmentation: |level m + 1| summed over
+level m, with no child stored.
+
 A poset is its tuple of down-set masks: the level decompositions take that
 tuple directly, and `colored_isomorphisms` searches the automorphisms of
 one poset that carry one coloring of its elements to another.
@@ -28,6 +33,7 @@ __all__ = [
     "MeetSemilattice",
     "meet_semilattices",
     "semilattice_level",
+    "parent_counts",
     "down_levels",
     "up_levels",
     "up_down_levels",
@@ -263,13 +269,15 @@ def _refined_colors(n, below, above):
 
 
 def _canonical_labeling(n, down):
-    """Minimal (color, predecessors-mask) sequence over all linear extensions.
+    """Minimal (color, predecessors-mask) sequence over all linear extensions,
+    the first labeling that spells it, and generators of Aut(poset).
 
-    The returned key determines the poset up to isomorphism.  Entry i is the
-    (color, mask) of the element labeled i, and the mask has bit j set when
-    the element labeled j lies below it: the mask is that element's strict
-    down-set in canonical labels, so the key spells the canonical form (see
-    `_canonical_form`).
+    Returns (key, labels, gens).  The key determines the poset up to
+    isomorphism.  Entry i is the (color, mask) of the element labeled i, and
+    the mask has bit j set when the element labeled j lies below it: the
+    mask is that element's strict down-set in canonical labels, so the key
+    spells the canonical form (see `_canonical_form`).  labels[i] is the
+    element labeled i by the first leaf with the key; gens are image tuples.
 
     The search places one minimal unplaced element per level and only
     follows candidates whose (color, mask) equals the smallest available.
@@ -283,6 +291,11 @@ def _canonical_labeling(n, down):
     equals the best sequence so far (otherwise it is smaller) instead of
     re-comparing the prefix.  A node whose subtree finds a new best has a
     prefix equal to it from then on.
+
+    Aut acts regularly on the labelings that spell the key, and the search
+    reaches exactly those that place twins in index order, so the swaps of
+    adjacent twins and the maps from the first such leaf to the others
+    generate Aut (McKay and Piperno, "Practical graph isomorphism, II").
     """
     sdown = [down[x] ^ (1 << x) for x in range(n)]
     below = [[i for i in range(n) if sdown[x] >> i & 1] for x in range(n)]
@@ -300,16 +313,20 @@ def _canonical_labeling(n, down):
         twins[cls] = earlier[x] | 1 << x
     posmask = [0] * n
     best = None
+    leaves = []  # the labelings that spell best, in search order
     seq = []
+    placed = [0] * n  # placed[i]: the element labeled i on this path
 
     def rec(placedmask, equal):
         """Search below the current prefix; True if a new best was found."""
-        nonlocal best
+        nonlocal best, leaves
         depth = len(seq)
         if depth == n:
             if best is None or not equal:
                 best = tuple(seq)
+                leaves = [tuple(placed)]
                 return True
+            leaves.append(tuple(placed))
             return False
         cands = [
             (colors[x], posmask[x], x) for x in range(n)
@@ -330,6 +347,7 @@ def _canonical_labeling(n, down):
                 continue
             for y in above[x]:
                 posmask[y] |= bit
+            placed[depth] = x
             if rec(placedmask | (1 << x), equal):
                 found = equal = True
             for y in above[x]:
@@ -338,14 +356,47 @@ def _canonical_labeling(n, down):
         return found
 
     rec(0, True)
-    return best
+    first = leaves[0]
+    # (x, image) pairs sorted by x list the images in image-tuple order
+    gens = [tuple(y for _, y in sorted(zip(first, leaf))) for leaf in leaves[1:]]
+    for x in range(n):
+        if earlier[x]:  # swap x with the twin just before it
+            gen = list(range(n))
+            a = earlier[x].bit_length() - 1
+            gen[a], gen[x] = x, a
+            gens.append(tuple(gen))
+    return best, first, gens
 
 
 def _canonical_form(n, down):
     """Down-set masks of the poset in canonical labels, read off its key."""
-    return tuple(
-        mask | 1 << i for i, (_, mask) in enumerate(_canonical_labeling(n, down))
-    )
+    key, _, _ = _canonical_labeling(n, down)
+    return tuple(mask | 1 << i for i, (_, mask) in enumerate(key))
+
+
+def _orbit_roots(items, images):
+    """Union-find over the generator images: roots[i] is the index of the
+    first item in the orbit of items[i].  images(item) lists the item's
+    images under the generators; every image must be among the items."""
+    index = {item: i for i, item in enumerate(items)}
+    roots = list(range(len(items)))
+
+    def find(i):
+        while roots[i] != i:
+            roots[i] = roots[roots[i]]
+            i = roots[i]
+        return i
+
+    for i, item in enumerate(items):
+        for image in images(item):
+            a, b = find(i), find(index[image])
+            if a != b:
+                roots[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(items))]
+
+
+def _point_orbits(n, gens):
+    return _orbit_roots(range(n), lambda x: [g[x] for g in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +441,41 @@ def _children(pdown):
         _canonical_form(n + 1, pdown + (D | (1 << n),))
         for D in _extension_ideals(n, pdown, Poset(pdown).up)
     ))
+
+
+def parent_counts(pdown):
+    """(Aut(P)-orbits on the points of P, one-point extensions of P that P
+    owns), both from one canonical labeling of the semilattice P.
+
+    Ownership is McKay's canonical augmentation ("Isomorph-free exhaustive
+    generation", 1998): P extends by one ideal per Aut(P)-orbit, and owns
+    the child iff its new element shares an Aut(child)-orbit with the
+    canonical deletion element: of the maximal elements with the largest
+    down-set, the one labeled last.  Only ties need the child's labeling.
+    """
+    n = len(pdown)
+    _, _, gens = _canonical_labeling(n, pdown)
+    up = Poset(pdown).up
+    ideals = _extension_ideals(n, pdown, up)
+    roots = _orbit_roots(
+        ideals, lambda D: [sum(1 << g[x] for x in _bits(D)) for g in gens])
+    tops = [(x, pdown[x].bit_count()) for x in range(n) if up[x] == 1 << x]
+    children = 0
+    for i, D in enumerate(ideals):
+        if roots[i] != i:
+            continue
+        height = D.bit_count() + 1  # the new element's down-set size
+        rivals = [(x, h) for x, h in tops if not D >> x & 1 and h >= height]
+        if any(h > height for _, h in rivals):
+            continue
+        if not rivals:
+            children += 1
+            continue
+        _, labels, cgens = _canonical_labeling(n + 1, pdown + (D | 1 << n,))
+        orbit = _point_orbits(n + 1, cgens)
+        last = max([n] + [x for x, _ in rivals], key=labels.index)
+        children += orbit[last] == orbit[n]
+    return len(set(_point_orbits(n, gens))), children
 
 
 _LEVELS: list[tuple] = [((1,),)]

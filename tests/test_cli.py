@@ -28,6 +28,19 @@ def test_count_threads(capsys):
     assert "inverse_semigroups=52" in capsys.readouterr().out
 
 
+def test_count_prints_generated_line_with_nothing_searched(tmp_path, capsys):
+    # counts mode reads rows n - 1 and n off level n - 1, so orders 1 and 2
+    # search no candidate, while enumerate still searches row 1 of order 2
+    zero = "generated=0 accepted_immediately=0.0% iso_tests_per_generated=0.000"
+    for n in (1, 2):
+        assert main(["count", "--order", str(n)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"n={n} inverse_semigroups={TOTALS[n][0]} ")
+        assert out[1] == zero
+    assert main(["enumerate", "--order", "2", "--out", str(tmp_path)]) == 0
+    assert "generated=1 accepted_immediately=100.0% " in capsys.readouterr().out
+
+
 def test_enumerate_writes_everything(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["enumerate", "--order", "4", "--out", str(out)]) == 0

@@ -3,10 +3,12 @@ import os
 
 import pytest
 
-from isgenum import gposets
+from isgenum import gposets, orders
 from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
+    _search_semilattice,
+    _shapes_with_compositions,
     breakdown_csv,
     enumerate_counts_only,
     enumerate_fixed,
@@ -19,7 +21,12 @@ from isgenum.esn import esn, validate_inverse_semigroup
 from isgenum.gposets import e_groupoid, g_posets
 from isgenum.groups import Group, catalog, is_isomorphic
 from isgenum.iso import brute_force_isomorphic
-from isgenum.orders import meet_semilattices, parse_cover_line
+from isgenum.orders import (
+    meet_semilattices,
+    parent_counts,
+    parse_cover_line,
+    semilattice_level,
+)
 from isgenum.shapes import admissible_compositions, d_partitions, group_maps, partitions
 
 from expected_counts import BREAKDOWN, TOTALS
@@ -313,19 +320,84 @@ def test_thread_count_does_not_change_counters():
     for threads in (1, 2):
         ledger = enumerate_counts_only(7, threads=threads)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            921, 650, 285
+            603, 406, 207
         )
 
 
 def test_count_and_enumerate_ledgers_agree():
-    # both modes fill the all-idempotent row from the level masks, so they
-    # search the same candidates
+    # full mode also searches row n - 1, which counts mode reads off the
+    # Aut(E)-orbits, so the counters differ by exactly that search
     counts = enumerate_counts_only(6)
     full = run_enumeration(EnumerationConfig(order=6, mode="full")).ledger
     assert full == counts
-    assert (full.generated, full.immediate, full.iso_tests) == (
-        counts.generated, counts.immediate, counts.iso_tests
-    )
+    shapes = _shapes_with_compositions(6, 5)
+    gap = (0, 0, 0)
+    for E in meet_semilattices(5):
+        for *_, stats in _search_semilattice((6, E.down, shapes, False))[1]:
+            gap = tuple(a + b for a, b in zip(gap, stats))
+    assert gap == (75, 58, 17)
+    assert (full.generated - counts.generated,
+            full.immediate - counts.immediate,
+            full.iso_tests - counts.iso_tests) == gap
+
+
+def _top_rows_by_search(n):
+    """Cells (n - 1, ones) and (n, ones) as full mode fills them: by the
+    search over level n - 1 and from the masks of level n."""
+    ledger = CountLedger()
+    shapes = _shapes_with_compositions(n, n - 1)
+    for E in meet_semilattices(n - 1):
+        is_lattice, res = _search_semilattice((n, E.down, shapes, False))
+        for shape, count, comm, _, _ in res:
+            ledger.add_cell(n - 1, shape, count, comm, is_lattice)
+    full = (1 << n) - 1
+    for down in semilattice_level(n):
+        ledger.add_cell(n, (1,) * n, 1, 1, down[-1] == full)
+    return ledger
+
+
+def _check_top_rows(n):
+    searched = _top_rows_by_search(n)
+    # m = n - 1 admits only singleton D-classes
+    assert {m for m, _ in searched.cells} == {n - 1, n}
+    for threads in (1, 2):
+        ledger = enumerate_counts_only(n, threads=threads)
+        for m in (n - 1, n):
+            assert ledger.cell(m, (1,) * m) == searched.cell(m, (1,) * m)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_top_rows_match_search(n):
+    _check_top_rows(n)
+
+
+def test_augmentation_counts_levels():
+    for m in range(2, 9):
+        owned = sum(parent_counts(down)[1] for down in semilattice_level(m - 1))
+        assert owned == len(semilattice_level(m))
+
+
+@pytest.mark.stretch
+def test_top_rows_stretch_order_9():
+    _check_top_rows(9)
+    owned = sum(parent_counts(down)[1] for down in semilattice_level(8))
+    assert owned == len(semilattice_level(9))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_counts_of_orders_one_and_two(threads):
+    # order 1 has no level 0, and order 2 searches nothing
+    for n in (1, 2):
+        ledger = enumerate_counts_only(n, threads=threads)
+        assert ledger.totals() == TOTALS[n]
+        assert {k: tuple(v) for k, v in ledger.cells.items()} == BREAKDOWN[n]
+
+
+def test_counts_mode_builds_levels_below_n(monkeypatch):
+    # a fresh cache, restored after the test
+    monkeypatch.setattr(orders, "_LEVELS", [((1,),)])
+    enumerate_counts_only(8)
+    assert len(orders._LEVELS) == 7
 
 
 def test_consumers_agree():
@@ -386,7 +458,8 @@ def test_progress_reports_rate_and_eta(capsys):
     # captured stderr is not a terminal: one plain line per level
     assert "\r" not in err
     lines = [line.split("\r")[-1] for line in err.rstrip("\n").split("\n")]
-    # one line per level searched; counts mode fills level 5 directly
+    # one line per row below n: rows 1-3 are searched, and row 4 comes from
+    # the pass over level 4 that also counts level 5
     assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",
                                                       "m=4"]
     assert lines[3].startswith("m=4: 5/5 semilattices, ")
@@ -405,8 +478,11 @@ def test_stats_diagnostic_present():
     from isgenum.orders import semilattice_count
 
     ledger = enumerate_counts_only(5)
-    # the top semilattice row is filled directly, not generated by search
-    assert ledger.generated >= TOTALS[5][0] - semilattice_count(5)
+    # the top semilattice row and the row below it, whose classes are the
+    # Aut(E)-orbits on points, are filled directly, not generated by search
+    orbit_row = ledger.cell(4, (1,) * 4)[0]
+    assert orbit_row == 16
+    assert ledger.generated >= TOTALS[5][0] - semilattice_count(5) - orbit_row
     assert 0 < ledger.immediate <= ledger.generated
     assert ledger.iso_tests >= 0
 

@@ -291,6 +291,40 @@ def test_colored_isoms_between_two_colorings_match_oracle():
 
 
 # ---------------------------------------------------------------------------
+# automorphism generators
+
+
+# sum over the semilattices of order m of their Aut-orbits on points, m = 1..8
+POINT_ORBIT_SUMS = (1, 2, 5, 16, 60, 262, 1315, 7505)
+
+
+def test_generators_are_automorphisms_and_give_every_orbit():
+    for m in range(1, 8):
+        for E in meet_semilattices(m):
+            _, _, gens = orders._canonical_labeling(m, E.down)
+            for g in gens:
+                assert sorted(g) == list(range(m))
+                for x in range(m):
+                    image = sum(1 << g[i] for i in range(m) if E.leq(i, x))
+                    assert image == E.down[g[x]]
+            colors = (0,) * m
+            auts = list(colored_isomorphisms(E, colors, colors))
+            roots = orders._point_orbits(m, gens)
+            for x in range(m):
+                assert {p[x] for p in auts} == {
+                    y for y in range(m) if roots[y] == roots[x]
+                }
+
+
+def test_point_orbit_sums():
+    sums = tuple(
+        sum(orders.parent_counts(down)[0] for down in semilattice_level(m))
+        for m in range(1, 9)
+    )
+    assert sums == POINT_ORBIT_SUMS
+
+
+# ---------------------------------------------------------------------------
 # cover-relation file format
 
 

@@ -7,12 +7,7 @@ structure is labeled by a linear extension with the minimum at 0, which is
 also the on-disk format: `m:u1<v1,u2<v2,...` lists the cover relations.
 """
 
-from isgenum import (
-    down_levels,
-    format_cover_line,
-    meet_semilattices,
-    up_down_levels,
-)
+from isgenum import down_levels, format_cover_line, meet_semilattices
 
 print("counts per order (semilattices // those with a maximum):")
 for m in range(1, 9):
@@ -25,11 +20,9 @@ for E in meet_semilattices(4):
     tag = "lattice" if E.has_maximum() else "       "
     print(f"  {format_cover_line(E):<24} {tag}")
 
-# Levels drive both the search ordering and the isomorphism invariants; the
-# level functions take the down-set masks, so they work on any poset.
-print("\nlevel structure of each order-5 semilattice:")
+# Down-levels of E order the block search, and those of a semigroup's
+# natural order are its isomorphism key; down_levels takes the down-set
+# masks, so it works on any poset.
+print("\ndown-levels of each order-5 semilattice:")
 for E in meet_semilattices(5):
-    print(
-        f"  {format_cover_line(E):<28} down-levels {down_levels(E.down)}"
-        f"  up-down {up_down_levels(E.down)}"
-    )
+    print(f"  {format_cover_line(E):<28} {down_levels(E.down)}")

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """How duplicate structures get rejected: invariants, colors, and testing.
 
-Generation visits isomorphic semigroups more than once.  A cheap invariant
-key buckets candidates first; only same-key candidates are compared, by
-the automorphisms of their shared semilattice that carry one idempotent
-coloring to the other, and extending each match cell by cell over the
-D-blocks.
+Generation visits isomorphic semigroups more than once, but only within
+one skeleton (semilattice, D-partition, group map): the engine searches
+one skeleton per orbit of the semilattice's automorphisms and keeps one
+store per skeleton.  Inside a store, a cheap invariant key, the level sizes
+of the natural order, buckets candidates first; only same-key candidates
+are compared, by the automorphisms of their shared semilattice that carry
+one idempotent coloring to the other, and extending each match cell by cell
+over the D-blocks.
 """
 
 from collections import Counter
@@ -43,11 +46,13 @@ print("\nidempotent coloring of the first one:", a.colors)
 print("E automorphisms matching the colorings:",
       list(colored_isomorphisms(E, a.colors, b.colors)))
 
-# How well do the invariants separate order-7 semigroups?
+# How well does the key separate the order-7 classes of one skeleton?
 buckets = Counter()
 for S in enumerate_semigroups(7):
-    buckets[(S.E.down, invariants(S))] += 1
+    skeleton = (S.E.down, S.d_restriction, tuple(G.name for G in S.groups))
+    buckets[(skeleton, invariants(S))] += 1
 sizes = Counter(buckets.values())
-print("\nbucket sizes over all order-7 semigroups (size: how many buckets):")
+print("\nbucket sizes over all order-7 semigroups, per skeleton "
+      "(size: how many buckets):")
 for size in sorted(sizes):
     print(f"  {size}: {sizes[size]}")

@@ -54,8 +54,6 @@ from .orders import (
     meet_semilattices,
     parse_cover_line,
     semilattice_count,
-    up_down_levels,
-    up_levels,
 )
 from .shapes import (
     admissible_compositions,
@@ -105,8 +103,6 @@ __all__ = [
     "poset_possibilities",
     "run_enumeration",
     "semilattice_count",
-    "up_down_levels",
-    "up_levels",
     "validate_hypotheses",
     "validate_inverse_semigroup",
     "write_cayley_files",

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -81,11 +82,23 @@ def _print_summary(ledger, n):
     )
 
 
+def _check_file_folder(path):
+    """Fail before a run whose output file could not be created; the file
+    itself is left untouched."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+
+
 def _cmd_count(args) -> int:
     cfg = EnumerationConfig(
         order=args.order, mode="counts", threads=args.threads,
         progress=args.progress,
     )
+    if args.breakdown:
+        _check_file_folder(args.breakdown)
     result = run_enumeration(cfg)
     _print_summary(result.ledger, args.order)
     if args.breakdown:
@@ -99,6 +112,7 @@ def _cmd_enumerate(args) -> int:
     cfg = EnumerationConfig(
         order=args.order, mode="full", threads=args.threads,
     )
+    os.makedirs(args.out, exist_ok=True)
     result = run_enumeration(cfg)
     count = write_cayley_files(result, args.out)
     with open(os.path.join(args.out, "breakdown.csv"), "w", encoding="ascii") as fh:
@@ -154,6 +168,7 @@ def _cmd_fixed(args) -> int:
     P = tuple(X for X, _ in pairs)
     f = tuple(by_name[t] for _, t in pairs)
 
+    os.makedirs(args.out, exist_ok=True)
     accepted = enumerate_fixed(E, P, f)
     n = sum(len(X) * len(X) * G.order for X, G in zip(P, f))
     result = RunResult(order=n, ledger=None,

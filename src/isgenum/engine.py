@@ -2,11 +2,17 @@
 
 Every mode runs one pipeline per semilattice E and block-size shape:
 
-  _skeletons   the basis of every (composition, D-partition, group map)
-  _candidates  the semigroup of every order on each basis
-  _keep_new    one representative per isomorphism class: candidates are
-               bucketed by `invariants`, then tested with `is_isoc`
-               against their bucket
+  _skeletons   the basis of the first skeleton (D-partition, group map)
+               of each Aut(E)-orbit
+  _candidates  the semigroup of every order on one basis
+  _keep_new    one representative per isomorphism class of one skeleton:
+               candidates are bucketed by `invariants`, then tested with
+               `is_isoc` against their bucket
+
+An isomorphism of candidates over E restricts to an automorphism of E that
+carries one skeleton to the other, so every skeleton of an orbit holds a
+member of each of the orbit's classes, and no class spans two orbits: the
+first skeletons keep the classes, and their order, of a search over all.
 
 `run_enumeration` tallies it per shape (counts mode) and keeps the tables
 (full mode), `enumerate_semigroups` streams it, and `enumerate_fixed` runs
@@ -38,6 +44,8 @@ from .gposets import e_groupoid, g_posets
 from .iso import invariants, is_isoc
 from .orders import (
     MeetSemilattice,
+    _canonical_labeling,
+    _orbit_roots,
     format_cover_line,
     meet_semilattices,
     parent_counts,
@@ -166,19 +174,34 @@ def _shapes_with_compositions(n, m):
     return out
 
 
-def _skeletons(E, comps, dparts, catalog):
-    """Basis of every (composition, D-partition, group map) of one shape."""
-    for C in comps:
-        for P in dparts:
-            for f in group_maps(P, C, catalog):
-                yield e_groupoid(E, P, f)
+def _skeletons(E, comps, dparts, catalog, gens):
+    """Basis of the first (D-partition, group map) of each orbit under the
+    automorphisms of E that `gens` generate, over every composition.
+
+    An automorphism maps each block, and its group with it, and the blocks
+    are put back in `d_partitions` order, by (size descending, least
+    element); every image must be among the skeletons listed.
+    """
+    skeletons = [(P, f) for C in comps for P in dparts
+                 for f in group_maps(P, C, catalog)]
+
+    def images(skeleton):
+        for g in gens:
+            moved = sorted(((tuple(sorted(g[x] for x in X)), G)
+                            for X, G in zip(*skeleton)),
+                           key=lambda block: (-len(block[0]), block[0][0]))
+            yield tuple(zip(*moved))  # (blocks, groups)
+
+    roots = _orbit_roots(skeletons, images)
+    for i, (P, f) in enumerate(skeletons):
+        if roots[i] == i:
+            yield e_groupoid(E, P, f)
 
 
-def _candidates(bases):
-    """The semigroup of every order on every basis, isomorphic copies included."""
-    for basis in bases:
-        for order in g_posets(basis):
-            yield esn(basis, order)
+def _candidates(basis):
+    """The semigroup of every order on the basis, isomorphic copies included."""
+    for order in g_posets(basis):
+        yield esn(basis, order)
 
 
 def _keep_new(candidates, stats):
@@ -204,10 +227,12 @@ def _keep_new(candidates, stats):
             yield S
 
 
-def _shape_classes(E, shape, comps, catalog, stats):
-    """One representative per class over E with D-partitions of this shape."""
+def _shape_classes(E, shape, comps, catalog, gens, stats):
+    """One representative per class over E with D-partitions of this shape,
+    from one store per orbit representative skeleton."""
     dparts = d_partitions(E, shape)
-    return _keep_new(_candidates(_skeletons(E, comps, dparts, catalog)), stats)
+    for basis in _skeletons(E, comps, dparts, catalog, gens):
+        yield from _keep_new(_candidates(basis), stats)
 
 
 def _search_semilattice(task):
@@ -221,10 +246,11 @@ def _search_semilattice(task):
     n, down, shapes, collect = task
     E = MeetSemilattice(down)
     catalog = _groups.catalog(n)
+    _, _, gens = _canonical_labeling(E.size, down)
     results = []
     for shape, comps in shapes:
         stats = [0, 0, 0]
-        kept = list(_shape_classes(E, shape, comps, catalog, stats))
+        kept = list(_shape_classes(E, shape, comps, catalog, gens, stats))
         if kept:
             comm = sum(S.is_commutative() for S in kept)
             tables = [(S.table, E.size) for S in kept] if collect else None
@@ -327,8 +353,10 @@ def enumerate_semigroups(n: int):
         if not shapes:
             continue
         for E in meet_semilattices(m):
+            _, _, gens = _canonical_labeling(E.size, E.down)
             for shape, comps in shapes:
-                yield from _shape_classes(E, shape, comps, catalog, [0, 0, 0])
+                yield from _shape_classes(E, shape, comps, catalog, gens,
+                                          [0, 0, 0])
 
 
 def enumerate_fixed(E, P, f) -> list:
@@ -339,7 +367,7 @@ def enumerate_fixed(E, P, f) -> list:
         raise ValueError("P must partition the elements of E")
     if not is_d_partition(E, P):
         raise ValueError("P does not satisfy the D-partition condition")
-    return list(_keep_new(_candidates([e_groupoid(E, P, f)]), [0, 0, 0]))
+    return list(_keep_new(_candidates(e_groupoid(E, P, f)), [0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

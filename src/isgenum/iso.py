@@ -1,13 +1,15 @@
 """Isomorphism machinery: invariant keys and pairwise isomorphism testing.
 The keep-if-new filter that combines them, bucketing by `invariants` and
-testing with `is_isoc` inside a bucket, is `engine._keep_new`.
+testing with `is_isoc` inside a bucket, is `engine._keep_new`, which keeps
+one store per skeleton: the key only has to separate candidates of one
+(E, D-partition, group map), so it is the level sizes of the natural order.
 
-Both read one coloring of the idempotents, the basis's `colors`: per
-idempotent, the size of its D-class and the name of its maximal subgroup.
 Two semigroups produced over the same semilattice E are compared on E
 itself: `colored_isomorphisms` lists the automorphisms of E that carry one
-coloring to the other, and each match is then extended cell by cell over
-the D-blocks and checked for the homomorphism property.
+coloring of the idempotents to the other, the basis's `colors` (per
+idempotent, the size of its D-class and the name of its maximal subgroup),
+and each match is then extended cell by cell over the D-blocks and checked
+for the homomorphism property.
 """
 
 from __future__ import annotations
@@ -25,15 +27,8 @@ __all__ = [
 
 
 def invariants(S: InverseSemigroup):
-    """Isomorphism-invariant key: level sizes of the natural order plus, per
-    up-down level of E, the multiset of idempotent colors."""
-    lev = tuple(len(L) for L in down_levels(S.order_down))
-    colors = S.colors
-    xmap = tuple(
-        (L[0], tuple(sorted(colors[e] for e in L)))
-        for L in S.E.up_down_levels()
-    )
-    return (lev, xmap)
+    """Isomorphism-invariant key: the level sizes of the natural order."""
+    return tuple(len(L) for L in down_levels(S.order_down))
 
 
 def _is_homomorphism(tab_s, tab_t, dmap):

@@ -19,11 +19,12 @@ level, order and labels for every mapper.
 The canonical search also yields automorphism generators, from which
 `parent_counts` counts a semilattice's Aut-orbits on points and the
 children it owns under canonical augmentation: |level m + 1| summed over
-level m, with no child stored.
+level m, with no child stored.  The engine closes its skeletons under the
+same generators with `_orbit_roots`.
 
-A poset is its tuple of down-set masks: the level decompositions take that
-tuple directly, and `colored_isomorphisms` searches the automorphisms of
-one poset that carry one coloring of its elements to another.
+A poset is its tuple of down-set masks: `down_levels` takes that tuple
+directly, and `colored_isomorphisms` searches the automorphisms of one
+poset that carry one coloring of its elements to another.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "semilattice_level",
     "parent_counts",
     "down_levels",
-    "up_levels",
-    "up_down_levels",
     "colored_isomorphisms",
     "format_cover_line",
     "parse_cover_line",
@@ -100,7 +99,7 @@ class Poset:
 class MeetSemilattice(Poset):
     """Poset with all binary meets, in canonical linear-extension labels."""
 
-    __slots__ = ("meet", "_down_level_of", "_up_down")
+    __slots__ = ("meet", "_down_level_of")
 
     def __init__(self, down):
         super().__init__(down)
@@ -124,7 +123,6 @@ class MeetSemilattice(Poset):
             meet.append(tuple(row))
         self.meet = tuple(meet)
         self._down_level_of = None
-        self._up_down = None
 
     def has_maximum(self) -> bool:
         """The labels are a linear extension, so only the last can be top."""
@@ -140,14 +138,9 @@ class MeetSemilattice(Poset):
             self._down_level_of = tuple(lev)
         return self._down_level_of[x]
 
-    def up_down_levels(self):
-        if self._up_down is None:
-            self._up_down = up_down_levels(self.down)
-        return self._up_down
-
 
 # ---------------------------------------------------------------------------
-# level decompositions; down[x] is the down-set mask of x, as in Poset.down
+# level decomposition; down[x] is the down-set mask of x, as in Poset.down
 
 
 def down_levels(down):
@@ -162,36 +155,6 @@ def down_levels(down):
         levels.append(tuple(_bits(top)))
         left ^= top
     return levels
-
-
-def up_levels(down):
-    """Peel minimal elements repeatedly."""
-    left = (1 << len(down)) - 1
-    levels = []
-    while left:
-        bottom = 0
-        for x in _bits(left):
-            if not down[x] & left & ~(1 << x):
-                bottom |= 1 << x
-        levels.append(tuple(_bits(bottom)))
-        left ^= bottom
-    return levels
-
-
-def up_down_levels(down):
-    """Common refinement of up-levels and down-levels, sorted by min element."""
-    d_of = {}
-    for i, level in enumerate(down_levels(down)):
-        for x in level:
-            d_of[x] = i
-    u_of = {}
-    for i, level in enumerate(up_levels(down)):
-        for x in level:
-            u_of[x] = i
-    classes = {}
-    for x in range(len(down)):
-        classes.setdefault((u_of[x], d_of[x]), []).append(x)
-    return sorted((tuple(sorted(v)) for v in classes.values()), key=lambda t: t[0])
 
 
 # ---------------------------------------------------------------------------

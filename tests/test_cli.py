@@ -1,7 +1,7 @@
 import os
 import time
 
-from isgenum import engine
+from isgenum import cli, engine
 from isgenum.cli import main
 
 from expected_counts import TOTALS
@@ -130,6 +130,40 @@ def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
         assert main(argv) == 2
         assert time.perf_counter() - start < 1.0
         assert "limited to order 15" in capsys.readouterr().err
+
+
+def test_unusable_output_path_fails_fast(tmp_path, capsys, monkeypatch):
+    # rejected before the search, which would otherwise run to completion
+    def no_search(*args):
+        raise AssertionError("searched before checking the output path")
+
+    monkeypatch.setattr(cli, "run_enumeration", no_search)
+    monkeypatch.setattr(cli, "enumerate_fixed", no_search)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    sl = tmp_path / "sl.txt"
+    sl.write_text("1:\n")
+    for argv in (
+            ["count", "--order", "8",
+             "--breakdown", str(tmp_path / "missing" / "x.csv")],
+            ["count", "--order", "8", "--breakdown", str(tmp_path)],
+            ["enumerate", "--order", "8", "--out", str(blocker / "out")],
+            ["fixed", "--semilattice", f"{sl}:1", "--dpartition", "0",
+             "--groups", "C2", "--out", str(blocker / "out")]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_failed_count_keeps_breakdown_file(tmp_path, capsys, monkeypatch):
+    def failing_run(config):
+        raise ValueError("run failed")
+
+    monkeypatch.setattr(cli, "run_enumeration", failing_run)
+    path = tmp_path / "b.csv"
+    path.write_text("old\n")
+    assert main(["count", "--order", "5", "--breakdown", str(path)]) == 2
+    assert "run failed" in capsys.readouterr().err
+    assert path.read_text() == "old\n"
 
 
 def test_thread_count_beyond_host_fails_fast(tmp_path, capsys, monkeypatch):

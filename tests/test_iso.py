@@ -4,16 +4,10 @@ import random
 import pytest
 
 from isgenum.engine import _keep_new, enumerate_semigroups
-from isgenum.esn import (
-    d_restriction_from_table,
-    esn,
-    maximal_subgroup_of_table,
-    natural_order_from_table,
-)
+from isgenum.esn import esn, natural_order_from_table
 from isgenum.gposets import BasisOrder, e_groupoid, g_posets
-from isgenum.groups import Group, is_isomorphic
 from isgenum.iso import brute_force_isomorphic, invariants, is_isoc
-from isgenum.orders import MeetSemilattice, _bits, parse_cover_line, up_down_levels
+from isgenum.orders import _bits, parse_cover_line
 
 VEE = parse_cover_line("3:0<1,0<2")
 CHAIN2 = parse_cover_line("2:0<1")
@@ -72,28 +66,22 @@ def _e_automorphisms(E):
 
 def test_invariants_chain3(groups_by_name):
     S = _semilattice_semigroup(CHAIN3, groups_by_name)
-    lev, xmap = invariants(S)
-    assert lev == (1, 1, 1)
-    assert xmap == ((0, ((1, "C1"),)), (1, ((1, "C1"),)), (2, ((1, "C1"),)))
+    assert invariants(S) == (1, 1, 1)
 
 
 def test_invariants_c2(groups_by_name):
     (S,) = _build_one(parse_cover_line("1:"), ((0,),), ("C2",), groups_by_name)
-    lev, xmap = invariants(S)
-    assert lev == (2,)
-    assert xmap == ((0, ((1, "C2"),)),)
+    assert invariants(S) == (2,)
 
 
 def test_invariants_brandt(groups_by_name):
     (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
-    lev, xmap = invariants(S)
-    assert lev == (4, 1)
-    assert xmap == ((0, ((1, "C1"),)), (1, ((2, "C1"), (2, "C1"))))
+    assert invariants(S) == (4, 1)
 
 
-def _invariants_from_table(table, group_catalog):
-    """Independent recomputation of the key from a bare Cayley table whose
-    idempotents are labeled 0..m-1 in semilattice order."""
+def _invariants_from_table(table):
+    """Independent recomputation of the key from a bare Cayley table: the
+    sizes of the levels peeled off the natural order from the top."""
     down = natural_order_from_table(table)
     n = len(table)
     up = [0] * n
@@ -109,48 +97,14 @@ def _invariants_from_table(table, group_catalog):
         lev.append(len(level))
         for x in level:
             removed |= 1 << x
-    blocks = d_restriction_from_table(table)
-    block_of = {}
-    for bi, X in enumerate(blocks):
-        for x in X:
-            block_of[x] = bi
-    m = len([x for x in range(n) if table[x][x] == x])
-    emeet = tuple(tuple(table[a][b] for b in range(m)) for a in range(m))
-    E = MeetSemilattice(
-        tuple(
-            sum(1 << a for a in range(m) if table[a][b] == a)
-            for b in range(m)
-        )
-    )
-
-    def group_name(e):
-        elems = maximal_subgroup_of_table(table, e)
-        order = {x: i for i, x in enumerate([e] + [x for x in elems if x != e])}
-        tab = [[0] * len(elems) for _ in elems]
-        for x in elems:
-            for y in elems:
-                tab[order[x]][order[y]] = order[table[x][y]]
-        G = Group(tab, "tmp")
-        for H in group_catalog:
-            if H.order == G.order and is_isomorphic(G, H):
-                return H.name
-        raise AssertionError("group not in catalog")
-
-    xmap = tuple(
-        (L[0], tuple(sorted(
-            (len(blocks[block_of[e]]), group_name(e)) for e in L
-        )))
-        for L in up_down_levels(E.down)
-    )
-    assert emeet == E.meet
-    return (tuple(lev), xmap)
+    return tuple(lev)
 
 
-def test_invariants_stable_under_relabeling(group_catalog):
+def test_invariants_stable_under_relabeling():
     rng = random.Random(7)
     for S in enumerate_semigroups(5):
         key = invariants(S)
-        assert key == _invariants_from_table(S.table, group_catalog)
+        assert key == _invariants_from_table(S.table)
         # relabel the non-idempotents; idempotent labels stay put
         m = S.E.size
         perm = list(range(m)) + rng.sample(range(m, S.size), S.size - m)
@@ -161,7 +115,7 @@ def test_invariants_stable_under_relabeling(group_catalog):
             tuple(inv[S.table[perm[x]][perm[y]]] for y in range(S.size))
             for x in range(S.size)
         )
-        assert key == _invariants_from_table(relab, group_catalog)
+        assert key == _invariants_from_table(relab)
 
 
 def test_invariants_stable_under_e_automorphism(groups_by_name):
@@ -213,7 +167,6 @@ def test_is_isoc_distinguishes_groups(groups_by_name):
     E1 = parse_cover_line("1:")
     (S4,) = _build_one(E1, ((0,),), ("C4",), groups_by_name)
     (S22,) = _build_one(E1, ((0,),), ("C2xC2",), groups_by_name)
-    assert invariants(S4) != invariants(S22)
     assert not is_isoc(S4, S22)
 
 

@@ -17,8 +17,6 @@ from isgenum.orders import (
     parse_cover_line,
     semilattice_count,
     semilattice_level,
-    up_down_levels,
-    up_levels,
 )
 
 from expected_counts import LATTICES, SEMILATTICES, TOTALS
@@ -124,35 +122,16 @@ def test_down_levels_examples():
     assert down_levels(VEE.down) == [(1, 2), (0,)]
 
 
-def test_up_levels_examples():
-    assert up_levels(CHAIN3.down) == [(0,), (1,), (2,)]
-    assert up_levels(VEE.down) == [(0,), (1, 2)]
-
-
-def test_up_down_levels_examples():
-    assert up_down_levels(CHAIN3.down) == [(0,), (1,), (2,)]
-    assert up_down_levels(VEE.down) == [(0,), (1, 2)]
-    assert up_down_levels(DIAMOND.down) == [(0,), (1, 2), (3,)]
-
-
 def test_levels_partition_and_refine():
     for E in meet_semilattices(6):
-        n = E.size
-        for levels in (down_levels(E.down), up_levels(E.down)):
-            flat = sorted(x for lev in levels for x in lev)
-            assert flat == list(range(n))
-        ud = up_down_levels(E.down)
-        assert sorted(x for lev in ud for x in lev) == list(range(n))
-        dmap = {x: i for i, lev in enumerate(down_levels(E.down)) for x in lev}
-        umap = {x: i for i, lev in enumerate(up_levels(E.down)) for x in lev}
-        for lev in ud:
-            assert len({dmap[x] for x in lev}) == 1
-            assert len({umap[x] for x in lev}) == 1
+        levels = down_levels(E.down)
+        flat = sorted(x for lev in levels for x in lev)
+        assert flat == list(range(E.size))
 
 
-def _levels_oracle(down, from_top):
-    """Repeatedly remove the elements with no strict upper (from_top) or
-    lower bound among the elements left, by pairwise comparison."""
+def _levels_oracle(down):
+    """Repeatedly remove the elements with no strict upper bound among the
+    elements left, by pairwise comparison."""
     n = len(down)
 
     def less(x, y):
@@ -161,10 +140,7 @@ def _levels_oracle(down, from_top):
     left = set(range(n))
     levels = []
     while left:
-        if from_top:
-            lev = [x for x in left if not any(less(x, y) for y in left)]
-        else:
-            lev = [x for x in left if not any(less(y, x) for y in left)]
+        lev = [x for x in left if not any(less(x, y) for y in left)]
         levels.append(tuple(sorted(lev)))
         left -= set(lev)
     return levels
@@ -185,8 +161,7 @@ def test_levels_of_natural_orders_match_oracle():
                     1 << perm[s] for s in range(n) if S.order_down[t] >> s & 1
                 )
             for down in (S.order_down, tuple(shuffled)):
-                assert down_levels(down) == _levels_oracle(down, True)
-                assert up_levels(down) == _levels_oracle(down, False)
+                assert down_levels(down) == _levels_oracle(down)
             checked += 1
     assert checked == sum(TOTALS[n][0] for n in range(1, 6))
 

@@ -7,8 +7,9 @@ one skeleton per orbit of the semilattice's automorphisms and keeps one
 store per skeleton.  Inside a store, a cheap invariant key, the level sizes
 of the natural order, buckets candidates first; only same-key candidates
 are compared, by the automorphisms of their shared semilattice that carry
-one idempotent coloring to the other, and extending each match cell by cell
-over the D-blocks.
+one idempotent coloring to the other, each extended by the groupoid
+isomorphisms of the D-blocks (one group automorphism and a shift per
+idempotent of a block) and checked against the natural orders.
 """
 
 from collections import Counter

@@ -206,8 +206,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        target = getattr(exc, "filename", None) or ""
-        print(f"i/o error: {exc} {target}".rstrip(), file=sys.stderr)
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -337,7 +337,7 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 
 def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
-    """Count ledger for order n without materializing Cayley tables."""
+    """Count ledger for order n; builds candidates' tables but keeps none."""
     cfg = EnumerationConfig(order=n, mode="counts", threads=threads,
                             progress=progress)
     return run_enumeration(cfg).ledger

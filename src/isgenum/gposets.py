@@ -58,8 +58,11 @@ def _block_cells(x: int, G: Group):
     cells in (a, b, g) order: the order in which a basis stores the block's
     elements, so a cell's position is its block-local index.  Returns the
     cells; `at`, where at[(a * x + b) * |G| + g] is the local index of cell
-    (a, b, g); and per cell the pairs (t, product) of local indices for
-    every cell t = (b, d, k) that composes with it.
+    (a, b, g); per cell the pairs (t, product) of local indices for every
+    cell t = (b, d, k) that composes with it; and, for `iso.is_isoc`, the
+    groupoid automorphisms of the block that fix its idempotents, one per
+    automorphism f of G and shifts s in G with s[0] the identity, as the
+    group parts s[a] f(g) s[b]^-1 of the images of the non-idempotent cells.
     """
     key = (x, G.mul)
     data = _BLOCK_CELLS.get(key)
@@ -80,7 +83,12 @@ def _block_cells(x: int, G: Group):
             )
             for a, b, g in cells
         )
-        data = _BLOCK_CELLS[key] = (tuple(cells), tuple(at), prods)
+        autos = tuple(
+            tuple(mul[mul[s[a]][f[g]]][G.inv[s[b]]] for a, b, g in cells[x:])
+            for f in G.automorphism_images()
+            for s in itertools.product((0,), *[range(h)] * (x - 1))
+        )
+        data = _BLOCK_CELLS[key] = (tuple(cells), tuple(at), prods, autos)
     return data
 
 
@@ -121,7 +129,7 @@ class GroupoidBasis:
         offsets = []
         block_elems = []
         for i, X in enumerate(partition):
-            cells, _, cell_prods = cell_data[i]
+            cells, _, cell_prods, _ = cell_data[i]
             off = len(elem)
             for e in X:
                 block_of_label[e] = i

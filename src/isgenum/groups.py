@@ -186,8 +186,9 @@ def _abelian(factors) -> Group:
     return Group(G.mul, "x".join(f"C{d}" for d in factors))
 
 
-def _dihedral(k: int, name: str | None = None) -> Group:
-    # element (i, r) = rotation^i * reflection^r, index i + k*r
+def _metacyclic(k: int, twist: int, name: str) -> Group:
+    # order 2k: (i, r) = a^i * b^r with b*a = a^-1*b and b^2 = a^twist,
+    # index i + k*r; twist 0 gives the dihedral groups, k/2 the dicyclic
     n = 2 * k
     mul = [[0] * n for _ in range(n)]
     for i1 in range(k):
@@ -195,29 +196,8 @@ def _dihedral(k: int, name: str | None = None) -> Group:
             row = mul[i1 + k * r1]
             for i2 in range(k):
                 for r2 in range(2):
-                    if r1 == 0:
-                        row[i2 + k * r2] = (i1 + i2) % k + k * r2
-                    else:
-                        row[i2 + k * r2] = (i1 - i2) % k + k * (1 - r2)
-    return Group(mul, name or f"D{k}")
-
-
-def _dicyclic(q: int, name: str) -> Group:
-    # order 4q: (i, r) with b*a = a^-1*b and b^2 = a^q; index i + 2q*r
-    k = 2 * q
-    n = 2 * k
-    mul = [[0] * n for _ in range(n)]
-    for i1 in range(k):
-        for r1 in range(2):
-            row = mul[i1 + k * r1]
-            for i2 in range(k):
-                for r2 in range(2):
-                    if r1 == 0:
-                        row[i2 + k * r2] = (i1 + i2) % k + k * r2
-                    elif r2 == 0:
-                        row[i2 + k * r2] = (i1 - i2) % k + k
-                    else:
-                        row[i2 + k * r2] = (i1 - i2 + q) % k
+                    i = i1 - i2 + twist * r2 if r1 else i1 + i2
+                    row[i2 + k * r2] = i % k + k * (r1 ^ r2)
     return Group(mul, name)
 
 
@@ -253,11 +233,12 @@ def _invariant_factor_lists(o: int):
 
 
 _NONABELIAN_BUILDERS = {
-    6: (lambda: _dihedral(3, "S3"),),
-    8: (lambda: _dihedral(4), lambda: _dicyclic(2, "Q8")),
-    10: (lambda: _dihedral(5),),
-    12: (lambda: _dihedral(6), _alternating4, lambda: _dicyclic(3, "Dic3")),
-    14: (lambda: _dihedral(7),),
+    6: (lambda: _metacyclic(3, 0, "S3"),),
+    8: (lambda: _metacyclic(4, 0, "D4"), lambda: _metacyclic(4, 2, "Q8")),
+    10: (lambda: _metacyclic(5, 0, "D5"),),
+    12: (lambda: _metacyclic(6, 0, "D6"), _alternating4,
+         lambda: _metacyclic(6, 3, "Dic3")),
+    14: (lambda: _metacyclic(7, 0, "D7"),),
 }
 
 _MASTER: tuple | None = None

@@ -1,15 +1,13 @@
 """Isomorphism machinery: invariant keys and pairwise isomorphism testing.
-The keep-if-new filter that combines them, bucketing by `invariants` and
-testing with `is_isoc` inside a bucket, is `engine._keep_new`, which keeps
-one store per skeleton: the key only has to separate candidates of one
-(E, D-partition, group map), so it is the level sizes of the natural order.
+The keep-if-new filter that combines them is `engine._keep_new`: it keeps
+one store per skeleton, so the key that buckets a store, `invariants`, is
+just the level sizes of the natural order, and `is_isoc` runs in a bucket.
 
-Two semigroups produced over the same semilattice E are compared on E
-itself: `colored_isomorphisms` lists the automorphisms of E that carry one
-coloring of the idempotents to the other, the basis's `colors` (per
-idempotent, the size of its D-class and the name of its maximal subgroup),
-and each match is then extended cell by cell over the D-blocks and checked
-for the homomorphism property.
+`is_isoc` compares two semigroups over the same E as inductive groupoids
+(ESN): an isomorphism restricts to an automorphism of E that carries one
+coloring of the idempotents to the other (the basis's `colors`: D-class
+size and maximal subgroup), maps each D-block by a groupoid isomorphism
+and preserves the natural order.  It reads no Cayley table.
 """
 
 from __future__ import annotations
@@ -17,7 +15,8 @@ from __future__ import annotations
 import itertools
 
 from .esn import InverseSemigroup, _as_table
-from .orders import colored_isomorphisms, down_levels
+from .gposets import _block_cells
+from .orders import _bits, colored_isomorphisms, down_levels
 
 __all__ = [
     "invariants",
@@ -31,59 +30,44 @@ def invariants(S: InverseSemigroup):
     return tuple(len(L) for L in down_levels(S.order_down))
 
 
-def _is_homomorphism(tab_s, tab_t, dmap):
-    n = len(tab_s)
-    for x in range(n):
-        rowx = tab_s[x]
-        trow = tab_t[dmap[x]]
-        for y in range(n):
-            if dmap[rowx[y]] != trow[dmap[y]]:
-                return False
-    return True
-
-
 def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
-    """Decide S isomorphic to T for semigroups sharing the same E labels."""
+    """Decide S isomorphic to T for semigroups sharing the same E labels.
+
+    An isomorphism restricts to an automorphism p of E that maps each block
+    i of S onto a block pb[i] of T with the same group, and to a groupoid
+    isomorphism over p: (i, x, y, g) -> (pb[i], p[x], p[y], g') with g'
+    from `_block_cells`.  Such a map is an isomorphism iff it carries the
+    natural order of S onto that of T.
+    """
     if S is T:
         return True
     if S.E.down != T.E.down:
         raise ValueError("is_isoc requires identical idempotent semilattices")
     if S.size != T.size:
         return False
-    tab_s, tab_t = S.table, T.table
-    t_index, t_block = T.index, T.label_block
+    m = S.E.size
+    moving = S.elem[m:]
+    t_index, t_block, t_down = T.index, T.label_block, T.order_down
+    maps = None
     for p in colored_isomorphisms(S.E, S.colors, T.colors):
-        # p carries each D-block onto one of T's: colors fix the block sizes
-        pb = []
-        for i, X in enumerate(S.d_restriction):
-            j = t_block[p[X[0]]]
-            if T.groups[j] is not S.groups[i] or any(
-                t_block[p[x]] != j for x in X
-            ):
-                break
-            pb.append(j)
-        if len(pb) < len(S.d_restriction):
+        pb = [t_block[p[X[0]]] for X in S.d_restriction]
+        if any(T.groups[j] is not G or any(t_block[p[x]] != j for x in X)
+               for X, G, j in zip(S.d_restriction, S.groups, pb)):
             continue
-        cells = []
-        layout = []
-        for i, X in enumerate(S.d_restriction):
-            G = S.groups[i]
-            for j in X:
-                for k in X:
-                    layout.append((i, j, k, G.order))
-                    cells.append(
-                        G.automorphism_images() if j == k
-                        else itertools.permutations(range(G.order))
-                    )
-        s_index = S.index
-        for assignment in itertools.product(*cells):
-            dmap = [0] * S.size
-            for (i, j, k, g_order), cm in zip(layout, assignment):
-                tb = pb[i]
-                pj, pk = p[j], p[k]
-                for g in range(g_order):
-                    dmap[s_index[(i, j, k, g)]] = t_index[(tb, pj, pk, cm[g])]
-            if _is_homomorphism(tab_s, tab_t, dmap):
+        if maps is None:
+            # p keeps the order of E; a non-idempotent's down-set has one
+            # element per idempotent below its domain, as its image's has,
+            # so the down-sets match once each one maps into its image's
+            below = [(s, t) for s in range(m, S.size)
+                     for t in _bits(S.order_down[s]) if t != s]
+            # the blocks store their non-idempotents one after the other
+            maps = [sum(c, ()) for c in itertools.product(*(
+                _block_cells(len(X), G)[3]
+                for X, G in zip(S.d_restriction, S.groups)))]
+        for parts in maps:
+            dmap = list(p) + [t_index[(pb[i], p[x], p[y], g)]
+                              for (i, x, y, _), g in zip(moving, parts)]
+            if all(t_down[dmap[s]] >> dmap[t] & 1 for s, t in below):
                 return True
     return False
 

@@ -506,17 +506,10 @@ def parse_cover_line(line: str) -> MeetSemilattice:
             if u >= v:
                 raise ValueError(f"cover {tok!r} violates the linear extension")
             pairs.append((u, v))
+    # u < v, so down[u] is complete before a cover above it reads it
     down = [1 << j for j in range(n)]
-    for u, v in pairs:
+    for u, v in sorted(pairs, key=lambda uv: uv[1]):
         down[v] |= down[u]
-    changed = True
-    while changed:
-        changed = False
-        for u, v in pairs:
-            new = down[v] | down[u]
-            if new != down[v]:
-                down[v] = new
-                changed = True
     E = MeetSemilattice(tuple(down))
     if tuple(sorted(pairs)) != E.covers:
         raise ValueError("cover list is not the sorted transitive reduction")

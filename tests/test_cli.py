@@ -201,6 +201,21 @@ def test_exit_code_io_failure(tmp_path):
     ]) == 3
 
 
+def test_io_error_names_the_path_once(tmp_path, capsys):
+    absent = tmp_path / "absent.txt"
+    for argv, err in (
+            (["count", "--order", "6", "--breakdown", str(tmp_path)],
+             f"[Errno 21] is a directory: '{tmp_path}'"),
+            (["count", "--order", "6",
+              "--breakdown", str(tmp_path / "missing" / "x.csv")],
+             f"[Errno 2] no such directory: '{tmp_path / 'missing'}'"),
+            (["fixed", "--semilattice", f"{absent}:1", "--dpartition", "0",
+              "--groups", "C2", "--out", str(tmp_path / "out")],
+             f"[Errno 2] No such file or directory: '{absent}'")):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"i/o error: {err}\n"
+
+
 def test_fixed_groups_follow_their_blocks(tmp_path, capsys):
     # V-shaped semilattice: {0} gets C2 and {1,2} gets C1, so the order is
     # 1*1*2 + 2*2*1 = 6 whichever order the blocks are listed in

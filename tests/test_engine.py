@@ -446,6 +446,12 @@ def test_top_rows_stretch_order_9():
     assert owned == len(semilattice_level(9))
 
 
+@pytest.mark.stretch
+def test_counts_stretch_order_11():
+    # S(11) as published; about two minutes at two threads
+    assert enumerate_counts_only(11, threads=2).totals() == TOTALS[11]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_counts_of_orders_one_and_two(threads):
     # order 1 has no level 0, and order 2 searches nothing

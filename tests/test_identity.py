@@ -9,6 +9,7 @@ from isgenum.engine import (
     run_enumeration,
     write_cayley_files,
 )
+from isgenum.groups import catalog
 from isgenum.orders import format_cover_line, meet_semilattices
 
 COVER_LINES_SHA256 = (
@@ -19,6 +20,10 @@ COVER_LINES_9_10_SHA256 = {
     9: "b4d86785941dff58eb681c218988c32f09b53ce7bce17699012582662f3e58dc",
     10: "6fd0e81dedc4a866375b71d4564af461243658b196711dad4915e2b01cdc1aff",
 }
+# names and tables of the 28 catalog groups, which fix element numbering
+GROUP_CATALOG_SHA256 = (
+    "19bbd9d6ee048352605dcafc3d36fe3696fe058d2f803039ca97e15356cb5f79"
+)
 TABLES_N7_SHA256 = (
     "0e0f6923a4af1107f94ab30a89998c5357dfd91544e019b9117909370b505232"
 )
@@ -36,6 +41,13 @@ def test_cover_lines_of_orders_9_and_10():
     for m, expected in COVER_LINES_9_10_SHA256.items():
         text = "".join(format_cover_line(E) + "\n" for E in meet_semilattices(m))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected
+
+
+def test_group_catalog():
+    groups = catalog(15)
+    assert len(groups) == 28
+    text = repr([(G.name, G.mul) for G in groups])
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUP_CATALOG_SHA256
 
 
 def test_tables_of_order_7(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -253,6 +254,36 @@ def test_is_new_keeps_same_key_sibling(groups_by_name):
         stats = [0, 0, 0]
         assert list(_keep_new(pair, stats)) == list(pair)
         assert stats == [2, 1, 1]
+
+
+# skeletons with a 2x2 Brandt block over a nontrivial group, of orders 10 to
+# 15, beyond the brute-force oracle: class count, _keep_new stats and a
+# digest of the kept tables
+BRANDT_SKELETONS = (
+    ("3:0<1,0<2", ((1, 2), (0,)), ("C2", "C2"), 3, [4, 2, 3],
+     "8f4c55ab5bc4261a61a906db5e4a4b5b7aab151bbbfa96b0e2cc9b643607e83f"),
+    ("3:0<1,0<2", ((1, 2), (0,)), ("C3", "C3"), 3, [9, 2, 12],
+     "0f5abca90cd53b1338ed33886522a79fe97b0b88a4c7476f125507a984b0e9fc"),
+    ("4:0<1,0<2,1<3,2<3", ((1, 2), (0,), (3,)), ("C2", "C2", "C2"),
+     12, [20, 5, 27],
+     "60a40a63b2044a91306967a37dae99c93a594f5bbae6f3d05ce3ed5e5a59bc6b"),
+    ("4:0<1,0<2,0<3", ((1, 2), (0,), (3,)), ("C2", "C3", "C3"), 4, [9, 2, 15],
+     "27848b838d08cac30e941bfa84c4c2a5bd72b4189e0bda8b9adae47d4419e708"),
+    ("5:0<1,0<2,0<3,1<4,2<4", ((1, 2), (0,), (3,), (4,)), ("C2",) * 4,
+     24, [40, 5, 115],
+     "f6476c8314442f7d9736e92fb8d62c1521ec7cf9718bb7a0d9efd41f41e68959"),
+)
+
+
+@pytest.mark.parametrize("line,P,names,classes,stats,digest", BRANDT_SKELETONS)
+def test_keep_new_on_brandt_blocks(line, P, names, classes, stats, digest,
+                                   groups_by_name):
+    candidates = _build_one(parse_cover_line(line), P, names, groups_by_name)
+    got = [0, 0, 0]
+    kept = list(_keep_new(candidates, got))
+    assert (len(kept), got) == (classes, stats)
+    text = repr([S.table for S in kept]).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

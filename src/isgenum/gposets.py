@@ -213,27 +213,11 @@ def e_groupoid(E, P, f) -> GroupoidBasis:
 # ---------------------------------------------------------------------------
 # cross-block possibilities
 
-def _wmul(w1, w2, hmul):
-    s1, h1 = w1
-    s2, h2 = w2
-    return (
-        tuple(s1[z] for z in s2),
-        tuple(hmul[h1[s2[z]]][h2[z]] for z in range(len(s2))),
-    )
-
-
-def _winv(w, hinv):
-    s, h = w
-    si = [0] * len(s)
-    for z, v in enumerate(s):
-        si[v] = z
-    return (tuple(si), tuple(hinv[h[si[c]]] for c in range(len(s))))
-
-
 def _wreath_homs(G: Group, H: Group, m: int):
     """The elements of the wreath-style group of pairs (permutation of m
-    slots, H-element per slot), identity first, and all homomorphisms from G
-    into it, one image per G element."""
+    slots, H-element per slot), identity first, its multiplication table,
+    and all homomorphisms from G into it, each a tuple of element indices,
+    one image per G element."""
     elements = [
         (s, h)
         for s in sorted(itertools.permutations(range(m)))
@@ -242,26 +226,21 @@ def _wreath_homs(G: Group, H: Group, m: int):
     index = {w: i for i, w in enumerate(elements)}
     hmul = H.mul
     table = tuple(
-        tuple(index[_wmul(w1, w2, hmul)] for w2 in elements) for w1 in elements
+        tuple(
+            index[tuple(s1[z] for z in s2),
+                  tuple(hmul[h1[s2[z]]][h2[z]] for z in range(m))]
+            for s2, h2 in elements
+        )
+        for s1, h1 in elements
     )
+    # generator g may map to w only if w^o(g) = 1
     cands = []
     for g in G.generating_set():
-        o = G.element_order(g)
-        ok = []
-        for wi in range(len(elements)):
-            acc, k = 0, 0
-            while k < o:
-                acc = table[acc][wi]
-                k += 1
-            if acc == 0:
-                ok.append(wi)
-        cands.append(ok)
-    homs = []
-    for imgs in itertools.product(*cands):
-        ext = G.extend_hom(imgs, table)
-        if ext is not None:
-            homs.append(tuple(elements[wi] for wi in ext))
-    return elements, homs
+        powers = list(range(len(elements)))
+        for _ in range(G.element_order(g) - 1):
+            powers = [table[p][w] for w, p in enumerate(powers)]
+        cands.append([w for w, p in enumerate(powers) if p == 0])
+    return elements, table, tuple(G.homomorphisms(cands, table))
 
 
 # (G.mul, H.mul, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
@@ -281,25 +260,22 @@ def _local_possibilities(G: Group, H: Group, y: int, below):
     if any(len(v) != m for v in below):
         return ()
 
-    hmul, hinv = H.mul, H.inv
     hi_cells = _block_cells(x, G)[0]
     lo_at = _block_cells(y, H)[1]
-    elements, homs = _wreath_homs(G, H, m)
-    identity = elements[0]
+    elements, table, homs = _wreath_homs(G, H, m)
+    inv = [row.index(0) for row in table]
+    ho = H.order
     results = []
     for hom in homs:
-        for choice in itertools.product(elements, repeat=x - 1):
-            tau = (identity,) + choice
-            tauinv = tuple(_winv(w, hinv) for w in tau)
+        for choice in itertools.product(range(len(elements)), repeat=x - 1):
+            tau = (0,) + choice
             masks = []
             for a, b, g in hi_cells:
-                sig, hv = _wmul(tau[a], _wmul(hom[g], tauinv[b], hmul), hmul)
+                sig, hv = elements[table[table[tau[a]][hom[g]]][inv[tau[b]]]]
                 rows, cols = below[a], below[b]
                 mask = 0
                 for z in range(m):
-                    mask |= 1 << lo_at[
-                        (rows[sig[z]] * y + cols[z]) * H.order + hv[z]
-                    ]
+                    mask |= 1 << lo_at[(rows[sig[z]] * y + cols[z]) * ho + hv[z]]
                 masks.append(mask)
             results.append(tuple(masks))
     return tuple(results)

@@ -2,13 +2,21 @@
 
 The catalog covers every group of order <= 15 up to isomorphism: abelian
 groups are assembled from invariant-factor decompositions, the non-abelian
-ones from dihedral, dicyclic and alternating constructions.  Element 0 is
+ones from dihedral, dicyclic and alternating constructions.  Every catalog
+group comes from one table builder, `_group`, which numbers a list of
+elements in order and fills the table from their operation.  Element 0 is
 always the identity, so tables can be composed and compared positionally.
+
+A `Group` computes its element orders, its greedy generators and a spanning
+tree of (parent, generator) steps at construction.  `Group.homomorphisms`
+extends generator images along that tree; it finds the automorphisms here
+and the homomorphisms into the wreath groups of the block-order search.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 __all__ = [
     "MAX_CATALOG_ORDER",
@@ -23,7 +31,7 @@ MAX_CATALOG_ORDER = 15
 class Group:
     """Group on {0, ..., order-1} with identity 0, as an immutable Cayley table."""
 
-    __slots__ = ("order", "mul", "inv", "name", "_gens", "_exprs", "_auts", "_orders")
+    __slots__ = ("order", "mul", "inv", "name", "_orders", "_gens", "_walk", "_auts")
 
     def __init__(self, mul, name: str):
         order = len(mul)
@@ -32,22 +40,43 @@ class Group:
             raise ValueError("multiplication table must be square")
         if any(mul[0][x] != x or mul[x][0] != x for x in range(order)):
             raise ValueError("element 0 must be the identity")
-        inv = [-1] * order
-        for x in range(order):
-            for y in range(order):
-                if mul[x][y] == 0 == mul[y][x]:
-                    inv[x] = y
-                    break
+        inv = tuple(
+            next((y for y in range(order) if mul[x][y] == 0 == mul[y][x]), -1)
+            for x in range(order)
+        )
         if -1 in inv:
             raise ValueError("not a group: some element has no inverse")
+        orders = []
+        for y in range(order):
+            k, z = 1, y
+            while z != 0 and k <= order:
+                z = mul[z][y]
+                k += 1
+            orders.append(k)
+        if max(orders) > order:
+            raise ValueError("not a group: some power never reaches 0")
+        # greedy generators: each the least element outside the subgroup of
+        # the ones before it.  The walk lists (x, parent, k) with
+        # x = parent * gens[k], every element but 0 once, parents first.
+        gens, walk, seen = [], [], [0]
+        for g in range(1, order):
+            if g in seen:
+                continue
+            gens.append(g)
+            for parent in seen:  # grows as it is read
+                for k, h in enumerate(gens):
+                    x = mul[parent][h]
+                    if x not in seen:
+                        seen.append(x)
+                        walk.append((x, parent, k))
         self.order = order
         self.mul = mul
-        self.inv = tuple(inv)
+        self.inv = inv
         self.name = name
-        self._gens = None
-        self._exprs = None
+        self._orders = tuple(orders)
+        self._gens = tuple(gens)
+        self._walk = tuple(walk)
         self._auts = None
-        self._orders = None
 
     def __repr__(self):
         return f"Group({self.name})"
@@ -56,79 +85,30 @@ class Group:
         return self.order
 
     def element_order(self, x: int) -> int:
-        if self._orders is None:
-            orders = []
-            for y in range(self.order):
-                k, z = 1, y
-                while z != 0:
-                    z = self.mul[z][y]
-                    k += 1
-                orders.append(k)
-            self._orders = tuple(orders)
         return self._orders[x]
-
-    def _closure(self, seed):
-        mul = self.mul
-        closed = set(seed)
-        frontier = list(closed)
-        while frontier:
-            x = frontier.pop()
-            for y in tuple(closed):
-                for z in (mul[x][y], mul[y][x]):
-                    if z not in closed:
-                        closed.add(z)
-                        frontier.append(z)
-        return closed
 
     def generating_set(self) -> tuple:
         """Greedy small generating set; empty for the trivial group."""
-        if self._gens is None:
-            gens = []
-            closed = {0}
-            while len(closed) < self.order:
-                g = min(x for x in range(self.order) if x not in closed)
-                gens.append(g)
-                closed = self._closure(closed | {g})
-            self._gens = tuple(gens)
         return self._gens
 
-    def _bfs_factorizations(self):
-        # exprs[x] = (parent, gen) with x = parent * gen; identity is the root
-        if self._exprs is None:
-            gens = self.generating_set()
-            exprs = [None] * self.order
-            exprs[0] = (-1, -1)
-            queue = [0]
-            for x in queue:
-                for g in gens:
-                    y = self.mul[x][g]
-                    if exprs[y] is None:
-                        exprs[y] = (x, g)
-                        queue.append(y)
-            self._exprs = (tuple(exprs), tuple(queue))
-        return self._exprs
-
-    def extend_hom(self, gen_images, target_mul):
-        """Extend generator images to a homomorphism into `target_mul`, or None.
+    def homomorphisms(self, candidates, target_mul):
+        """Yield every homomorphism into `target_mul` that maps the i-th
+        generator into candidates[i], as an image tuple, in the product
+        order of the candidate lists.
 
         `target_mul` is any square table whose element 0 is the identity.
         """
-        gens = self.generating_set()
-        exprs, order_out = self._bfs_factorizations()
-        img = [-1] * self.order
-        img[0] = 0
-        gi = dict(zip(gens, gen_images))
-        for x in order_out[1:]:
-            parent, g = exprs[x]
-            img[x] = target_mul[img[parent]][gi[g]]
-        mul = self.mul
-        for x in range(self.order):
-            ix = img[x]
-            row = target_mul[ix]
-            for y in range(self.order):
-                if img[mul[x][y]] != row[img[y]]:
-                    return None
-        return tuple(img)
+        mul, walk, n = self.mul, self._walk, self.order
+        for gen_images in itertools.product(*candidates):
+            img = [0] * n
+            for x, parent, k in walk:
+                img[x] = target_mul[img[parent]][gen_images[k]]
+            for x in range(n):
+                row, mx = target_mul[img[x]], mul[x]
+                if any(img[mx[y]] != row[img[y]] for y in range(n)):
+                    break
+            else:
+                yield tuple(img)
 
     def automorphism_images(self) -> tuple:
         """All automorphisms as image tuples (cached)."""
@@ -141,18 +121,13 @@ def _isomorphisms(G: Group, H: Group):
     """Yield every isomorphism G -> H as an image tuple, trying generator
     images of matching element order in ascending order."""
     n = G.order
-    if H.order != n or sorted(G.element_order(x) for x in range(n)) != sorted(
-        H.element_order(x) for x in range(n)
-    ):
+    if H.order != n or sorted(G._orders) != sorted(H._orders):
         return
-    cands = [
-        [y for y in range(n) if H.element_order(y) == G.element_order(g)]
-        for g in G.generating_set()
-    ]
-    for imgs in itertools.product(*cands):
-        ext = G.extend_hom(imgs, H.mul)
-        if ext is not None and len(set(ext)) == n:
-            yield ext
+    cands = [[y for y in range(n) if H._orders[y] == G._orders[g]]
+             for g in G._gens]
+    for img in G.homomorphisms(cands, H.mul):
+        if len(set(img)) == n:
+            yield img
 
 
 def is_isomorphic(G: Group, H: Group) -> bool:
@@ -163,42 +138,31 @@ def is_isomorphic(G: Group, H: Group) -> bool:
 # constructions
 
 
-def _cyclic(k: int) -> Group:
-    return Group([[(i + j) % k for j in range(k)] for i in range(k)], f"C{k}")
-
-
-def _direct_product(G: Group, H: Group, name: str) -> Group:
-    n, h = G.order, H.order
-    mul = [[0] * (n * h) for _ in range(n * h)]
-    for a1 in range(n):
-        for b1 in range(h):
-            row = mul[a1 * h + b1]
-            for a2 in range(n):
-                for b2 in range(h):
-                    row[a2 * h + b2] = G.mul[a1][a2] * h + H.mul[b1][b2]
-    return Group(mul, name)
+def _group(elements, op, name: str) -> Group:
+    """The group on `elements` (identity first) under `op`, numbered in
+    list order."""
+    index = {e: i for i, e in enumerate(elements)}
+    return Group([[index[op(a, b)] for b in elements] for a in elements], name)
 
 
 def _abelian(factors) -> Group:
-    G = _cyclic(factors[0])
-    for d in factors[1:]:
-        G = _direct_product(G, _cyclic(d), "")
-    return Group(G.mul, "x".join(f"C{d}" for d in factors))
+    # tuples of residues, the first factor the most significant digit
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    return _group(
+        elements,
+        lambda a, b: tuple(map(operator.mod, map(operator.add, a, b), factors)),
+        "x".join(f"C{d}" for d in factors),
+    )
 
 
 def _metacyclic(k: int, twist: int, name: str) -> Group:
     # order 2k: (i, r) = a^i * b^r with b*a = a^-1*b and b^2 = a^twist,
     # index i + k*r; twist 0 gives the dihedral groups, k/2 the dicyclic
-    n = 2 * k
-    mul = [[0] * n for _ in range(n)]
-    for i1 in range(k):
-        for r1 in range(2):
-            row = mul[i1 + k * r1]
-            for i2 in range(k):
-                for r2 in range(2):
-                    i = i1 - i2 + twist * r2 if r1 else i1 + i2
-                    row[i2 + k * r2] = i % k + k * (r1 ^ r2)
-    return Group(mul, name)
+    def op(x, y):
+        (i1, r1), (i2, r2) = x, y
+        return ((i1 - i2 + twist * r2 if r1 else i1 + i2) % k, r1 ^ r2)
+
+    return _group([(i, r) for r in range(2) for i in range(k)], op, name)
 
 
 def _alternating4() -> Group:
@@ -206,12 +170,7 @@ def _alternating4() -> Group:
         p for p in itertools.permutations(range(4))
         if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
     )
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [
-        [index[tuple(p[q[i]] for i in range(4))] for q in perms]
-        for p in perms
-    ]
-    return Group(mul, "A4")
+    return _group(perms, lambda p, q: tuple(p[i] for i in q), "A4")
 
 
 def _invariant_factor_lists(o: int):
@@ -249,9 +208,8 @@ def _master_catalog():
     if _MASTER is None:
         all_groups = []
         for o in range(1, MAX_CATALOG_ORDER + 1):
-            batch = [_cyclic(1)] if o == 1 else [
-                _abelian(f) for f in _invariant_factor_lists(o)
-            ]
+            # the trivial group's factor list is empty; it is C1
+            batch = [_abelian(f or (1,)) for f in _invariant_factor_lists(o)]
             batch.extend(build() for build in _NONABELIAN_BUILDERS.get(o, ()))
             batch.sort(key=lambda G: G.name)
             for i, G in enumerate(batch):

@@ -106,6 +106,8 @@ class MeetSemilattice(Poset):
         n = self.size
         down = self.down
         for j in range(n):
+            if not down[j] >> j & 1:
+                raise ValueError("a down-set must contain its own element")
             if down[j] >> (j + 1):
                 raise ValueError("labels must be a linear extension")
         meet = []
@@ -144,7 +146,8 @@ class MeetSemilattice(Poset):
 
 
 def down_levels(down):
-    """Peel maximal elements repeatedly; the levels partition the poset."""
+    """Peel maximal elements repeatedly; the levels partition the poset.
+    A pass that finds no maximal element (not a poset) raises ValueError."""
     left = (1 << len(down)) - 1
     levels = []
     while left:
@@ -152,6 +155,8 @@ def down_levels(down):
         for x in _bits(left):
             below |= down[x] ^ (1 << x)
         top = left & ~below
+        if not top:
+            raise ValueError("not a poset: no maximal element left")
         levels.append(tuple(_bits(top)))
         left ^= top
     return levels

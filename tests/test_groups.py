@@ -175,6 +175,44 @@ def test_catalog_rejects_out_of_range():
         catalog(16)
 
 
+def test_group_rejects_power_cycle():
+    # identity 0 and two-sided inverses, but 1 * 1 = 3 and 3 * 1 = 3, so the
+    # powers of 1 never reach 0: construction must fail, not loop
+    with pytest.raises(ValueError, match="never reaches 0"):
+        Group([[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 1, 3], [3, 3, 1, 0]], "loop")
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms
+
+
+def test_homomorphisms_match_bruteforce(group_catalog):
+    # every map fixing 0 that respects products, ordered by generator images
+    for G in (K for K in group_catalog if K.order <= 6):
+        gens = G.generating_set()
+        for H in (K for K in group_catalog if K.order <= 6):
+            expected = sorted(
+                (tuple(img[g] for g in gens), img)
+                for p in itertools.product(range(H.order), repeat=G.order - 1)
+                for img in [(0,) + p]
+                if all(img[G.mul[x][y]] == H.mul[img[x]][img[y]]
+                       for x in range(G.order) for y in range(G.order))
+            )
+            got = list(G.homomorphisms([range(H.order)] * len(gens), H.mul))
+            assert got == [img for _, img in expected], (G.name, H.name)
+
+
+def test_homomorphisms_respect_candidates(groups_by_name):
+    S3, C2 = groups_by_name["S3"], groups_by_name["C2"]
+    r, s = S3.generating_set()
+    assert (S3.element_order(r), S3.element_order(s)) == (3, 2)
+    # the sign map sends the rotations to 0 and the three reflections to 1
+    (sign,) = S3.homomorphisms([(0,), (1,)], C2.mul)
+    assert sign.count(1) == 3
+    assert list(S3.homomorphisms([(0,), (0,)], C2.mul)) == [(0,) * 6]
+    assert list(S3.homomorphisms([(1,), (0, 1)], C2.mul)) == []
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 

@@ -9,6 +9,7 @@ from isgenum.engine import (
     run_enumeration,
     write_cayley_files,
 )
+from isgenum.gposets import _local_possibilities
 from isgenum.groups import catalog
 from isgenum.orders import format_cover_line, meet_semilattices
 
@@ -23,6 +24,25 @@ COVER_LINES_9_10_SHA256 = {
 # names and tables of the 28 catalog groups, which fix element numbering
 GROUP_CATALOG_SHA256 = (
     "19bbd9d6ee048352605dcafc3d36fe3696fe058d2f803039ca97e15356cb5f79"
+)
+# generators and automorphism order of the catalog groups
+GROUP_GENERATORS_AUTS_SHA256 = (
+    "497980d75775142243294cc4044e2cdccda20ad7fa5d7bd694804ac172c9dfd0"
+)
+# cross-block possibilities, in order, for (G, H, |Y|, below) keys that cover
+# several upper rows, slot counts m >= 2 and a non-abelian G
+POSSIBILITY_KEYS = (
+    ("C1", "C1", 1, ((0,),)),
+    ("C2", "C2", 1, ((0,), (0,))),
+    ("C3", "C2", 2, ((0, 1), (0, 1))),
+    ("C2", "C3", 2, ((0, 1),)),
+    ("C2xC2", "C2", 3, ((0, 1, 2),)),
+    ("S3", "C2", 3, ((0, 1, 2),)),
+    ("C1", "C1", 3, ((0, 1, 2),) * 3),
+    ("C4", "C2", 2, ((0, 1), (0, 1))),
+)
+POSSIBILITIES_SHA256 = (
+    "25774cae0aba10df97b265b54b1be18e17aa792d4862f80c4a3845c9e3dd26ed"
 )
 TABLES_N7_SHA256 = (
     "0e0f6923a4af1107f94ab30a89998c5357dfd91544e019b9117909370b505232"
@@ -48,6 +68,24 @@ def test_group_catalog():
     assert len(groups) == 28
     text = repr([(G.name, G.mul) for G in groups])
     assert hashlib.sha256(text.encode()).hexdigest() == GROUP_CATALOG_SHA256
+
+
+def test_group_generators_and_automorphisms():
+    text = repr([
+        (G.name, G.generating_set(), G.automorphism_images())
+        for G in catalog(15)
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUP_GENERATORS_AUTS_SHA256
+
+
+def test_cross_block_possibilities():
+    by = {G.name: G for G in catalog(15)}
+    got = [
+        _local_possibilities(by[G], by[H], y, below)
+        for G, H, y, below in POSSIBILITY_KEYS
+    ]
+    assert [len(p) for p in got] == [1, 4, 8, 4, 208, 68, 36, 64]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == POSSIBILITIES_SHA256
 
 
 def test_tables_of_order_7(tmp_path):

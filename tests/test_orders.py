@@ -112,6 +112,13 @@ def test_invalid_meet_semilattice_rejected():
         MeetSemilattice((3, 2))  # labels not a linear extension
 
 
+def test_down_set_missing_its_element_rejected():
+    # element 1's down-set {0} misses 1 itself, so 1 would lie below itself
+    # strictly and never be peeled off as a maximal element
+    with pytest.raises(ValueError, match="own element"):
+        MeetSemilattice((1, 1))
+
+
 # ---------------------------------------------------------------------------
 # levels
 
@@ -120,6 +127,15 @@ def test_down_levels_examples():
     assert down_levels(CHAIN3.down) == [(2,), (1,), (0,)]
     assert down_levels(ANTICHAIN2.down) == [(0, 1)]
     assert down_levels(VEE.down) == [(1, 2), (0,)]
+
+
+def test_down_levels_rejects_non_posets():
+    with pytest.raises(ValueError, match="no maximal element"):
+        down_levels((1, 1))  # down-set of 1 misses 1
+    with pytest.raises(ValueError, match="no maximal element"):
+        down_levels((3, 3))  # 0 < 1 < 0
+    with pytest.raises(ValueError, match="no maximal element"):
+        down_levels((3, 3, 7))  # a cycle below a maximal element
 
 
 def test_levels_partition_and_refine():

@@ -110,13 +110,8 @@ def test_invalid_meet_semilattice_rejected():
         MeetSemilattice((1, 2))  # two-element antichain has no meet
     with pytest.raises(ValueError):
         MeetSemilattice((3, 2))  # labels not a linear extension
-
-
-def test_down_set_missing_its_element_rejected():
-    # element 1's down-set {0} misses 1 itself, so 1 would lie below itself
-    # strictly and never be peeled off as a maximal element
     with pytest.raises(ValueError, match="own element"):
-        MeetSemilattice((1, 1))
+        MeetSemilattice((1, 1))  # the down-set of 1 misses 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ then runs one task per semilattice, both serially or on one process pool;
 results are merged in generation order, so levels, ledgers and output files
 do not depend on the worker count.  Full mode searches every row below n
 and reads the all-idempotent row off the masks of level n.  Counts mode
-searches the rows below n - 1 and builds no level above n - 1: per E there,
+searches the rows up to n - 3 and builds no level above n - 1.  Per E of
+order n - 2, `_two_below_counts` reads that row's classes off the Aut(E)-
+orbits on points, pairs and twin pairs.  Per E of order n - 1,
 `parent_counts` gives its Aut(E)-orbits on points, which are its classes,
 and the semilattices of order n it owns under canonical augmentation.
 
@@ -31,6 +33,7 @@ The pipeline calls every layer through this module's own names (`esn`,
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -44,8 +47,10 @@ from .gposets import e_groupoid, g_posets
 from .iso import invariants, is_isoc
 from .orders import (
     MeetSemilattice,
+    Poset,
     _canonical_labeling,
     _orbit_roots,
+    _point_orbits,
     format_cover_line,
     meet_semilattices,
     parent_counts,
@@ -258,6 +263,35 @@ def _search_semilattice(task):
     return E.has_maximum(), results
 
 
+def _two_below_counts(down):
+    """(Clifford, Brandt) classes of order m + 2 over the semilattice E of
+    order m with these down-set masks, from one canonical labeling of E.
+
+    With m + 2 elements, the non-idempotents number sum p * (p * |G| - 1)
+    = 2 over the blocks.  Either every block is a point and one carries C3,
+    or two carry C2, or one block {a, b} carries C1 and every other block is
+    a trivial point.  The first two are strong semilattices of groups: C3
+    gives one class per Aut(E)-orbit of points, and C2 at {e, f} one per
+    Aut(E)-orbit of pairs, plus one when e covers f or f covers e, since
+    only then the structure map may be the identity rather than factor
+    through a trivial group.  The block {a, b} is a D-partition iff a and b
+    are twins (equal strict down-sets), and each Aut(E)-orbit of twin pairs
+    is one class.
+    """
+    m = len(down)
+    _, _, gens = _canonical_labeling(m, down)
+    pairs = list(itertools.combinations(range(m), 2))
+    roots = _orbit_roots(pairs, lambda p: [
+        tuple(sorted((g[p[0]], g[p[1]]))) for g in gens])
+    covers = set(Poset(down).covers)
+    clifford, brandt = len(set(_point_orbits(m, gens))), 0
+    for i, (a, b) in enumerate(pairs):
+        if roots[i] == i:
+            clifford += 1 + ((a, b) in covers)
+            brandt += down[a] ^ 1 << a == down[b] ^ 1 << b
+    return clifford, brandt
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -271,7 +305,8 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     # a terminal gets every update, each over the last; a log one line per level
     tty = config.progress and sys.stderr.isatty()
     lead = "\r" if tty else ""
-    # counts mode reads rows n - 1 and n off level n - 1, which needs n > 1
+    # counts mode reads rows n - 1 and n off level n - 1, which needs n > 1,
+    # and row n - 2 off level n - 2; full mode searches every row below n
     top = n if collect or n == 1 else n - 1
 
     pool = None
@@ -298,7 +333,7 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     try:
         # levels up to top are built here, on the pool if there is one
         level_top = semilattice_level(top, mapper)
-        for m in range(1, top):
+        for m in range(1, top if collect else n - 2):
             shapes = _shapes_with_compositions(n, m)
             if not shapes:
                 continue
@@ -309,16 +344,30 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
                     ledger.add_stats(*stats)
                     if collect:
                         result.tables.extend(tables)
-        # labels are linear extensions: E has a maximum iff down[-1] is full
-        full = (1 << top) - 1
+        def has_maximum(down):
+            # labels are linear extensions: E has one iff down[-1] is full
+            return down[-1] == (1 << len(down)) - 1
+
         if top == n:
             # pure-semilattice row: the only inverse semigroup of order n
             # whose idempotents exhaust it is the semilattice itself
             for down in level_top:
-                ledger.add_cell(n, (1,) * n, 1, 1, down[-1] == full)
+                ledger.add_cell(n, (1,) * n, 1, 1, has_maximum(down))
                 if collect:
                     result.tables.append((MeetSemilattice(down).meet, n))
         else:
+            if n > 2:
+                # row n - 2: its Clifford classes are commutative and its
+                # Brandt ones are not; at m = 1 there is no Brandt class,
+                # and add_cell skips a count of 0
+                m = n - 2
+                level = semilattice_level(m)
+                for (clifford, brandt), down in zip(
+                        mapped(_two_below_counts, level, m), level):
+                    lattice = has_maximum(down)
+                    ledger.add_cell(m, (1,) * m, clifford, clifford, lattice)
+                    ledger.add_cell(m, (2,) + (1,) * (m - 2), brandt, 0,
+                                    lattice)
             # at m = n - 1 one point carries C2, and two choices of it are
             # isomorphic iff an automorphism of E swaps them.  Each form of
             # level n has one owner, whose one lattice child adds a top.
@@ -326,7 +375,7 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
             for (orbits, children), down in zip(
                     mapped(parent_counts, level_top, top), level_top):
                 ledger.add_cell(top, (1,) * top, orbits, orbits,
-                                down[-1] == full)
+                                has_maximum(down))
                 for child in range(children):
                     ledger.add_cell(n, (1,) * n, 1, 1, child == 0)
     finally:
@@ -337,7 +386,8 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 
 def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
-    """Count ledger for order n; builds candidates' tables but keeps none."""
+    """Count ledger for order n; searches the rows of at most n - 3
+    idempotents, building candidates' tables but keeping none."""
     cfg = EnumerationConfig(order=n, mode="counts", threads=threads,
                             progress=progress)
     return run_enumeration(cfg).ledger

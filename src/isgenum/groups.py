@@ -55,6 +55,10 @@ class Group:
             orders.append(k)
         if max(orders) > order:
             raise ValueError("not a group: some power never reaches 0")
+        # row a is x's: (x * y) * z against x * (y * z)
+        if any(mul[a[y]][z] != a[mul[y][z]]
+               for a in mul for y in range(order) for z in range(order)):
+            raise ValueError("not a group: the table is not associative")
         # greedy generators: each the least element outside the subgroup of
         # the ones before it.  The walk lists (x, parent, k) with
         # x = parent * gens[k], every element but 0 once, parents first.

@@ -19,8 +19,9 @@ level, order and labels for every mapper.
 The canonical search also yields automorphism generators, from which
 `parent_counts` counts a semilattice's Aut-orbits on points and the
 children it owns under canonical augmentation: |level m + 1| summed over
-level m, with no child stored.  The engine closes its skeletons under the
-same generators with `_orbit_roots`.
+level m, with no child stored.  The engine closes its skeletons, and finds
+the point and pair orbits of a semilattice, under the same generators with
+`_orbit_roots`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
 directly, and `colored_isomorphisms` searches the automorphisms of one

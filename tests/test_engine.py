@@ -10,6 +10,7 @@ from isgenum.engine import (
     _search_semilattice,
     _shapes_with_compositions,
     _skeletons,
+    _two_below_counts,
     breakdown_csv,
     enumerate_counts_only,
     enumerate_fixed,
@@ -30,7 +31,13 @@ from isgenum.orders import (
     parse_cover_line,
     semilattice_level,
 )
-from isgenum.shapes import admissible_compositions, d_partitions, group_maps, partitions
+from isgenum.shapes import (
+    admissible_compositions,
+    d_partitions,
+    group_maps,
+    is_d_partition,
+    partitions,
+)
 
 from expected_counts import BREAKDOWN, TOTALS
 
@@ -382,36 +389,38 @@ def test_thread_count_does_not_change_counters():
     for threads in (1, 2):
         ledger = enumerate_counts_only(7, threads=threads)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            447, 417, 31
+            215, 185, 31
         )
 
 
 def test_count_and_enumerate_ledgers_agree():
-    # full mode also searches row n - 1, which counts mode reads off the
-    # Aut(E)-orbits, so the counters differ by exactly that search
+    # full mode also searches rows n - 2 and n - 1, which counts mode reads
+    # off the Aut(E)-orbits, so the counters differ by exactly that search
     counts = enumerate_counts_only(6)
     full = run_enumeration(EnumerationConfig(order=6, mode="full")).ledger
     assert full == counts
-    shapes = _shapes_with_compositions(6, 5)
     gap = (0, 0, 0)
-    for E in meet_semilattices(5):
-        for *_, stats in _search_semilattice((6, E.down, shapes, False))[1]:
-            gap = tuple(a + b for a, b in zip(gap, stats))
-    assert gap == (60, 60, 0)
+    for m in (4, 5):
+        shapes = _shapes_with_compositions(6, m)
+        for E in meet_semilattices(m):
+            for *_, stats in _search_semilattice((6, E.down, shapes, False))[1]:
+                gap = tuple(a + b for a, b in zip(gap, stats))
+    assert gap == (113, 113, 0)
     assert (full.generated - counts.generated,
             full.immediate - counts.immediate,
             full.iso_tests - counts.iso_tests) == gap
 
 
 def _top_rows_by_search(n):
-    """Cells (n - 1, ones) and (n, ones) as full mode fills them: by the
-    search over level n - 1 and from the masks of level n."""
+    """Rows n - 2, n - 1 and n as full mode fills them: by the search over
+    levels n - 2 and n - 1 and from the masks of level n."""
     ledger = CountLedger()
-    shapes = _shapes_with_compositions(n, n - 1)
-    for E in meet_semilattices(n - 1):
-        is_lattice, res = _search_semilattice((n, E.down, shapes, False))
-        for shape, count, comm, _, _ in res:
-            ledger.add_cell(n - 1, shape, count, comm, is_lattice)
+    for m in range(max(n - 2, 1), n):
+        shapes = _shapes_with_compositions(n, m)
+        for E in meet_semilattices(m):
+            is_lattice, res = _search_semilattice((n, E.down, shapes, False))
+            for shape, count, comm, _, _ in res:
+                ledger.add_cell(m, shape, count, comm, is_lattice)
     full = (1 << n) - 1
     for down in semilattice_level(n):
         ledger.add_cell(n, (1,) * n, 1, 1, down[-1] == full)
@@ -420,17 +429,41 @@ def _top_rows_by_search(n):
 
 def _check_top_rows(n):
     searched = _top_rows_by_search(n)
-    # m = n - 1 admits only singleton D-classes
-    assert {m for m, _ in searched.cells} == {n - 1, n}
+    # m = n - 1 admits only singleton D-classes, and m = n - 2 besides them
+    # only one 2-block over C1
+    assert set(searched.cells) <= {(m, (1,) * m) for m in (n - 2, n - 1, n)} | {
+        (n - 2, (2,) + (1,) * (n - 4))}
     for threads in (1, 2):
         ledger = enumerate_counts_only(n, threads=threads)
-        for m in (n - 1, n):
-            assert ledger.cell(m, (1,) * m) == searched.cell(m, (1,) * m)
+        top = {k: v for k, v in ledger.cells.items() if k[0] >= n - 2}
+        assert top == searched.cells
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_top_rows_match_search(n):
     _check_top_rows(n)
+
+
+def test_two_below_counts_match_listed_automorphisms():
+    # orbits from every automorphism, listed, against the union-finds over
+    # the canonical search's generators
+    for m in range(1, 8):
+        for E in meet_semilattices(m):
+            ones = (0,) * m
+            auts = list(colored_isomorphisms(E, ones, ones))
+            points = {frozenset(p[x] for p in auts) for x in range(m)}
+            pairs = {min(tuple(sorted((p[a], p[b]))) for p in auts)
+                     for a, b in itertools.combinations(range(m), 2)}
+            clifford = len(points)
+            brandt = 0
+            for a, b in pairs:
+                covers = E.leq(a, b) and not any(
+                    E.leq(a, z) and E.leq(z, b) for z in range(m)
+                    if z not in (a, b))
+                clifford += 1 + covers
+                rest = tuple((z,) for z in range(m) if z not in (a, b))
+                brandt += is_d_partition(E, ((a, b),) + rest)
+            assert _two_below_counts(E.down) == (clifford, brandt)
 
 
 def test_augmentation_counts_levels():
@@ -546,11 +579,13 @@ def test_stats_diagnostic_present():
     from isgenum.orders import semilattice_count
 
     ledger = enumerate_counts_only(5)
-    # the top semilattice row and the row below it, whose classes are the
-    # Aut(E)-orbits on points, are filled directly, not generated by search
-    orbit_row = ledger.cell(4, (1,) * 4)[0]
-    assert orbit_row == 16
-    assert ledger.generated >= TOTALS[5][0] - semilattice_count(5) - orbit_row
+    # the top semilattice row and the two rows below it, whose classes are
+    # read off Aut(E)-orbits, are filled directly, not generated by search
+    row4 = ledger.cell(4, (1,) * 4)[0]
+    row3 = ledger.cell(3, (1,) * 3)[0] + ledger.cell(3, (2, 1))[0]
+    assert (row3, row4) == (14, 16)
+    assert ledger.generated >= (
+        TOTALS[5][0] - semilattice_count(5) - row4 - row3)
     assert 0 < ledger.immediate <= ledger.generated
     assert ledger.iso_tests >= 0
 

@@ -182,6 +182,15 @@ def test_group_rejects_power_cycle():
         Group([[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 1, 3], [3, 3, 1, 0]], "loop")
 
 
+def test_group_rejects_non_associative_loop():
+    # a Latin square with identity 0 and two-sided inverses, so every check
+    # but associativity passes: (1 * 1) * 2 = 2 but 1 * (1 * 2) = 4
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ValueError, match="not associative"):
+        Group(loop, "loop")
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 

@@ -85,6 +85,8 @@ def _print_summary(ledger, n):
 def _check_file_folder(path):
     """Fail before a run whose output file could not be created; the file
     itself is left untouched."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
@@ -97,11 +99,11 @@ def _cmd_count(args) -> int:
         order=args.order, mode="counts", threads=args.threads,
         progress=args.progress,
     )
-    if args.breakdown:
+    if args.breakdown is not None:
         _check_file_folder(args.breakdown)
     result = run_enumeration(cfg)
     _print_summary(result.ledger, args.order)
-    if args.breakdown:
+    if args.breakdown is not None:
         with open(args.breakdown, "w", encoding="ascii") as fh:
             fh.write(breakdown_csv(result.ledger, args.order))
         print(f"breakdown={args.breakdown}")

@@ -1,6 +1,7 @@
 """The enumeration pipeline, the count ledger, the drivers and output.
 
-Every mode runs one pipeline per semilattice E and block-size shape:
+Like the paper, every mode works one semilattice E of idempotents at a
+time.  Over one E, `_classes` runs one pipeline per block-size shape:
 
   _skeletons   the basis of the first skeleton (D-partition, group map)
                of each Aut(E)-orbit
@@ -14,18 +15,22 @@ carries one skeleton to the other, so every skeleton of an orbit holds a
 member of each of the orbit's classes, and no class spans two orbits: the
 first skeletons keep the classes, and their order, of a search over all.
 
-`run_enumeration` tallies it per shape (counts mode) and keeps the tables
-(full mode), `enumerate_semigroups` streams it, and `enumerate_fixed` runs
-it on one skeleton.  `run_enumeration` builds the semilattice levels and
-then runs one task per semilattice, both serially or on one process pool;
-results are merged in generation order, so levels, ledgers and output files
-do not depend on the worker count.  Full mode searches every row below n
-and reads the all-idempotent row off the masks of level n.  Counts mode
-searches the rows up to n - 3 and builds no level above n - 1.  Per E of
-order n - 2, `_two_below_counts` reads that row's classes off the Aut(E)-
-orbits on points, pairs and twin pairs.  Per E of order n - 1,
-`parent_counts` gives its Aut(E)-orbits on points, which are its classes,
-and the semilattices of order n it owns under canonical augmentation.
+`_semilattice_cells` is the task of every pass of `run_enumeration`: it
+returns each ledger cell that one E contributes.  An E of order n is its
+own class, whose table is its meet table.  Counts mode searches no E above
+order n - 3.  Per E of order n - 2, `_two_below_counts` reads that row's
+classes off the Aut(E)-orbits on points, pairs and twin pairs.  Per E of
+order n - 1, `parent_counts` gives its Aut(E)-orbits on points, which are
+its classes, and the semilattices of order n it owns under canonical
+augmentation, so counts mode builds no level above n - 1.  Every other E
+goes through `_classes`.
+
+`run_enumeration` builds the semilattice levels, then makes one pass per
+order m = 1, 2, ...: it maps the task over level m, serially or on one
+process pool, and merges the results in generation order, so levels,
+ledgers and output files do not depend on the worker count.
+`enumerate_semigroups` streams `_classes` over every E, and
+`enumerate_fixed` runs `_keep_new` on one skeleton.
 
 The pipeline calls every layer through this module's own names (`esn`,
 `g_posets`, `is_isoc`, ...), which is where `bench/tracer.py` wraps them.
@@ -232,35 +237,60 @@ def _keep_new(candidates, stats):
             yield S
 
 
-def _shape_classes(E, shape, comps, catalog, gens, stats):
-    """One representative per class over E with D-partitions of this shape,
-    from one store per orbit representative skeleton."""
-    dparts = d_partitions(E, shape)
-    for basis in _skeletons(E, comps, dparts, catalog, gens):
-        yield from _keep_new(_candidates(basis), stats)
-
-
-def _search_semilattice(task):
-    """Per-shape tallies over one semilattice; the task of every run.
-
-    `task` is (n, E.down, shapes with their compositions, collect).  Returns
-    (E has a maximum, results), where results lists (shape, count,
-    commutative count, tables, stats) for the shapes with at least one
-    class, and tables is None unless `collect`.
-    """
-    n, down, shapes, collect = task
-    E = MeetSemilattice(down)
+def _classes(n, E, shapes):
+    """Yield (shape, kept, stats) per shape over E: one representative per
+    class of order n with D-partitions of that shape, from one store per
+    orbit representative skeleton, and that search's [generated, immediate,
+    iso_tests]."""
     catalog = _groups.catalog(n)
-    _, _, gens = _canonical_labeling(E.size, down)
-    results = []
+    _, _, gens = _canonical_labeling(E.size, E.down)
     for shape, comps in shapes:
         stats = [0, 0, 0]
-        kept = list(_shape_classes(E, shape, comps, catalog, gens, stats))
-        if kept:
-            comm = sum(S.is_commutative() for S in kept)
-            tables = [(S.table, E.size) for S in kept] if collect else None
-            results.append((shape, len(kept), comm, tables, stats))
-    return E.has_maximum(), results
+        dparts = d_partitions(E, shape)
+        kept = [S for basis in _skeletons(E, comps, dparts, catalog, gens)
+                for S in _keep_new(_candidates(basis), stats)]
+        yield shape, kept, stats
+
+
+def _semilattice_cells(n, shapes, collect, down):
+    """Every ledger cell of order n that the semilattice with these down-set
+    masks contributes; the task of every pass of `run_enumeration`.
+
+    `shapes` are the block-size shapes of its order with their compositions.
+    Returns a list of (row, shape, count, commutative count, lattice, tables,
+    stats): lattice tells whether the semilattice of the cell has a maximum,
+    tables is None unless `collect`, and stats is (generated, immediate,
+    iso_tests).
+    """
+    m = len(down)
+    ones = (1,) * m
+    # labels are linear extensions: E has a maximum iff down[-1] is full
+    lattice = down[-1] == (1 << m) - 1
+    no_search = (0, 0, 0)
+    if m == n:
+        # the only inverse semigroup of order n whose idempotents exhaust it
+        # is the semilattice itself
+        tables = [(MeetSemilattice(down).meet, n)] if collect else None
+        return [(n, ones, 1, 1, lattice, tables, no_search)]
+    if not collect and m == n - 1:
+        # one point carries C2, and two choices of it are isomorphic iff an
+        # automorphism of E swaps them.  Each form of level n has one owner,
+        # whose one lattice child adds a top.
+        orbits, children = parent_counts(down)
+        return [(m, ones, orbits, orbits, lattice, None, no_search)] + [
+            (n, ones + (1,), 1, 1, child == 0, None, no_search)
+            for child in range(children)]
+    if not collect and m == n - 2:
+        # Clifford classes are commutative and Brandt ones are not; at
+        # m = 1 there is no Brandt class, and add_cell skips a count of 0
+        clifford, brandt = _two_below_counts(down)
+        brandt_shape = (2,) + (1,) * (m - 2)
+        return [(m, ones, clifford, clifford, lattice, None, no_search),
+                (m, brandt_shape, brandt, 0, lattice, None, no_search)]
+    E = MeetSemilattice(down)
+    return [(m, shape, len(kept), sum(S.is_commutative() for S in kept),
+             lattice, [(S.table, m) for S in kept] if collect else None, stats)
+            for shape, kept, stats in _classes(n, E, shapes)]
 
 
 def _two_below_counts(down):
@@ -305,8 +335,8 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     # a terminal gets every update, each over the last; a log one line per level
     tty = config.progress and sys.stderr.isatty()
     lead = "\r" if tty else ""
-    # counts mode reads rows n - 1 and n off level n - 1, which needs n > 1,
-    # and row n - 2 off level n - 2; full mode searches every row below n
+    # counts mode reads rows n - 1 and n off level n - 1, which needs n > 1;
+    # full mode reads row n off level n
     top = n if collect or n == 1 else n - 1
 
     pool = None
@@ -332,52 +362,16 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 
     try:
         # levels up to top are built here, on the pool if there is one
-        level_top = semilattice_level(top, mapper)
-        for m in range(1, top if collect else n - 2):
-            shapes = _shapes_with_compositions(n, m)
-            if not shapes:
-                continue
-            tasks = [(n, E.down, shapes, collect) for E in meet_semilattices(m)]
-            for is_lattice, res in mapped(_search_semilattice, tasks, m):
-                for shape, count, comm, tables, stats in res:
-                    ledger.add_cell(m, shape, count, comm, is_lattice)
+        semilattice_level(top, mapper)
+        for m in range(1, top + 1):
+            task = partial(_semilattice_cells, n,
+                           _shapes_with_compositions(n, m), collect)
+            for cells in mapped(task, semilattice_level(m), m):
+                for row, shape, count, comm, lattice, tables, stats in cells:
+                    ledger.add_cell(row, shape, count, comm, lattice)
                     ledger.add_stats(*stats)
                     if collect:
                         result.tables.extend(tables)
-        def has_maximum(down):
-            # labels are linear extensions: E has one iff down[-1] is full
-            return down[-1] == (1 << len(down)) - 1
-
-        if top == n:
-            # pure-semilattice row: the only inverse semigroup of order n
-            # whose idempotents exhaust it is the semilattice itself
-            for down in level_top:
-                ledger.add_cell(n, (1,) * n, 1, 1, has_maximum(down))
-                if collect:
-                    result.tables.append((MeetSemilattice(down).meet, n))
-        else:
-            if n > 2:
-                # row n - 2: its Clifford classes are commutative and its
-                # Brandt ones are not; at m = 1 there is no Brandt class,
-                # and add_cell skips a count of 0
-                m = n - 2
-                level = semilattice_level(m)
-                for (clifford, brandt), down in zip(
-                        mapped(_two_below_counts, level, m), level):
-                    lattice = has_maximum(down)
-                    ledger.add_cell(m, (1,) * m, clifford, clifford, lattice)
-                    ledger.add_cell(m, (2,) + (1,) * (m - 2), brandt, 0,
-                                    lattice)
-            # at m = n - 1 one point carries C2, and two choices of it are
-            # isomorphic iff an automorphism of E swaps them.  Each form of
-            # level n has one owner, whose one lattice child adds a top.
-            # zip exhausts the results first, which ends their progress line
-            for (orbits, children), down in zip(
-                    mapped(parent_counts, level_top, top), level_top):
-                ledger.add_cell(top, (1,) * top, orbits, orbits,
-                                has_maximum(down))
-                for child in range(children):
-                    ledger.add_cell(n, (1,) * n, 1, 1, child == 0)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -397,16 +391,11 @@ def enumerate_semigroups(n: int):
     """Stream one representative per isomorphism class of order n."""
     if n < 1:
         raise ValueError("order must be positive")
-    catalog = _groups.catalog(n)
     for m in range(1, n + 1):
         shapes = _shapes_with_compositions(n, m)
-        if not shapes:
-            continue
         for E in meet_semilattices(m):
-            _, _, gens = _canonical_labeling(E.size, E.down)
-            for shape, comps in shapes:
-                yield from _shape_classes(E, shape, comps, catalog, gens,
-                                          [0, 0, 0])
+            for _, kept, _ in _classes(n, E, shapes):
+                yield from kept
 
 
 def enumerate_fixed(E, P, f) -> list:

@@ -147,11 +147,13 @@ def test_unusable_output_path_fails_fast(tmp_path, capsys, monkeypatch):
             ["count", "--order", "8",
              "--breakdown", str(tmp_path / "missing" / "x.csv")],
             ["count", "--order", "8", "--breakdown", str(tmp_path)],
+            ["count", "--order", "8", "--breakdown", ""],
             ["enumerate", "--order", "8", "--out", str(blocker / "out")],
             ["fixed", "--semilattice", f"{sl}:1", "--dpartition", "0",
              "--groups", "C2", "--out", str(blocker / "out")]):
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("i/o error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
 
 
 def test_failed_count_keeps_breakdown_file(tmp_path, capsys, monkeypatch):

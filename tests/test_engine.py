@@ -7,7 +7,7 @@ from isgenum import gposets, orders
 from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
-    _search_semilattice,
+    _classes,
     _shapes_with_compositions,
     _skeletons,
     _two_below_counts,
@@ -403,7 +403,7 @@ def test_count_and_enumerate_ledgers_agree():
     for m in (4, 5):
         shapes = _shapes_with_compositions(6, m)
         for E in meet_semilattices(m):
-            for *_, stats in _search_semilattice((6, E.down, shapes, False))[1]:
+            for *_, stats in _classes(6, E, shapes):
                 gap = tuple(a + b for a, b in zip(gap, stats))
     assert gap == (113, 113, 0)
     assert (full.generated - counts.generated,
@@ -418,9 +418,9 @@ def _top_rows_by_search(n):
     for m in range(max(n - 2, 1), n):
         shapes = _shapes_with_compositions(n, m)
         for E in meet_semilattices(m):
-            is_lattice, res = _search_semilattice((n, E.down, shapes, False))
-            for shape, count, comm, _, _ in res:
-                ledger.add_cell(m, shape, count, comm, is_lattice)
+            for shape, kept, _ in _classes(n, E, shapes):
+                comm = sum(S.is_commutative() for S in kept)
+                ledger.add_cell(m, shape, len(kept), comm, E.has_maximum())
     full = (1 << n) - 1
     for down in semilattice_level(n):
         ledger.add_cell(n, (1,) * n, 1, 1, down[-1] == full)
@@ -483,6 +483,12 @@ def test_top_rows_stretch_order_9():
 def test_counts_stretch_order_11():
     # S(11) as published; about two minutes at two threads
     assert enumerate_counts_only(11, threads=2).totals() == TOTALS[11]
+
+
+@pytest.mark.stretch
+def test_counts_stretch_order_12():
+    # S(12) as published; about nine minutes at two threads, so CI skips it
+    assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -568,6 +574,12 @@ def test_progress_reports_rate_and_eta(capsys):
         rate, eta = line.split(", ")[1:]
         assert float(rate.removesuffix("/s")) > 0
         assert eta == "ETA 0s"
+    # full mode makes one pass per order up to n, row n included
+    run_enumeration(EnumerationConfig(order=4, mode="full", progress=True))
+    lines = capsys.readouterr().err.rstrip("\n").split("\n")
+    assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",
+                                                      "m=4"]
+    assert lines[3].startswith("m=4: 5/5 semilattices, ")
 
 
 def test_counts_mode_emits_no_tables():

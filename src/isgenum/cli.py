@@ -183,6 +183,7 @@ def _cmd_fixed(args) -> int:
 
 
 def _cmd_semilattices(args) -> int:
+    _check_file_folder(args.out)
     count = write_semilattice_file(args.order, args.out)
     print(f"order={args.order} semilattices={count} out={args.out}")
     return EXIT_OK

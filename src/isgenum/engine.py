@@ -15,21 +15,22 @@ carries one skeleton to the other, so every skeleton of an orbit holds a
 member of each of the orbit's classes, and no class spans two orbits: the
 first skeletons keep the classes, and their order, of a search over all.
 
-`_semilattice_cells` is the task of every pass of `run_enumeration`: it
-returns each ledger cell that one E contributes.  An E of order n is its
-own class, whose table is its meet table.  Counts mode searches no E above
-order n - 3.  Per E of order n - 2, `_two_below_counts` reads that row's
-classes off the Aut(E)-orbits on points, pairs and twin pairs.  Per E of
-order n - 1, `parent_counts` gives its Aut(E)-orbits on points, which are
-its classes, and the semilattices of order n it owns under canonical
-augmentation, so counts mode builds no level above n - 1.  Every other E
-goes through `_classes`.
+`_semilattice_cells` is the task of every pass of `run_enumeration`: from
+one canonical labeling of E, it returns each ledger cell that E
+contributes.  An E of order n is its own class, whose table is its meet
+table.  Counts mode searches no E above order n - 3.  Per E of order
+n - 2, `_two_below_counts` reads that row's classes off the Aut(E)-orbits
+on points, pairs and twin pairs.  Per E of order n - 1, its classes are its
+Aut(E)-orbits on points, and each semilattice of order n it owns under
+canonical augmentation is one class.  Every other E goes through `_classes`.
 
-`run_enumeration` builds the semilattice levels, then makes one pass per
-order m = 1, 2, ...: it maps the task over level m, serially or on one
-process pool, and merges the results in generation order, so levels,
-ledgers and output files do not depend on the worker count.
-`enumerate_semigroups` streams `_classes` over every E, and
+Below order n - 1, a counts-mode task also returns the semilattices E owns
+(`parent_counts`), which are the next pass's tasks, so counts mode grows
+its levels as it goes; full mode maps over `semilattice_level`, whose
+canonical labels its tables follow.  `run_enumeration` makes one pass per
+order m = 1, 2, ..., serially or on one process pool, and merges results
+in task order, so levels, ledgers and output files do not depend on the
+worker count.  `enumerate_semigroups` streams `_classes` over every E, and
 `enumerate_fixed` runs `_keep_new` on one skeleton.
 
 The pipeline calls every layer through this module's own names (`esn`,
@@ -237,13 +238,12 @@ def _keep_new(candidates, stats):
             yield S
 
 
-def _classes(n, E, shapes):
+def _classes(n, E, shapes, gens):
     """Yield (shape, kept, stats) per shape over E: one representative per
     class of order n with D-partitions of that shape, from one store per
     orbit representative skeleton, and that search's [generated, immediate,
-    iso_tests]."""
+    iso_tests]; `gens` generate Aut(E)."""
     catalog = _groups.catalog(n)
-    _, _, gens = _canonical_labeling(E.size, E.down)
     for shape, comps in shapes:
         stats = [0, 0, 0]
         dparts = d_partitions(E, shape)
@@ -253,11 +253,12 @@ def _classes(n, E, shapes):
 
 
 def _semilattice_cells(n, shapes, collect, down):
-    """Every ledger cell of order n that the semilattice with these down-set
-    masks contributes; the task of every pass of `run_enumeration`.
+    """(cells, children): every ledger cell of order n that the semilattice
+    with these down-set masks contributes, and in counts mode below order
+    n - 1 the next pass's semilattices that it owns; the pass task.
 
     `shapes` are the block-size shapes of its order with their compositions.
-    Returns a list of (row, shape, count, commutative count, lattice, tables,
+    A cell is (row, shape, count, commutative count, lattice, tables,
     stats): lattice tells whether the semilattice of the cell has a maximum,
     tables is None unless `collect`, and stats is (generated, immediate,
     iso_tests).
@@ -271,31 +272,34 @@ def _semilattice_cells(n, shapes, collect, down):
         # the only inverse semigroup of order n whose idempotents exhaust it
         # is the semilattice itself
         tables = [(MeetSemilattice(down).meet, n)] if collect else None
-        return [(n, ones, 1, 1, lattice, tables, no_search)]
+        return [(n, ones, 1, 1, lattice, tables, no_search)], []
+    _, _, gens = _canonical_labeling(m, down)
+    children = [] if collect else parent_counts(down, gens)
     if not collect and m == n - 1:
         # one point carries C2, and two choices of it are isomorphic iff an
-        # automorphism of E swaps them.  Each form of level n has one owner,
-        # whose one lattice child adds a top.
-        orbits, children = parent_counts(down)
+        # automorphism of E swaps them.  Each semilattice of order n has one
+        # owner, and is its own class of row n.
+        orbits = len(set(_point_orbits(m, gens)))
         return [(m, ones, orbits, orbits, lattice, None, no_search)] + [
-            (n, ones + (1,), 1, 1, child == 0, None, no_search)
-            for child in range(children)]
+            (n, ones + (1,), 1, 1, child[-1] == (1 << n) - 1, None, no_search)
+            for child in children], []
     if not collect and m == n - 2:
         # Clifford classes are commutative and Brandt ones are not; at
         # m = 1 there is no Brandt class, and add_cell skips a count of 0
-        clifford, brandt = _two_below_counts(down)
+        clifford, brandt = _two_below_counts(down, gens)
         brandt_shape = (2,) + (1,) * (m - 2)
         return [(m, ones, clifford, clifford, lattice, None, no_search),
-                (m, brandt_shape, brandt, 0, lattice, None, no_search)]
+                (m, brandt_shape, brandt, 0, lattice, None, no_search)
+                ], children
     E = MeetSemilattice(down)
     return [(m, shape, len(kept), sum(S.is_commutative() for S in kept),
              lattice, [(S.table, m) for S in kept] if collect else None, stats)
-            for shape, kept, stats in _classes(n, E, shapes)]
+            for shape, kept, stats in _classes(n, E, shapes, gens)], children
 
 
-def _two_below_counts(down):
+def _two_below_counts(down, gens):
     """(Clifford, Brandt) classes of order m + 2 over the semilattice E of
-    order m with these down-set masks, from one canonical labeling of E.
+    order m with these down-set masks.
 
     With m + 2 elements, the non-idempotents number sum p * (p * |G| - 1)
     = 2 over the blocks.  Either every block is a point and one carries C3,
@@ -306,10 +310,9 @@ def _two_below_counts(down):
     only then the structure map may be the identity rather than factor
     through a trivial group.  The block {a, b} is a D-partition iff a and b
     are twins (equal strict down-sets), and each Aut(E)-orbit of twin pairs
-    is one class.
+    is one class.  `gens` generate Aut(E).
     """
     m = len(down)
-    _, _, gens = _canonical_labeling(m, down)
     pairs = list(itertools.combinations(range(m), 2))
     roots = _orbit_roots(pairs, lambda p: [
         tuple(sorted((g[p[0]], g[p[1]]))) for g in gens])
@@ -361,12 +364,16 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
             print(file=sys.stderr)
 
     try:
-        # levels up to top are built here, on the pool if there is one
-        semilattice_level(top, mapper)
+        if collect:  # the canonical levels, on the pool if there is one
+            semilattice_level(top, mapper)
+        grown = [(1,)]
         for m in range(1, top + 1):
+            level = semilattice_level(m) if collect else grown
             task = partial(_semilattice_cells, n,
                            _shapes_with_compositions(n, m), collect)
-            for cells in mapped(task, semilattice_level(m), m):
+            grown = []
+            for cells, children in mapped(task, level, m):
+                grown.extend(children)
                 for row, shape, count, comm, lattice, tables, stats in cells:
                     ledger.add_cell(row, shape, count, comm, lattice)
                     ledger.add_stats(*stats)
@@ -394,7 +401,8 @@ def enumerate_semigroups(n: int):
     for m in range(1, n + 1):
         shapes = _shapes_with_compositions(n, m)
         for E in meet_semilattices(m):
-            for _, kept, _ in _classes(n, E, shapes):
+            _, _, gens = _canonical_labeling(m, E.down)
+            for _, kept, _ in _classes(n, E, shapes, gens):
                 yield from kept
 
 

@@ -17,11 +17,11 @@ first of each form over the parents in order is kept, which gives the same
 level, order and labels for every mapper.
 
 The canonical search also yields automorphism generators, from which
-`parent_counts` counts a semilattice's Aut-orbits on points and the
-children it owns under canonical augmentation: |level m + 1| summed over
-level m, with no child stored.  The engine closes its skeletons, and finds
-the point and pair orbits of a semilattice, under the same generators with
-`_orbit_roots`.
+`parent_counts` finds the children a semilattice owns under canonical
+augmentation, in its labels with the new element last: over level m, one
+per class of order m + 1, with no canonical form.  The engine closes its
+skeletons, and finds the point and pair orbits of a semilattice, under the
+same generators with `_orbit_roots`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
 directly, and `colored_isomorphisms` searches the automorphisms of one
@@ -412,9 +412,10 @@ def _children(pdown):
     ))
 
 
-def parent_counts(pdown):
-    """(Aut(P)-orbits on the points of P, one-point extensions of P that P
-    owns), both from one canonical labeling of the semilattice P.
+def parent_counts(pdown, gens):
+    """The one-point extensions of the semilattice P that P owns, given
+    generators of Aut(P): each is `pdown` plus the new maximal element's
+    down-set, a linear extension again.
 
     Ownership is McKay's canonical augmentation ("Isomorph-free exhaustive
     generation", 1998): P extends by one ideal per Aut(P)-orbit, and owns
@@ -423,13 +424,12 @@ def parent_counts(pdown):
     down-set, the one labeled last.  Only ties need the child's labeling.
     """
     n = len(pdown)
-    _, _, gens = _canonical_labeling(n, pdown)
     up = Poset(pdown).up
     ideals = _extension_ideals(n, pdown, up)
     roots = _orbit_roots(
         ideals, lambda D: [sum(1 << g[x] for x in _bits(D)) for g in gens])
     tops = [(x, pdown[x].bit_count()) for x in range(n) if up[x] == 1 << x]
-    children = 0
+    children = []
     for i, D in enumerate(ideals):
         if roots[i] != i:
             continue
@@ -437,14 +437,15 @@ def parent_counts(pdown):
         rivals = [(x, h) for x, h in tops if not D >> x & 1 and h >= height]
         if any(h > height for _, h in rivals):
             continue
-        if not rivals:
-            children += 1
-            continue
-        _, labels, cgens = _canonical_labeling(n + 1, pdown + (D | 1 << n,))
-        orbit = _point_orbits(n + 1, cgens)
-        last = max([n] + [x for x, _ in rivals], key=labels.index)
-        children += orbit[last] == orbit[n]
-    return len(set(_point_orbits(n, gens))), children
+        child = pdown + (D | 1 << n,)
+        if rivals:
+            _, labels, cgens = _canonical_labeling(n + 1, child)
+            orbit = _point_orbits(n + 1, cgens)
+            last = max([n] + [x for x, _ in rivals], key=labels.index)
+            if orbit[last] != orbit[n]:
+                continue
+        children.append(child)
+    return children
 
 
 _LEVELS: list[tuple] = [((1,),)]

@@ -119,11 +119,13 @@ def test_exit_code_invalid_input(tmp_path, capsys):
 
 
 def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
-    # rejected with the config, before any semilattice level is built
+    # rejected with the config, before any semilattice level is built:
+    # full mode's canonical levels or counts mode's owned children
     def no_levels(*args):
         raise AssertionError("semilattice levels built beyond the catalog")
 
     monkeypatch.setattr(engine, "semilattice_level", no_levels)
+    monkeypatch.setattr(engine, "parent_counts", no_levels)
     for argv in (["count", "--order", "16"],
                  ["enumerate", "--order", "16", "--out", str(tmp_path / "x")]):
         start = time.perf_counter()
@@ -139,6 +141,7 @@ def test_unusable_output_path_fails_fast(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_enumeration", no_search)
     monkeypatch.setattr(cli, "enumerate_fixed", no_search)
+    monkeypatch.setattr(cli, "write_semilattice_file", no_search)
     blocker = tmp_path / "file"
     blocker.write_text("")
     sl = tmp_path / "sl.txt"
@@ -150,7 +153,11 @@ def test_unusable_output_path_fails_fast(tmp_path, capsys, monkeypatch):
             ["count", "--order", "8", "--breakdown", ""],
             ["enumerate", "--order", "8", "--out", str(blocker / "out")],
             ["fixed", "--semilattice", f"{sl}:1", "--dpartition", "0",
-             "--groups", "C2", "--out", str(blocker / "out")]):
+             "--groups", "C2", "--out", str(blocker / "out")],
+            ["semilattices", "--order", "10",
+             "--out", str(tmp_path / "missing" / "x.txt")],
+            ["semilattices", "--order", "10", "--out", ""],
+            ["semilattices", "--order", "10", "--out", str(tmp_path)]):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1

@@ -8,6 +8,7 @@ from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
     _classes,
+    _semilattice_cells,
     _shapes_with_compositions,
     _skeletons,
     _two_below_counts,
@@ -24,10 +25,11 @@ from isgenum.gposets import e_groupoid, g_posets
 from isgenum.groups import Group, catalog, is_isomorphic
 from isgenum.iso import brute_force_isomorphic
 from isgenum.orders import (
+    MeetSemilattice,
     _canonical_labeling,
+    _canonical_form,
     colored_isomorphisms,
     meet_semilattices,
-    parent_counts,
     parse_cover_line,
     semilattice_level,
 )
@@ -39,7 +41,7 @@ from isgenum.shapes import (
     partitions,
 )
 
-from expected_counts import BREAKDOWN, TOTALS
+from expected_counts import BREAKDOWN, SEMILATTICES, TOTALS
 
 VEE = parse_cover_line("3:0<1,0<2")
 CHAIN2 = parse_cover_line("2:0<1")
@@ -403,7 +405,8 @@ def test_count_and_enumerate_ledgers_agree():
     for m in (4, 5):
         shapes = _shapes_with_compositions(6, m)
         for E in meet_semilattices(m):
-            for *_, stats in _classes(6, E, shapes):
+            _, _, gens = _canonical_labeling(m, E.down)
+            for *_, stats in _classes(6, E, shapes, gens):
                 gap = tuple(a + b for a, b in zip(gap, stats))
     assert gap == (113, 113, 0)
     assert (full.generated - counts.generated,
@@ -418,7 +421,8 @@ def _top_rows_by_search(n):
     for m in range(max(n - 2, 1), n):
         shapes = _shapes_with_compositions(n, m)
         for E in meet_semilattices(m):
-            for shape, kept, _ in _classes(n, E, shapes):
+            _, _, gens = _canonical_labeling(m, E.down)
+            for shape, kept, _ in _classes(n, E, shapes, gens):
                 comm = sum(S.is_commutative() for S in kept)
                 ledger.add_cell(m, shape, len(kept), comm, E.has_maximum())
     full = (1 << n) - 1
@@ -463,20 +467,44 @@ def test_two_below_counts_match_listed_automorphisms():
                 clifford += 1 + covers
                 rest = tuple((z,) for z in range(m) if z not in (a, b))
                 brandt += is_d_partition(E, ((a, b),) + rest)
-            assert _two_below_counts(E.down) == (clifford, brandt)
+            _, _, gens = _canonical_labeling(m, E.down)
+            assert _two_below_counts(E.down, gens) == (clifford, brandt)
+
+
+def _check_grown_levels(top):
+    """Levels 2..top as the passes of counts mode collect them, against the
+    canonical levels.  A count of order k + 2 reads the rows of each
+    semilattice of order k off its orbits, so that pass collects the
+    children without a search."""
+    parents = [(1,)]
+    for m in range(2, top + 1):
+        owned = [_semilattice_cells(m + 1, (), False, pdown)[1]
+                 for pdown in parents]
+        level = [child for children in owned for child in children]
+        assert len(level) == SEMILATTICES[m]
+        assert {_canonical_form(m, down) for down in level} == set(
+            semilattice_level(m))
+        for pdown, children in zip(parents, owned):
+            for child in children:
+                # the parent's labels, then the new maximal element: a
+                # linear extension that MeetSemilattice accepts
+                assert child[:-1] == pdown
+                MeetSemilattice(child)
+        parents = level
 
 
 def test_augmentation_counts_levels():
-    for m in range(2, 9):
-        owned = sum(parent_counts(down)[1] for down in semilattice_level(m - 1))
-        assert owned == len(semilattice_level(m))
+    _check_grown_levels(8)
+
+
+@pytest.mark.stretch
+def test_augmentation_stretch_levels_9_and_10():
+    _check_grown_levels(10)
 
 
 @pytest.mark.stretch
 def test_top_rows_stretch_order_9():
     _check_top_rows(9)
-    owned = sum(parent_counts(down)[1] for down in semilattice_level(8))
-    assert owned == len(semilattice_level(9))
 
 
 @pytest.mark.stretch
@@ -500,11 +528,12 @@ def test_counts_of_orders_one_and_two(threads):
         assert {k: tuple(v) for k, v in ledger.cells.items()} == BREAKDOWN[n]
 
 
-def test_counts_mode_builds_levels_below_n(monkeypatch):
-    # a fresh cache, restored after the test
+def test_counts_mode_builds_no_level(monkeypatch):
+    # counts mode grows its own levels, so a count is cold by construction:
+    # a fresh cache, restored after the test, stays as it was
     monkeypatch.setattr(orders, "_LEVELS", [((1,),)])
     enumerate_counts_only(8)
-    assert len(orders._LEVELS) == 7
+    assert orders._LEVELS == [((1,),)]
 
 
 def test_consumers_agree():

@@ -18,11 +18,11 @@ first skeletons keep the classes, and their order, of a search over all.
 `_semilattice_cells` is the task of every pass of `run_enumeration`: from
 one canonical labeling of E, it returns each ledger cell that E
 contributes.  An E of order n is its own class, whose table is its meet
-table.  Counts mode searches no E above order n - 3.  Per E of order
-n - 2, `_two_below_counts` reads that row's classes off the Aut(E)-orbits
-on points, pairs and twin pairs.  Per E of order n - 1, its classes are its
-Aut(E)-orbits on points, and each semilattice of order n it owns under
-canonical augmentation is one class.  Every other E goes through `_classes`.
+table.  Counts mode searches no E above order n - 4: per E of order n - 3
+or n - 2, `_three_below_counts` or `_two_below_counts` reads the row off
+Aut(E)-orbits.  Per E of order n - 1, its classes are its Aut(E)-orbits on
+points, and each semilattice of order n it owns under canonical
+augmentation is one class.  Every other E goes through `_classes`.
 
 Below order n - 1, a counts-mode task also returns the semilattices E owns
 (`parent_counts`), which are the next pass's tasks, so counts mode grows
@@ -54,6 +54,7 @@ from .iso import invariants, is_isoc
 from .orders import (
     MeetSemilattice,
     Poset,
+    _bits,
     _canonical_labeling,
     _orbit_roots,
     _point_orbits,
@@ -283,13 +284,13 @@ def _semilattice_cells(n, shapes, collect, down):
         return [(m, ones, orbits, orbits, lattice, None, no_search)] + [
             (n, ones + (1,), 1, 1, child[-1] == (1 << n) - 1, None, no_search)
             for child in children], []
-    if not collect and m == n - 2:
+    if not collect and m >= n - 3:
         # Clifford classes are commutative and Brandt ones are not; at
         # m = 1 there is no Brandt class, and add_cell skips a count of 0
-        clifford, brandt = _two_below_counts(down, gens)
-        brandt_shape = (2,) + (1,) * (m - 2)
+        clifford, brandt = (_two_below_counts if m == n - 2
+                            else _three_below_counts)(down, gens)
         return [(m, ones, clifford, clifford, lattice, None, no_search),
-                (m, brandt_shape, brandt, 0, lattice, None, no_search)
+                (m, (2,) + ones[2:], brandt, 0, lattice, None, no_search)
                 ], children
     E = MeetSemilattice(down)
     return [(m, shape, len(kept), sum(S.is_commutative() for S in kept),
@@ -297,32 +298,75 @@ def _semilattice_cells(n, shapes, collect, down):
             for shape, kept, stats in _classes(n, E, shapes, gens)], children
 
 
+def _orbit_count(items, gens, image):
+    """Number of orbits on the items of the group that `gens` generate;
+    image(g, item) is an item."""
+    items = list(items)
+    roots = _orbit_roots(items, lambda item: [image(g, item) for g in gens])
+    return sum(root == i for i, root in enumerate(roots))
+
+
+def _c2_orbits(E, gens, k):
+    """Classes with C2 at the points of a k-set T, trivial groups elsewhere:
+    one per Aut(E)-orbit of (T, the pairs b < a in T whose structure map is
+    the identity).  It is the identity iff every d strictly between is in T
+    with identity maps from a to d and d to b, and trivial otherwise."""
+    down, up = E.down, E.up
+    maps = []
+    for T in itertools.combinations(range(E.size), k):
+        below = [(b, a) for b, a in itertools.combinations(T, 2)
+                 if down[a] >> b & 1]
+        maps += [(T, ids) for j in range(len(below) + 1)
+                 for ids in itertools.combinations(below, j)
+                 if all(((b, a) in ids) == (d in T and (b, d) in ids
+                                            and (d, a) in ids)
+                        for b, a in below
+                        for d in _bits(down[a] & up[b] ^ 1 << a ^ 1 << b))]
+    return _orbit_count(maps, gens, lambda g, item: (
+        tuple(sorted(g[x] for x in item[0])),
+        tuple(sorted((g[b], g[a]) for b, a in item[1]))))
+
+
+def _twins(down):
+    """The pairs a < b with equal strict down-sets."""
+    return [(a, b) for a, b in itertools.combinations(range(len(down)), 2)
+            if down[a] ^ 1 << a == down[b] ^ 1 << b]
+
+
 def _two_below_counts(down, gens):
     """(Clifford, Brandt) classes of order m + 2 over the semilattice E of
-    order m with these down-set masks.
+    order m with these down-set masks; `gens` generate Aut(E).
 
-    With m + 2 elements, the non-idempotents number sum p * (p * |G| - 1)
-    = 2 over the blocks.  Either every block is a point and one carries C3,
-    or two carry C2, or one block {a, b} carries C1 and every other block is
-    a trivial point.  The first two are strong semilattices of groups: C3
-    gives one class per Aut(E)-orbit of points, and C2 at {e, f} one per
-    Aut(E)-orbit of pairs, plus one when e covers f or f covers e, since
-    only then the structure map may be the identity rather than factor
-    through a trivial group.  The block {a, b} is a D-partition iff a and b
-    are twins (equal strict down-sets), and each Aut(E)-orbit of twin pairs
-    is one class.  `gens` generate Aut(E).
+    The non-idempotents number sum p * (p * |G| - 1) = 2 over the blocks:
+    C3 at a point (one class per Aut(E)-orbit), C2 at two (`_c2_orbits`),
+    or a twin block {a, b} over C1 (one per orbit of twin pairs).
     """
-    m = len(down)
-    pairs = list(itertools.combinations(range(m), 2))
-    roots = _orbit_roots(pairs, lambda p: [
-        tuple(sorted((g[p[0]], g[p[1]]))) for g in gens])
-    covers = set(Poset(down).covers)
-    clifford, brandt = len(set(_point_orbits(m, gens))), 0
-    for i, (a, b) in enumerate(pairs):
-        if roots[i] == i:
-            clifford += 1 + ((a, b) in covers)
-            brandt += down[a] ^ 1 << a == down[b] ^ 1 << b
-    return clifford, brandt
+    E = Poset(down)
+    return (len(set(_point_orbits(E.size, gens))) + _c2_orbits(E, gens, 2),
+            _orbit_count(_twins(down), gens,
+                         lambda g, p: tuple(sorted((g[p[0]], g[p[1]])))))
+
+
+def _three_below_counts(down, gens):
+    """(Clifford, Brandt) classes of order m + 3, as `_two_below_counts`:
+    C4 or C2 x C2 at a point gives one class per orbit of points each, C3 at
+    e and C2 at f one per orbit of pairs (e, f), and C2 at a 3-set those of
+    `_c2_orbits`.  A twin block {a, b} over C1 with C2 at c gives one per
+    orbit of ({a, b}, c), or two when c = a ^ b (the arrow a -> b restricts
+    to either element of C2 at c) or c covers a and b (C2 may swap them).
+    """
+    E = Poset(down)
+    m, covers = E.size, set(E.covers)
+    clifford = (2 * len(set(_point_orbits(m, gens))) + _c2_orbits(E, gens, 3)
+                + _orbit_count(itertools.permutations(range(m), 2), gens,
+                               lambda g, p: (g[p[0]], g[p[1]])))
+    # one item per class: the twins, c, and which of the two it is
+    brandt = [(a, b, c, two) for a, b in _twins(down) for c in range(m)
+              if c != a and c != b for two in range(1 + (
+                  c == (down[a] & down[b]).bit_length() - 1
+                  or (a, c) in covers and (b, c) in covers))]
+    return clifford, _orbit_count(brandt, gens, lambda g, t: (
+        *sorted((g[t[0]], g[t[1]])), g[t[2]], t[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +431,7 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 
 def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
-    """Count ledger for order n; searches the rows of at most n - 3
+    """Count ledger for order n; searches the rows of at most n - 4
     idempotents, building candidates' tables but keeping none."""
     cfg = EnumerationConfig(order=n, mode="counts", threads=threads,
                             progress=progress)

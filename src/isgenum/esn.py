@@ -51,12 +51,10 @@ class InverseSemigroup:
         return f"InverseSemigroup(n={self.size}, idempotents={self.E.size})"
 
     def is_commutative(self) -> bool:
-        table = self.table
-        n = self.size
-        return all(
-            table[x][y] == table[y][x]
-            for x in range(n) for y in range(x + 1, n)
-        )
+        """Read off the skeleton: commutative iff every block is a point and
+        every group is abelian, a semilattice of abelian groups."""
+        return all(len(X) == 1 and G.abelian
+                   for X, G in zip(self.d_restriction, self.groups))
 
     def is_monoid(self) -> bool:
         return self.E.has_maximum()

@@ -31,7 +31,8 @@ MAX_CATALOG_ORDER = 15
 class Group:
     """Group on {0, ..., order-1} with identity 0, as an immutable Cayley table."""
 
-    __slots__ = ("order", "mul", "inv", "name", "_orders", "_gens", "_walk", "_auts")
+    __slots__ = ("order", "mul", "inv", "name", "abelian", "_orders", "_gens",
+                 "_walk", "_auts")
 
     def __init__(self, mul, name: str):
         order = len(mul)
@@ -77,6 +78,7 @@ class Group:
         self.mul = mul
         self.inv = inv
         self.name = name
+        self.abelian = mul == tuple(zip(*mul))
         self._orders = tuple(orders)
         self._gens = tuple(gens)
         self._walk = tuple(walk)

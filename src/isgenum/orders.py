@@ -53,7 +53,7 @@ def _bits(mask):
 class Poset:
     """Finite poset; down[j] is the bitmask of {i : i <= j} (including j)."""
 
-    __slots__ = ("size", "down", "up", "_covers")
+    __slots__ = ("size", "down", "up", "_covers", "_profile")
 
     def __init__(self, down):
         down = tuple(down)
@@ -69,6 +69,7 @@ class Poset:
         self.down = down
         self.up = tuple(up)
         self._covers = None
+        self._profile = None  # see colored_isomorphisms
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.down == other.down
@@ -176,7 +177,10 @@ def colored_isomorphisms(poset: Poset, ca, cb):
     if sorted(ca) != sorted(cb):
         return
     down = poset.down
-    sizes = [(down[x].bit_count(), poset.up[x].bit_count()) for x in range(n)]
+    sizes = poset._profile
+    if sizes is None:  # once per poset: is_isoc calls this per pair
+        sizes = poset._profile = tuple((d.bit_count(), u.bit_count())
+                                       for d, u in zip(down, poset.up))
     cand = []
     for a in range(n):
         opts = [

@@ -11,6 +11,7 @@ from isgenum.engine import (
     _semilattice_cells,
     _shapes_with_compositions,
     _skeletons,
+    _three_below_counts,
     _two_below_counts,
     breakdown_csv,
     enumerate_counts_only,
@@ -120,6 +121,12 @@ def _raw_generated(n):
                             for order in g_posets(basis):
                                 out.append(esn(basis, order))
     return out
+
+
+def _commutative_by_table(S):
+    table = S.table
+    return all(table[x][y] == table[y][x]
+               for x in range(S.size) for y in range(x))
 
 
 def _dedupe_bruteforce(semis):
@@ -391,39 +398,40 @@ def test_thread_count_does_not_change_counters():
     for threads in (1, 2):
         ledger = enumerate_counts_only(7, threads=threads)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            215, 185, 31
+            80, 64, 16
         )
 
 
 def test_count_and_enumerate_ledgers_agree():
-    # full mode also searches rows n - 2 and n - 1, which counts mode reads
-    # off the Aut(E)-orbits, so the counters differ by exactly that search
+    # full mode also searches rows n - 3, n - 2 and n - 1, which counts mode
+    # reads off the Aut(E)-orbits, so the counters differ by exactly that
+    # search
     counts = enumerate_counts_only(6)
     full = run_enumeration(EnumerationConfig(order=6, mode="full")).ledger
     assert full == counts
     gap = (0, 0, 0)
-    for m in (4, 5):
+    for m in (3, 4, 5):
         shapes = _shapes_with_compositions(6, m)
         for E in meet_semilattices(m):
             _, _, gens = _canonical_labeling(m, E.down)
             for *_, stats in _classes(6, E, shapes, gens):
                 gap = tuple(a + b for a, b in zip(gap, stats))
-    assert gap == (113, 113, 0)
+    assert gap == (142, 139, 3)
     assert (full.generated - counts.generated,
             full.immediate - counts.immediate,
             full.iso_tests - counts.iso_tests) == gap
 
 
 def _top_rows_by_search(n):
-    """Rows n - 2, n - 1 and n as full mode fills them: by the search over
-    levels n - 2 and n - 1 and from the masks of level n."""
+    """Rows n - 3 to n as full mode fills them: by the search over levels
+    n - 3 to n - 1 and from the masks of level n."""
     ledger = CountLedger()
-    for m in range(max(n - 2, 1), n):
+    for m in range(max(n - 3, 1), n):
         shapes = _shapes_with_compositions(n, m)
         for E in meet_semilattices(m):
             _, _, gens = _canonical_labeling(m, E.down)
             for shape, kept, _ in _classes(n, E, shapes, gens):
-                comm = sum(S.is_commutative() for S in kept)
+                comm = sum(map(_commutative_by_table, kept))
                 ledger.add_cell(m, shape, len(kept), comm, E.has_maximum())
     full = (1 << n) - 1
     for down in semilattice_level(n):
@@ -433,13 +441,14 @@ def _top_rows_by_search(n):
 
 def _check_top_rows(n):
     searched = _top_rows_by_search(n)
-    # m = n - 1 admits only singleton D-classes, and m = n - 2 besides them
-    # only one 2-block over C1
-    assert set(searched.cells) <= {(m, (1,) * m) for m in (n - 2, n - 1, n)} | {
-        (n - 2, (2,) + (1,) * (n - 4))}
+    # m = n - 1 admits only singleton D-classes, and m = n - 2 and n - 3
+    # besides them only one 2-block over C1
+    assert set(searched.cells) <= {
+        (m, (1,) * m) for m in range(n - 3, n + 1)} | {
+        (n - 2, (2,) + (1,) * (n - 4)), (n - 3, (2,) + (1,) * (n - 5))}
     for threads in (1, 2):
         ledger = enumerate_counts_only(n, threads=threads)
-        top = {k: v for k, v in ledger.cells.items() if k[0] >= n - 2}
+        top = {k: v for k, v in ledger.cells.items() if k[0] >= n - 3}
         assert top == searched.cells
 
 
@@ -469,6 +478,94 @@ def test_two_below_counts_match_listed_automorphisms():
                 brandt += is_d_partition(E, ((a, b),) + rest)
             _, _, gens = _canonical_labeling(m, E.down)
             assert _two_below_counts(E.down, gens) == (clifford, brandt)
+
+
+def _three_below_by_listed_automorphisms(E):
+    """(Clifford, Brandt) classes of order |E| + 3 over E, from orbits under
+    every automorphism of E, listed, and D-partitions by their definition."""
+    m = E.size
+    ones = (0,) * m
+    auts = list(colored_isomorphisms(E, ones, ones))
+
+    def orbits(items, image):
+        return {min(image(p, item) for p in auts) for item in items}
+
+    def covered(x, y):
+        return E.leq(x, y) and x != y and not any(
+            E.leq(x, z) and E.leq(z, y) for z in range(m) if z not in (x, y))
+
+    points = orbits(range(m), lambda p, x: p[x])
+    ordered = orbits(itertools.permutations(range(m), 2),
+                     lambda p, ef: (p[ef[0]], p[ef[1]]))
+    # C2 at the points of T: phi(a, b) is the identity for b < a in T in a
+    # chosen set, and phi(a, b) = phi(d, b) phi(a, d) for all b < d < a
+    strict = {(b, a) for b, a in itertools.permutations(range(m), 2)
+              if E.leq(b, a)}
+    maps = []
+    for T in itertools.combinations(range(m), 3):
+        inside = sorted((b, a) for b, a in strict if b in T and a in T)
+        for k in range(len(inside) + 1):
+            for ids in itertools.combinations(inside, k):
+                if all(((b, a) in ids) == ((b, d) in ids and (d, a) in ids)
+                       for b, a in strict for d in range(m)
+                       if (b, d) in strict and (d, a) in strict):
+                    maps.append((T, ids))
+    maps = orbits(maps, lambda p, item: (
+        tuple(sorted(p[x] for x in item[0])),
+        tuple(sorted((p[b], p[a]) for b, a in item[1]))))
+    brandt = 0
+    for (a, b), c in orbits(
+            [((a, b), c) for a, b in itertools.combinations(range(m), 2)
+             for c in range(m) if c not in (a, b)],
+            lambda p, t: (tuple(sorted((p[t[0][0]], p[t[0][1]]))), p[t[1]])):
+        rest = tuple((z,) for z in range(m) if z not in (a, b))
+        if is_d_partition(E, ((a, b),) + rest):
+            brandt += 1 + (c == E.meet[a][b] or covered(a, c)
+                           and covered(b, c))
+    return 2 * len(points) + len(ordered) + len(maps), brandt
+
+
+def test_three_below_counts_match_listed_automorphisms():
+    for m in range(1, 8):
+        for E in meet_semilattices(m):
+            _, _, gens = _canonical_labeling(m, E.down)
+            assert _three_below_counts(E.down, gens) == (
+                _three_below_by_listed_automorphisms(E))
+
+
+def _check_three_below_by_search(n):
+    """`_three_below_counts` against the search, per semilattice of order
+    n - 3: Clifford classes are the commutative ones, all of one shape."""
+    m = n - 3
+    shapes = _shapes_with_compositions(n, m)
+    for E in meet_semilattices(m):
+        _, _, gens = _canonical_labeling(m, E.down)
+        counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
+                  for shape, kept, _ in _classes(n, E, shapes, gens)}
+        clifford, brandt = _three_below_counts(E.down, gens)
+        assert counts.pop((1,) * m, (0, 0)) == (clifford, clifford)
+        assert counts.pop((2,) + (1,) * (m - 2), (0, 0)) == (brandt, 0)
+        assert not any(count for count, _ in counts.values())
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_three_below_counts_match_search(n):
+    _check_three_below_by_search(n)
+
+
+@pytest.mark.stretch
+def test_three_below_stretch_order_10():
+    _check_three_below_by_search(10)
+
+
+def test_commutative_from_skeleton_matches_table_scan():
+    for n in range(1, 9):
+        comm = 0
+        for S in enumerate_semigroups(n):
+            scan = _commutative_by_table(S)
+            assert S.is_commutative() == scan
+            comm += scan
+        assert comm == TOTALS[n][1]
 
 
 def _check_grown_levels(top):
@@ -620,13 +717,15 @@ def test_stats_diagnostic_present():
     from isgenum.orders import semilattice_count
 
     ledger = enumerate_counts_only(5)
-    # the top semilattice row and the two rows below it, whose classes are
-    # read off Aut(E)-orbits, are filled directly, not generated by search
+    # the top semilattice row and the three rows below it, whose classes
+    # are read off Aut(E)-orbits, are filled directly, not generated by
+    # search
     row4 = ledger.cell(4, (1,) * 4)[0]
     row3 = ledger.cell(3, (1,) * 3)[0] + ledger.cell(3, (2, 1))[0]
-    assert (row3, row4) == (14, 16)
+    row2 = ledger.cell(2, (1,) * 2)[0] + ledger.cell(2, (2,))[0]
+    assert (row2, row3, row4) == (6, 14, 16)
     assert ledger.generated >= (
-        TOTALS[5][0] - semilattice_count(5) - row4 - row3)
+        TOTALS[5][0] - semilattice_count(5) - row4 - row3 - row2)
     assert 0 < ledger.immediate <= ledger.generated
     assert ledger.iso_tests >= 0
 

@@ -25,7 +25,7 @@ points, and each semilattice of order n it owns under canonical
 augmentation is one class.  Every other E goes through `_classes`.
 
 Below order n - 1, a counts-mode task also returns the semilattices E owns
-(`parent_counts`), which are the next pass's tasks, so counts mode grows
+(`owned_children`), which are the next pass's tasks, so counts mode grows
 its levels as it goes; full mode maps over `semilattice_level`, whose
 canonical labels its tables follow.  `run_enumeration` makes one pass per
 order m = 1, 2, ..., serially or on one process pool, and merges results
@@ -60,7 +60,7 @@ from .orders import (
     _point_orbits,
     format_cover_line,
     meet_semilattices,
-    parent_counts,
+    owned_children,
     semilattice_level,
 )
 from .shapes import (
@@ -275,7 +275,7 @@ def _semilattice_cells(n, shapes, collect, down):
         tables = [(MeetSemilattice(down).meet, n)] if collect else None
         return [(n, ones, 1, 1, lattice, tables, no_search)], []
     _, _, gens = _canonical_labeling(m, down)
-    children = [] if collect else parent_counts(down, gens)
+    children = [] if collect else owned_children(down, gens)
     if not collect and m == n - 1:
         # one point carries C2, and two choices of it are isomorphic iff an
         # automorphism of E swaps them.  Each semilattice of order n has one

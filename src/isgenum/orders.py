@@ -17,11 +17,12 @@ first of each form over the parents in order is kept, which gives the same
 level, order and labels for every mapper.
 
 The canonical search also yields automorphism generators, from which
-`parent_counts` finds the children a semilattice owns under canonical
+`owned_children` finds the children a semilattice owns under canonical
 augmentation, in its labels with the new element last: over level m, one
-per class of order m + 1, with no canonical form.  The engine closes its
-skeletons, and finds the point and pair orbits of a semilattice, under the
-same generators with `_orbit_roots`.
+per class of order m + 1.  An invariant key of the maximal elements and
+swaps of twins settle most ownership ties, so few children are labeled.
+The engine closes its skeletons, and finds the point and pair orbits of a
+semilattice, under the same generators with `_orbit_roots`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
 directly, and `colored_isomorphisms` searches the automorphisms of one
@@ -35,7 +36,7 @@ __all__ = [
     "MeetSemilattice",
     "meet_semilattices",
     "semilattice_level",
-    "parent_counts",
+    "owned_children",
     "down_levels",
     "colored_isomorphisms",
     "format_cover_line",
@@ -416,7 +417,19 @@ def _children(pdown):
     ))
 
 
-def parent_counts(pdown, gens):
+def _image_tables(n, g):
+    """Two tables that map an n-bit mask through the permutation g: the
+    image of D is low[D & (1 << h) - 1] | high[D >> h], h = n // 2."""
+    tables = []
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        t = [0]
+        for x in range(lo, hi):  # t[i] is the image of the mask i << lo
+            t += [image | 1 << g[x] for image in t]
+        tables.append(t)
+    return tables
+
+
+def owned_children(pdown, gens):
     """The one-point extensions of the semilattice P that P owns, given
     generators of Aut(P): each is `pdown` plus the new maximal element's
     down-set, a linear extension again.
@@ -424,25 +437,39 @@ def parent_counts(pdown, gens):
     Ownership is McKay's canonical augmentation ("Isomorph-free exhaustive
     generation", 1998): P extends by one ideal per Aut(P)-orbit, and owns
     the child iff its new element shares an Aut(child)-orbit with the
-    canonical deletion element: of the maximal elements with the largest
-    down-set, the one labeled last.  Only ties need the child's labeling.
+    canonical deletion element.  A maximal element x is keyed by
+    (|down x|, the sorted down-set sizes of the y <= x), which no
+    automorphism changes; the deletion element is the candidate, a maximal
+    element of largest key, labeled last.  An old element's key is the same
+    in P and in the child.  The child is rejected if a rival has a larger
+    key than the new element, and kept if every rival of equal key is its
+    twin (equal strict down-sets; both are maximal, so swapping them is an
+    automorphism).  Only a tie with a non-twin needs the child's labeling.
     """
     n = len(pdown)
     up = Poset(pdown).up
     ideals = _extension_ideals(n, pdown, up)
-    roots = _orbit_roots(
-        ideals, lambda D: [sum(1 << g[x] for x in _bits(D)) for g in gens])
-    tops = [(x, pdown[x].bit_count()) for x in range(n) if up[x] == 1 << x]
+    if gens:
+        h, low = n // 2, (1 << n // 2) - 1
+        tables = [_image_tables(n, g) for g in gens]
+        roots = _orbit_roots(ideals, lambda D: [
+            lo[D & low] | hi[D >> h] for lo, hi in tables])
+    else:
+        roots = range(len(ideals))
+    size = [d.bit_count() for d in pdown]
+    tops = [(x, (size[x], sorted(size[y] for y in _bits(pdown[x]))))
+            for x in range(n) if up[x] == 1 << x]
     children = []
     for i, D in enumerate(ideals):
         if roots[i] != i:
             continue
         height = D.bit_count() + 1  # the new element's down-set size
-        rivals = [(x, h) for x, h in tops if not D >> x & 1 and h >= height]
-        if any(h > height for _, h in rivals):
+        key = (height, sorted(size[y] for y in _bits(D)) + [height])
+        rivals = [(x, k) for x, k in tops if not D >> x & 1 and k >= key]
+        if any(k > key for _, k in rivals):
             continue
         child = pdown + (D | 1 << n,)
-        if rivals:
+        if any(pdown[x] ^ 1 << x != D for x, _ in rivals):
             _, labels, cgens = _canonical_labeling(n + 1, child)
             orbit = _point_orbits(n + 1, cgens)
             last = max([n] + [x for x, _ in rivals], key=labels.index)

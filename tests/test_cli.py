@@ -125,7 +125,7 @@ def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
         raise AssertionError("semilattice levels built beyond the catalog")
 
     monkeypatch.setattr(engine, "semilattice_level", no_levels)
-    monkeypatch.setattr(engine, "parent_counts", no_levels)
+    monkeypatch.setattr(engine, "owned_children", no_levels)
     for argv in (["count", "--order", "16"],
                  ["enumerate", "--order", "16", "--out", str(tmp_path / "x")]):
         start = time.perf_counter()

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from isgenum import gposets, orders
+from isgenum import engine, gposets, orders
 from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
@@ -592,6 +592,23 @@ def _check_grown_levels(top):
 
 def test_augmentation_counts_levels():
     _check_grown_levels(8)
+
+
+def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
+    # 1377 for the pass tasks (one per semilattice of order 1..8) and 487
+    # for the children whose ownership neither the deletion key nor a twin
+    # rival settles, 375 of them of order 9
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _canonical_labeling(*args)
+
+    monkeypatch.setattr(orders, "_canonical_labeling", counted)
+    monkeypatch.setattr(engine, "_canonical_labeling", counted)
+    assert enumerate_counts_only(9).totals() == TOTALS[9]
+    assert len(calls) == 1864
+    assert calls.count(9) == 375
 
 
 @pytest.mark.stretch

@@ -327,6 +327,47 @@ def test_point_orbit_sums():
 
 
 # ---------------------------------------------------------------------------
+# canonical augmentation
+
+
+def test_image_tables_map_every_extension_ideal():
+    for m in range(1, 8):
+        for E in meet_semilattices(m):
+            _, _, gens = orders._canonical_labeling(m, E.down)
+            ideals = orders._extension_ideals(m, E.down, E.up)
+            for g in gens:
+                low, high = orders._image_tables(m, g)
+                h = m // 2
+                for D in ideals:
+                    assert low[D & (1 << h) - 1] | high[D >> h] == sum(
+                        1 << g[x] for x in orders._bits(D))
+
+
+def test_rigid_semilattices_own_pairwise_distinct_children():
+    rigid = 0
+    for m in range(1, 8):
+        for down in semilattice_level(m):
+            if orders._canonical_labeling(m, down)[2]:
+                continue
+            rigid += 1
+            forms = [orders._canonical_form(m + 1, child)
+                     for child in orders.owned_children(down, [])]
+            assert len(set(forms)) == len(forms)
+    assert rigid == 109  # 1, 1, 1, 2, 5, 18 and 81 of orders 1..7
+
+
+def test_twin_rival_keeps_the_child_unlabeled(monkeypatch):
+    # the chain 0 < 1 extended below 1: the new element and 1 have equal
+    # keys and are twins, so the child (a vee) is kept with no labeling
+    def no_labeling(*args):
+        raise AssertionError("child labeled")
+
+    monkeypatch.setattr(orders, "_canonical_labeling", no_labeling)
+    assert orders.owned_children((0b01, 0b11), []) == [
+        (0b001, 0b011, 0b101), (0b001, 0b011, 0b111)]
+
+
+# ---------------------------------------------------------------------------
 # cover-relation file format
 
 

@@ -335,9 +335,9 @@ def test_image_tables_map_every_extension_ideal():
         for E in meet_semilattices(m):
             _, _, gens = orders._canonical_labeling(m, E.down)
             ideals = orders._extension_ideals(m, E.down, E.up)
+            h = m // 2
             for g in gens:
                 low, high = orders._image_tables(m, g)
-                h = m // 2
                 for D in ideals:
                     assert low[D & (1 << h) - 1] | high[D >> h] == sum(
                         1 << g[x] for x in orders._bits(D))

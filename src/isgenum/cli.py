@@ -27,6 +27,7 @@ from .engine import (
 )
 from .groups import MAX_CATALOG_ORDER, catalog
 from .orders import parse_cover_line
+from .shapes import is_d_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -169,7 +170,11 @@ def _cmd_fixed(args) -> int:
     pairs = sorted(zip(P, names), key=lambda bg: (-len(bg[0]), bg[0][0]))
     P = tuple(X for X, _ in pairs)
     f = tuple(by_name[t] for _, t in pairs)
-
+    # invalid input leaves no --out directory behind, and an unusable one
+    # fails before the search
+    if not is_d_partition(E, P):
+        raise ValueError("--dpartition does not satisfy the D-partition "
+                         "condition")
     os.makedirs(args.out, exist_ok=True)
     accepted = enumerate_fixed(E, P, f)
     n = sum(len(X) * len(X) * G.order for X, G in zip(P, f))

@@ -15,22 +15,17 @@ carries one skeleton to the other, so every skeleton of an orbit holds a
 member of each of the orbit's classes, and no class spans two orbits: the
 first skeletons keep the classes, and their order, of a search over all.
 
-`_semilattice_cells` is the task of every pass of `run_enumeration`: from
-one canonical labeling of E, it returns each ledger cell that E
-contributes.  An E of order n is its own class, whose table is its meet
-table.  Counts mode searches no E above order n - 4: per E of order n - 3
-or n - 2, `_three_below_counts` or `_two_below_counts` reads the row off
-Aut(E)-orbits.  Per E of order n - 1, its classes are its Aut(E)-orbits on
-points, and each semilattice of order n it owns under canonical
-augmentation is one class.  Every other E goes through `_classes`.
-
-Below order n - 1, a counts-mode task also returns the semilattices E owns
-(`owned_children`), which are the next pass's tasks, so counts mode grows
-its levels as it goes; full mode maps over `semilattice_level`, whose
-canonical labels its tables follow.  `run_enumeration` makes one pass per
-order m = 1, 2, ..., serially or on one process pool, and merges results
-in task order, so levels, ledgers and output files do not depend on the
-worker count.  `enumerate_semigroups` streams `_classes` over every E, and
+`run_enumeration` makes one map of `_semilattice_task` over one task list
+and merges the ledgers of the tasks in task order, so ledgers and output
+files do not depend on the worker count.  An E of order n is its own
+class, whose table is its meet table.  Counts mode searches no E above
+order n - 4: the parent grows the orders m < r = max(1, n - 3) by canonical
+augmentation (`owned_children`) and sends each search task the generators
+of Aut(E) it found, and each E of order r roots one subtree task
+(`_subtree_cells`), which reads the rows r to n off Aut(E)-orbits, so no
+order from r on returns to the parent.  Full mode maps over the canonical
+levels 1..n (`semilattice_level`), whose labels its tables follow.
+`enumerate_semigroups` streams `_classes` over every E, and
 `enumerate_fixed` runs `_keep_new` on one skeleton.
 
 The pipeline calls every layer through this module's own names (`esn`,
@@ -42,6 +37,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -140,6 +136,14 @@ class CountLedger:
         self.generated += generated
         self.immediate += immediate
         self.iso_tests += iso_tests
+
+    def merge(self, other):
+        """Add another ledger's cells and statistics to this one."""
+        for key, vals in other.cells.items():
+            cell = self.cells.setdefault(key, [0, 0, 0, 0, 0, 0])
+            for i, v in enumerate(vals):
+                cell[i] += v
+        self.add_stats(other.generated, other.immediate, other.iso_tests)
 
     def totals(self):
         """(inverse semigroups, commutative, monoids, commutative monoids)."""
@@ -253,49 +257,69 @@ def _classes(n, E, shapes, gens):
         yield shape, kept, stats
 
 
-def _semilattice_cells(n, shapes, collect, down):
-    """(cells, children): every ledger cell of order n that the semilattice
-    with these down-set masks contributes, and in counts mode below order
-    n - 1 the next pass's semilattices that it owns; the pass task.
+def _semilattice_task(n, collect, task):
+    """(ledger, tables) of one task: the cells of order n that the
+    semilattice E with these down-set masks contributes, and in counts mode
+    from order n - 3 on those of the semilattices in its subtree too.
 
-    `shapes` are the block-size shapes of its order with their compositions.
-    A cell is (row, shape, count, commutative count, lattice, tables,
-    stats): lattice tells whether the semilattice of the cell has a maximum,
-    tables is None unless `collect`, and stats is (generated, immediate,
-    iso_tests).
+    `task` is (down, gens): gens generate Aut(E), or are None for E to be
+    labelled here.  tables holds (table, m) per class in full mode.
     """
+    down, gens = task
     m = len(down)
-    ones = (1,) * m
+    ledger = CountLedger()
     # labels are linear extensions: E has a maximum iff down[-1] is full
     lattice = down[-1] == (1 << m) - 1
-    no_search = (0, 0, 0)
     if m == n:
         # the only inverse semigroup of order n whose idempotents exhaust it
         # is the semilattice itself
-        tables = [(MeetSemilattice(down).meet, n)] if collect else None
-        return [(n, ones, 1, 1, lattice, tables, no_search)], []
-    _, _, gens = _canonical_labeling(m, down)
-    children = [] if collect else owned_children(down, gens)
-    if not collect and m == n - 1:
-        # one point carries C2, and two choices of it are isomorphic iff an
-        # automorphism of E swaps them.  Each semilattice of order n has one
-        # owner, and is its own class of row n.
-        orbits = len(set(_point_orbits(m, gens)))
-        return [(m, ones, orbits, orbits, lattice, None, no_search)] + [
-            (n, ones + (1,), 1, 1, child[-1] == (1 << n) - 1, None, no_search)
-            for child in children], []
+        ledger.add_cell(n, (1,) * n, 1, 1, lattice)
+        return ledger, [(MeetSemilattice(down).meet, n)] if collect else []
     if not collect and m >= n - 3:
-        # Clifford classes are commutative and Brandt ones are not; at
-        # m = 1 there is no Brandt class, and add_cell skips a count of 0
-        clifford, brandt = (_two_below_counts if m == n - 2
-                            else _three_below_counts)(down, gens)
-        return [(m, ones, clifford, clifford, lattice, None, no_search),
-                (m, (2,) + ones[2:], brandt, 0, lattice, None, no_search)
-                ], children
-    E = MeetSemilattice(down)
-    return [(m, shape, len(kept), sum(S.is_commutative() for S in kept),
-             lattice, [(S.table, m) for S in kept] if collect else None, stats)
-            for shape, kept, stats in _classes(n, E, shapes, gens)], children
+        _subtree_cells(n, down, ledger)
+        return ledger, []
+    if gens is None:
+        _, _, gens = _canonical_labeling(m, down)
+    tables = []
+    for shape, kept, stats in _classes(n, MeetSemilattice(down),
+                                       _shapes_with_compositions(n, m), gens):
+        ledger.add_cell(m, shape, len(kept),
+                        sum(S.is_commutative() for S in kept), lattice)
+        ledger.add_stats(*stats)
+        if collect:
+            tables += [(S.table, m) for S in kept]
+    return ledger, tables
+
+
+def _subtree_cells(n, down, ledger):
+    """Add to the ledger the cells of the semilattice E of order m, with
+    n - 3 <= m < n and these down-set masks, and those of the semilattices
+    below order n that it owns, of those that they own, and so on, depth
+    first.  The rows of an E of order n - 3 or n - 2 come from
+    `_three_below_counts` or `_two_below_counts`.  An E of order n - 1 has
+    one class per Aut(E)-orbit on points, and each semilattice of order n
+    it owns is one class."""
+    m = len(down)
+    ones = (1,) * m
+    lattice = down[-1] == (1 << m) - 1
+    _, _, gens = _canonical_labeling(m, down)
+    children = owned_children(down, gens)
+    if m == n - 1:
+        # one point carries C2, and two choices of it are isomorphic iff an
+        # automorphism of E swaps them
+        orbits = len(set(_point_orbits(m, gens)))
+        ledger.add_cell(m, ones, orbits, orbits, lattice)
+        for child in children:
+            ledger.add_cell(n, ones + (1,), 1, 1, child[-1] == (1 << n) - 1)
+        return
+    # Clifford classes are commutative and Brandt ones are not; at m = 1
+    # there is no Brandt class, and add_cell skips a count of 0
+    clifford, brandt = (_two_below_counts if m == n - 2
+                        else _three_below_counts)(down, gens)
+    ledger.add_cell(m, ones, clifford, clifford, lattice)
+    ledger.add_cell(m, (2,) + ones[2:], brandt, 0, lattice)
+    for child in children:
+        _subtree_cells(n, child, ledger)
 
 
 def _orbit_count(items, gens, image):
@@ -374,55 +398,62 @@ def _three_below_counts(down, gens):
 
 
 def run_enumeration(config: EnumerationConfig) -> RunResult:
-    """Run a full or counts-only enumeration per the config."""
+    """Run a full or counts-only enumeration per the config, as one map of
+    `_semilattice_task` over tasks in order of their semilattice's order."""
     n = config.order
     collect = config.mode == "full"
-    ledger = CountLedger()
-    result = RunResult(order=n, ledger=ledger)
-    # a terminal gets every update, each over the last; a log one line per level
+    result = RunResult(order=n, ledger=CountLedger())
+    # a terminal gets every update, each over the last; a log one line per order
     tty = config.progress and sys.stderr.isatty()
     lead = "\r" if tty else ""
-    # counts mode reads rows n - 1 and n off level n - 1, which needs n > 1;
-    # full mode reads row n off level n
-    top = n if collect or n == 1 else n - 1
 
     pool = None
     mapper = map
     if config.threads > 1:
         pool = ProcessPoolExecutor(max_workers=config.threads)
-        mapper = partial(pool.map, chunksize=8)
 
-    def mapped(fn, tasks, m):
-        """mapper(fn, tasks), reporting progress over the semilattices of m."""
-        start = perf_counter()
-        for i, out in enumerate(mapper(fn, tasks), 1):
-            yield out
-            if config.progress and (tty or i == len(tasks)):
-                rate = i / max(perf_counter() - start, 1e-9)
-                print(
-                    f"{lead}m={m}: {i}/{len(tasks)} semilattices, "
-                    f"{rate:.1f}/s, ETA {(len(tasks) - i) / rate:.0f}s",
-                    end="", flush=True, file=sys.stderr,
-                )
-        if config.progress:
-            print(file=sys.stderr)
+        def mapper(fn, tasks):
+            return pool.map(fn, tasks, chunksize=1 + len(tasks) // (
+                64 * config.threads))
 
     try:
-        if collect:  # the canonical levels, on the pool if there is one
-            semilattice_level(top, mapper)
-        grown = [(1,)]
-        for m in range(1, top + 1):
-            level = semilattice_level(m) if collect else grown
-            task = partial(_semilattice_cells, n,
-                           _shapes_with_compositions(n, m), collect)
-            grown = []
-            for cells, children in mapped(task, level, m):
-                grown.extend(children)
-                for row, shape, count, comm, lattice, tables, stats in cells:
-                    ledger.add_cell(row, shape, count, comm, lattice)
-                    ledger.add_stats(*stats)
-                    if collect:
-                        result.tables.extend(tables)
+        if collect:  # the canonical levels, built on the pool if there is one
+            tasks = [(down, None) for m in range(1, n + 1)
+                     for down in semilattice_level(m, mapper)]
+        else:
+            # the orders below r grow here by canonical augmentation, and
+            # their tasks take the generators that this labelling finds
+            tasks, level = [], [(1,)]
+            for m in range(1, max(1, n - 3)):
+                grown = []
+                for down in level:
+                    _, _, gens = _canonical_labeling(m, down)
+                    tasks.append((down, gens))
+                    grown += owned_children(down, gens)
+                level = grown
+            tasks += [(down, None) for down in level]
+        sizes = Counter(len(down) for down, _ in tasks)
+        m = done = 0
+        start = perf_counter()
+        for (down, _), (part, tables) in zip(
+                tasks, mapper(partial(_semilattice_task, n, collect), tasks)):
+            result.ledger.merge(part)
+            result.tables += tables
+            if not config.progress:
+                continue
+            if len(down) != m:
+                m, done = len(down), 0
+            done += 1
+            if tty or done == sizes[m]:
+                rate = done / max(perf_counter() - start, 1e-9)
+                print(
+                    f"{lead}m={m}: {done}/{sizes[m]} semilattices, "
+                    f"{rate:.1f}/s, ETA {(sizes[m] - done) / rate:.0f}s",
+                    end="", flush=True, file=sys.stderr,
+                )
+            if done == sizes[m]:
+                print(file=sys.stderr)
+                start = perf_counter()
     finally:
         if pool is not None:
             pool.shutdown()
@@ -432,7 +463,8 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
     """Count ledger for order n; searches the rows of at most n - 4
-    idempotents, building candidates' tables but keeping none."""
+    idempotents, building candidates' tables but keeping none, and reads the
+    rows n - 3 to n off the Aut(E)-orbits of the subtree tasks."""
     cfg = EnumerationConfig(order=n, mode="counts", threads=threads,
                             progress=progress)
     return run_enumeration(cfg).ledger

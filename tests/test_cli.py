@@ -118,6 +118,17 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_invalid_fixed_input_leaves_no_out_dir(tmp_path, capsys):
+    # {0, 1} is no D-class of the vee: 0 < 1 inside one block
+    sl = tmp_path / "s.txt"
+    sl.write_text("3:0<1,0<2\n")
+    out = tmp_path / "D"
+    assert main(["fixed", "--semilattice", f"{sl}:1", "--dpartition", "0,1|2",
+                 "--groups", "C1,C1", "--out", str(out)]) == 2
+    assert "D-partition condition" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
     # rejected with the config, before any semilattice level is built:
     # full mode's canonical levels or counts mode's owned children

@@ -8,7 +8,6 @@ from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
     _classes,
-    _semilattice_cells,
     _shapes_with_compositions,
     _skeletons,
     _three_below_counts,
@@ -31,6 +30,7 @@ from isgenum.orders import (
     _canonical_form,
     colored_isomorphisms,
     meet_semilattices,
+    owned_children,
     parse_cover_line,
     semilattice_level,
 )
@@ -402,6 +402,32 @@ def test_thread_count_does_not_change_counters():
         )
 
 
+def test_thread_count_does_not_change_order_8():
+    # cells, breakdown CSV and counters, with subtree tasks in the workers
+    ledgers = [enumerate_counts_only(8, threads=k) for k in (1, 2)]
+    for ledger in ledgers:
+        assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
+            542, 382, 184
+        )
+    assert ledgers[0].cells == ledgers[1].cells
+    assert breakdown_csv(ledgers[0], 8) == breakdown_csv(ledgers[1], 8)
+
+
+def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
+    # at n = 8 the parent extends the semilattices of orders 1..4; each of
+    # order r = 5 roots a subtree task, whose owned children (from order 5
+    # on) a worker finds
+    calls = []
+
+    def counted(pdown, gens):
+        calls.append(len(pdown))
+        return owned_children(pdown, gens)
+
+    monkeypatch.setattr(engine, "owned_children", counted)
+    assert enumerate_counts_only(8, threads=2).totals() == TOTALS[8]
+    assert sorted(set(calls)) == [1, 2, 3, 4]
+
+
 def test_count_and_enumerate_ledgers_agree():
     # full mode also searches rows n - 3, n - 2 and n - 1, which counts mode
     # reads off the Aut(E)-orbits, so the counters differ by exactly that
@@ -569,13 +595,12 @@ def test_commutative_from_skeleton_matches_table_scan():
 
 
 def _check_grown_levels(top):
-    """Levels 2..top as the passes of counts mode collect them, against the
-    canonical levels.  A count of order k + 2 reads the rows of each
-    semilattice of order k off its orbits, so that pass collects the
-    children without a search."""
+    """Levels 2..top as counts mode grows them, in the parent below order
+    n - 3 and in the subtree tasks from there on, against the canonical
+    levels."""
     parents = [(1,)]
     for m in range(2, top + 1):
-        owned = [_semilattice_cells(m + 1, (), False, pdown)[1]
+        owned = [owned_children(pdown, _canonical_labeling(m - 1, pdown)[2])
                  for pdown in parents]
         level = [child for children in owned for child in children]
         assert len(level) == SEMILATTICES[m]
@@ -595,7 +620,8 @@ def test_augmentation_counts_levels():
 
 
 def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
-    # 1377 for the pass tasks (one per semilattice of order 1..8) and 487
+    # 1377 for the tasks (one per semilattice of order 1..8: the parent
+    # labels orders 1..5, the subtree tasks orders 6..8) and 487
     # for the children whose ownership neither the deletion key nor a twin
     # rival settles, 375 of them of order 9
     calls = []
@@ -623,13 +649,14 @@ def test_top_rows_stretch_order_9():
 
 @pytest.mark.stretch
 def test_counts_stretch_order_11():
-    # S(11) as published; about two minutes at two threads
+    # S(11) as published; 27-28 s at two threads on a 2-core host
     assert enumerate_counts_only(11, threads=2).totals() == TOTALS[11]
 
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; about nine minutes at two threads, so CI skips it
+    # S(12) as published; 217 s at two threads on a 2-core host, so CI
+    # skips it
     assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
 
 
@@ -708,16 +735,15 @@ def test_progress_reports_rate_and_eta(capsys):
     # captured stderr is not a terminal: one plain line per level
     assert "\r" not in err
     lines = [line.split("\r")[-1] for line in err.rstrip("\n").split("\n")]
-    # one line per row below n: rows 1-3 are searched, and row 4 comes from
-    # the pass over level 4 that also counts level 5
-    assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",
-                                                      "m=4"]
-    assert lines[3].startswith("m=4: 5/5 semilattices, ")
+    # one line per order of the tasks: row 1 is searched, and the one
+    # semilattice of order r = 2 roots the subtree task that fills rows 2-5
+    assert [line.split(":")[0] for line in lines] == ["m=1", "m=2"]
+    assert lines[1].startswith("m=2: 1/1 semilattices, ")
     for line in lines:
         rate, eta = line.split(", ")[1:]
         assert float(rate.removesuffix("/s")) > 0
         assert eta == "ETA 0s"
-    # full mode makes one pass per order up to n, row n included
+    # full mode has tasks of every order up to n, row n included
     run_enumeration(EnumerationConfig(order=4, mode="full", progress=True))
     lines = capsys.readouterr().err.rstrip("\n").split("\n")
     assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",

@@ -18,7 +18,6 @@ import sys
 
 from .engine import (
     EnumerationConfig,
-    RunResult,
     breakdown_csv,
     enumerate_fixed,
     run_enumeration,
@@ -27,7 +26,7 @@ from .engine import (
 )
 from .groups import MAX_CATALOG_ORDER, catalog
 from .orders import parse_cover_line
-from .shapes import is_d_partition
+from .shapes import block_order, is_d_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,10 +95,8 @@ def _check_file_folder(path):
 
 
 def _cmd_count(args) -> int:
-    cfg = EnumerationConfig(
-        order=args.order, mode="counts", threads=args.threads,
-        progress=args.progress,
-    )
+    cfg = EnumerationConfig(order=args.order, threads=args.threads,
+                            progress=args.progress)
     if args.breakdown is not None:
         _check_file_folder(args.breakdown)
     result = run_enumeration(cfg)
@@ -112,16 +109,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = EnumerationConfig(
-        order=args.order, mode="full", threads=args.threads,
-    )
+    cfg = EnumerationConfig(order=args.order, out=args.out,
+                            threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     result = run_enumeration(cfg)
-    count = write_cayley_files(result, args.out)
     with open(os.path.join(args.out, "breakdown.csv"), "w", encoding="ascii") as fh:
         fh.write(breakdown_csv(result.ledger, args.order))
     _print_summary(result.ledger, args.order)
-    print(f"files={count} out={args.out}")
+    print(f"files={result.ledger.totals()[0]} out={args.out}")
     return EXIT_OK
 
 
@@ -165,9 +160,8 @@ def _cmd_fixed(args) -> int:
         raise ValueError(f"unknown group name(s): {', '.join(missing)}")
     if len(names) != len(P):
         raise ValueError("--groups must name one group per block")
-    # the i-th group belongs to the i-th block as given; order the pairs as
-    # the basis needs them, by size descending, then least element
-    pairs = sorted(zip(P, names), key=lambda bg: (-len(bg[0]), bg[0][0]))
+    # the i-th group belongs to the i-th block; the basis sorts the blocks
+    pairs = sorted(zip(P, names), key=lambda bg: block_order(bg[0]))
     P = tuple(X for X, _ in pairs)
     f = tuple(by_name[t] for _, t in pairs)
     # invalid input leaves no --out directory behind, and an unusable one
@@ -178,12 +172,9 @@ def _cmd_fixed(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     accepted = enumerate_fixed(E, P, f)
     n = sum(len(X) * len(X) * G.order for X, G in zip(P, f))
-    result = RunResult(order=n, ledger=None,
-                       tables=[(S.table, E.size) for S in accepted])
-    count = write_cayley_files(result, args.out)
-    print(
-        f"order={n} idempotents={E.size} classes={count} out={args.out}"
-    )
+    count = write_cayley_files([(S.table, E.size) for S in accepted], n,
+                               args.out)
+    print(f"order={n} idempotents={E.size} classes={count} out={args.out}")
     return EXIT_OK
 
 

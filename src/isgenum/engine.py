@@ -15,16 +15,17 @@ carries one skeleton to the other, so every skeleton of an orbit holds a
 member of each of the orbit's classes, and no class spans two orbits: the
 first skeletons keep the classes, and their order, of a search over all.
 
-`run_enumeration` makes one map of `_semilattice_task` over one task list
-and merges the ledgers of the tasks in task order, so ledgers and output
-files do not depend on the worker count.  An E of order n is its own
+`run_enumeration` maps `_semilattice_task` over one task list and merges
+the ledgers of the tasks in task order, so ledgers and output files do not
+depend on the worker count.  An E of order n is its own
 class, whose table is its meet table.  Counts mode searches no E above
 order n - 4: the parent grows the orders m < r = max(1, n - 3) by canonical
 augmentation (`owned_children`) and sends each search task the generators
 of Aut(E) it found, and each E of order r roots one subtree task
 (`_subtree_cells`), which reads the rows r to n off Aut(E)-orbits, so no
-order from r on returns to the parent.  Full mode maps over the canonical
-levels 1..n (`semilattice_level`), whose labels its tables follow.
+order from r on returns to the parent.  Full mode maps the canonical levels
+1..n (`semilattice_level`), whose labels its tables follow, an eighth of a
+level at a time, and writes each task's tables as its result arrives.
 `enumerate_semigroups` streams `_classes` over every E, and
 `enumerate_fixed` runs `_keep_new` on one skeleton.
 
@@ -39,7 +40,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 
@@ -61,6 +62,7 @@ from .orders import (
 )
 from .shapes import (
     admissible_compositions,
+    block_order,
     d_partitions,
     group_maps,
     is_d_partition,
@@ -85,7 +87,7 @@ __all__ = [
 class EnumerationConfig:
     """Knobs for one enumeration run."""
     order: int
-    mode: str = "counts"            # "counts" or "full"
+    out: str | None = None          # a full run's directory of .tbl files
     threads: int = 1
     progress: bool = False
 
@@ -101,8 +103,6 @@ class EnumerationConfig:
         limit = max(2, os.cpu_count() or 1)
         if self.threads > limit:
             raise ValueError(f"thread count is limited to {limit} here")
-        if self.mode not in ("counts", "full"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 class CountLedger:
@@ -174,7 +174,6 @@ class CountLedger:
 class RunResult:
     order: int
     ledger: CountLedger
-    tables: list = field(default_factory=list)  # (cayley rows, #idempotents)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +194,8 @@ def _skeletons(E, comps, dparts, catalog, gens):
     automorphisms of E that `gens` generate, over every composition.
 
     An automorphism maps each block, and its group with it, and the blocks
-    are put back in `d_partitions` order, by (size descending, least
-    element); every image must be among the skeletons listed.
+    are put back in `block_order`, as `d_partitions` lists them; every
+    image must be among the skeletons listed.
     """
     skeletons = [(P, f) for C in comps for P in dparts
                  for f in group_maps(P, C, catalog)]
@@ -205,7 +204,7 @@ def _skeletons(E, comps, dparts, catalog, gens):
         for g in gens:
             moved = sorted(((tuple(sorted(g[x] for x in X)), G)
                             for X, G in zip(*skeleton)),
-                           key=lambda block: (-len(block[0]), block[0][0]))
+                           key=lambda block: block_order(block[0]))
             yield tuple(zip(*moved))  # (blocks, groups)
 
     roots = _orbit_roots(skeletons, images)
@@ -397,11 +396,17 @@ def _three_below_counts(down, gens):
 # drivers
 
 
+def _ahead(maps):
+    """Chain the iterables of `maps`, taking each before the last runs out."""
+    for last, _ in itertools.pairwise(itertools.chain(maps, [()])):
+        yield from last
+
+
 def run_enumeration(config: EnumerationConfig) -> RunResult:
-    """Run a full or counts-only enumeration per the config, as one map of
+    """Run a full or counts-only enumeration per the config, mapping
     `_semilattice_task` over tasks in order of their semilattice's order."""
     n = config.order
-    collect = config.mode == "full"
+    collect = config.out is not None
     result = RunResult(order=n, ledger=CountLedger())
     # a terminal gets every update, each over the last; a log one line per order
     tty = config.progress and sys.stderr.isatty()
@@ -417,9 +422,14 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
                 64 * config.threads))
 
     try:
-        if collect:  # the canonical levels, built on the pool if there is one
-            tasks = [(down, None) for m in range(1, n + 1)
-                     for down in semilattice_level(m, mapper)]
+        if collect:  # the canonical levels, built on the pool if any
+            os.makedirs(config.out, exist_ok=True)
+            levels = [[(down, None) for down in semilattice_level(m, mapper)]
+                      for m in range(1, n + 1)]
+            # mapped an eighth of a level at a time; a pool map submits its
+            # tasks when `_ahead` takes it, so two eighths at most are queued
+            slices = [lv[i:i + 1 + len(lv) // 8] for lv in levels
+                      for i in range(0, len(lv), 1 + len(lv) // 8)]
         else:
             # the orders below r grow here by canonical augmentation, and
             # their tasks take the generators that this labelling finds
@@ -431,14 +441,16 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
                     tasks.append((down, gens))
                     grown += owned_children(down, gens)
                 level = grown
-            tasks += [(down, None) for down in level]
+            slices = [tasks + [(down, None) for down in level]]
+        tasks = [task for piece in slices for task in piece]
         sizes = Counter(len(down) for down, _ in tasks)
-        m = done = 0
+        m = done = written = 0
         start = perf_counter()
+        fn = partial(_semilattice_task, n, collect)
         for (down, _), (part, tables) in zip(
-                tasks, mapper(partial(_semilattice_task, n, collect), tasks)):
+                tasks, _ahead(mapper(fn, piece) for piece in slices)):
             result.ledger.merge(part)
-            result.tables += tables
+            written += write_cayley_files(tables, n, config.out, written)
             if not config.progress:
                 continue
             if len(down) != m:
@@ -456,7 +468,7 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
                 start = perf_counter()
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     return result
 
 
@@ -465,8 +477,7 @@ def enumerate_counts_only(n: int, threads: int = 1,
     """Count ledger for order n; searches the rows of at most n - 4
     idempotents, building candidates' tables but keeping none, and reads the
     rows n - 3 to n off the Aut(E)-orbits of the subtree tasks."""
-    cfg = EnumerationConfig(order=n, mode="counts", threads=threads,
-                            progress=progress)
+    cfg = EnumerationConfig(order=n, threads=threads, progress=progress)
     return run_enumeration(cfg).ledger
 
 
@@ -503,24 +514,21 @@ CSV_HEADER = "n,idempotents,shape,isgs,comm_isgs,ims,comm_ims,semilattices,latti
 def breakdown_csv(ledger: CountLedger, n: int) -> str:
     lines = [CSV_HEADER]
     for (m, shape), vals in ledger.sorted_cells():
-        shape_txt = ".".join(str(p) for p in shape)
-        lines.append(
-            f"{n},{m},{shape_txt},{vals[0]},{vals[1]},{vals[2]},{vals[3]},"
-            f"{vals[4]},{vals[5]}"
-        )
+        lines.append(f"{n},{m},{'.'.join(map(str, shape))},"
+                     + ",".join(map(str, vals)))
     return "\n".join(lines) + "\n"
 
 
-def write_cayley_files(result: RunResult, out_dir: str) -> int:
-    """One text file per semigroup: `n=<size> e=<#idempotents>` then the table."""
-    os.makedirs(out_dir, exist_ok=True)
-    for seq, (table, n_idem) in enumerate(result.tables):
-        path = os.path.join(out_dir, f"isg_n{result.order}_{seq:06d}.tbl")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"n={len(table)} e={n_idem}\n")
-            for row in table:
-                fh.write(" ".join(str(v) for v in row) + "\n")
-    return len(result.tables)
+def write_cayley_files(tables, order: int, out_dir: str, first: int = 0) -> int:
+    """One file per (table, #idempotents) pair, numbered from `first`:
+    `n=<size> e=<#idempotents>`, then the table, renamed into place whole."""
+    for seq, (table, n_idem) in enumerate(tables, first):
+        path = os.path.join(out_dir, f"isg_n{order}_{seq:06d}.tbl")
+        with open(path + ".tmp", "w", encoding="ascii") as fh:
+            fh.write(f"n={len(table)} e={n_idem}\n" + "".join(
+                " ".join(map(str, row)) + "\n" for row in table))
+        os.replace(path + ".tmp", path)
+    return len(tables)
 
 
 def write_semilattice_file(m: int, path: str) -> int:

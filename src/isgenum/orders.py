@@ -408,13 +408,12 @@ def _extension_ideals(n, down, up):
 
 
 def _children(pdown):
-    """Canonical forms of the one-point extensions of one semilattice by a
-    new maximal element, in the order of their ideals, each form once."""
+    """Canonical forms of the one-point extensions of one semilattice P by a
+    new maximal element, one per Aut(P)-orbit of ideals, in ideal order."""
     n = len(pdown)
-    return list(dict.fromkeys(
-        _canonical_form(n + 1, pdown + (D | (1 << n),))
-        for D in _extension_ideals(n, pdown, Poset(pdown).up)
-    ))
+    _, _, gens = _canonical_labeling(n, pdown)
+    return [_canonical_form(n + 1, pdown + (D | (1 << n),))
+            for D in _orbit_ideals(pdown, Poset(pdown).up, gens)]
 
 
 def _image_tables(n, g):
@@ -427,6 +426,19 @@ def _image_tables(n, g):
             t += [image | 1 << g[x] for image in t]
         tables.append(t)
     return tables
+
+
+def _orbit_ideals(pdown, up, gens):
+    """P's extension ideals, the first of each orbit under `gens`, in order."""
+    n = len(pdown)
+    ideals = _extension_ideals(n, pdown, up)
+    if not gens:
+        return ideals
+    h, low = n // 2, (1 << n // 2) - 1
+    tables = [_image_tables(n, g) for g in gens]
+    roots = _orbit_roots(ideals, lambda D: [
+        lo[D & low] | hi[D >> h] for lo, hi in tables])
+    return [D for i, D in enumerate(ideals) if roots[i] == i]
 
 
 def owned_children(pdown, gens):
@@ -448,21 +460,11 @@ def owned_children(pdown, gens):
     """
     n = len(pdown)
     up = Poset(pdown).up
-    ideals = _extension_ideals(n, pdown, up)
-    if gens:
-        h, low = n // 2, (1 << n // 2) - 1
-        tables = [_image_tables(n, g) for g in gens]
-        roots = _orbit_roots(ideals, lambda D: [
-            lo[D & low] | hi[D >> h] for lo, hi in tables])
-    else:
-        roots = range(len(ideals))
     size = [d.bit_count() for d in pdown]
     tops = [(x, (size[x], sorted(size[y] for y in _bits(pdown[x]))))
             for x in range(n) if up[x] == 1 << x]
     children = []
-    for i, D in enumerate(ideals):
-        if roots[i] != i:
-            continue
+    for D in _orbit_ideals(pdown, up, gens):
         height = D.bit_count() + 1  # the new element's down-set size
         key = (height, sorted(size[y] for y in _bits(D)) + [height])
         rivals = [(x, k) for x, k in tops if not D >> x & 1 and k >= key]

@@ -14,6 +14,7 @@ from functools import lru_cache
 __all__ = [
     "partitions",
     "admissible_compositions",
+    "block_order",
     "d_partitions",
     "is_d_partition",
     "group_maps",
@@ -67,30 +68,26 @@ def admissible_compositions(n: int, shape) -> list:
     return out
 
 
-def _down_profiles(E, blocks):
-    """For each element, its count of down-set members inside every block."""
-    masks = [sum(1 << x for x in X) for X in blocks]
-    return [
-        tuple((E.down[e] & bm).bit_count() for bm in masks)
-        for e in range(E.size)
-    ]
-
-
 def is_d_partition(E, blocks) -> bool:
-    """Check the defining count condition on a set partition of E."""
-    profiles = _down_profiles(E, blocks)
-    for X in blocks:
-        first = profiles[X[0]]
-        if any(profiles[e] != first for e in X[1:]):
-            return False
-    return True
+    """Check the defining count condition on a set partition of E: the
+    elements of a block have, inside every block, equally many elements
+    below them."""
+    masks = [sum(1 << x for x in X) for X in blocks]
+    profiles = [tuple((d & mask).bit_count() for mask in masks)
+                for d in E.down]
+    return all(profiles[e] == profiles[X[0]] for X in blocks for e in X[1:])
+
+
+def block_order(block):
+    """Sort key of the block order: size descending, then least element."""
+    return -len(block), block[0]
 
 
 def d_partitions(E, shape) -> list:
     """All D-partitions of E with the given block-size shape, as ordered tuples.
 
-    Blocks are sorted by (size descending, min element ascending); each set
-    partition appears exactly once.  Elements are assigned in ascending order;
+    Blocks are sorted by `block_order`; each set partition appears exactly
+    once.  Elements are assigned in ascending order;
     a new block may be opened once per distinct remaining size, which is what
     makes equal-size blocks come out with increasing minima.
     """
@@ -108,10 +105,8 @@ def d_partitions(E, shape) -> list:
 
     def rec(e):
         if e == E.size:
-            blocks = tuple(
-                tuple(mem) for _, mem in
-                sorted(open_blocks, key=lambda b: (-b[0], b[1][0]))
-            )
+            blocks = tuple(sorted((tuple(mem) for _, mem in open_blocks),
+                                  key=block_order))
             if is_d_partition(E, blocks):
                 out.append(blocks)
             return

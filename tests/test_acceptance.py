@@ -16,7 +16,6 @@ from isgenum.engine import (
     enumerate_counts_only,
     enumerate_semigroups,
     run_enumeration,
-    write_cayley_files,
 )
 from isgenum.esn import (
     d_restriction_from_table,
@@ -190,9 +189,9 @@ def test_criterion_9_determinism(tmp_path):
     for sub in ("a", "b"):
         out = tmp_path / sub
         result = run_enumeration(
-            EnumerationConfig(order=5, mode="full", threads=1 if sub == "a" else 2)
+            EnumerationConfig(order=5, out=str(out),
+                              threads=1 if sub == "a" else 2)
         )
-        write_cayley_files(result, str(out))
         (out / "breakdown.csv").write_text(breakdown_csv(result.ledger, 5))
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())

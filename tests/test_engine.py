@@ -17,7 +17,6 @@ from isgenum.engine import (
     enumerate_fixed,
     enumerate_semigroups,
     run_enumeration,
-    write_cayley_files,
     write_semilattice_file,
 )
 from isgenum.esn import esn, validate_inverse_semigroup
@@ -387,10 +386,11 @@ def test_thread_count_does_not_change_ledger():
     assert l1.totals() == TOTALS[5]
 
 
-def test_thread_count_does_not_change_tables():
-    r1 = run_enumeration(EnumerationConfig(order=5, mode="full", threads=1))
-    r2 = run_enumeration(EnumerationConfig(order=5, mode="full", threads=2))
-    assert r1.tables == r2.tables
+def test_thread_count_does_not_change_tables(tmp_path):
+    for k in (1, 2):
+        run_enumeration(EnumerationConfig(order=5, out=str(tmp_path / str(k)),
+                                          threads=k))
+    assert _read_dir(tmp_path / "1") == _read_dir(tmp_path / "2")
 
 
 def test_thread_count_does_not_change_counters():
@@ -428,12 +428,13 @@ def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
     assert sorted(set(calls)) == [1, 2, 3, 4]
 
 
-def test_count_and_enumerate_ledgers_agree():
+def test_count_and_enumerate_ledgers_agree(tmp_path):
     # full mode also searches rows n - 3, n - 2 and n - 1, which counts mode
     # reads off the Aut(E)-orbits, so the counters differ by exactly that
     # search
     counts = enumerate_counts_only(6)
-    full = run_enumeration(EnumerationConfig(order=6, mode="full")).ledger
+    full = run_enumeration(EnumerationConfig(order=6,
+                                             out=str(tmp_path))).ledger
     assert full == counts
     gap = (0, 0, 0)
     for m in (3, 4, 5):
@@ -677,13 +678,68 @@ def test_counts_mode_builds_no_level(monkeypatch):
     assert orders._LEVELS == [((1,),)]
 
 
-def test_consumers_agree():
+def _read_dir(out):
+    """{file name: bytes} of every file in the directory out."""
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _read_tables(out):
+    """(table, #idempotents) of each `.tbl` file in out, in name order."""
+    tables = []
+    for path in sorted(out.glob("*.tbl")):
+        head, *rows = path.read_text().splitlines()
+        tables.append((tuple(tuple(map(int, row.split())) for row in rows),
+                       int(head.split(" e=")[1])))
+    return tables
+
+
+def test_consumers_agree(tmp_path):
     # streaming and full mode at either thread count emit the same tables
     for n in range(1, 7):
         streamed = [(S.table, S.E.size) for S in enumerate_semigroups(n)]
         for threads in (1, 2):
-            cfg = EnumerationConfig(order=n, mode="full", threads=threads)
-            assert run_enumeration(cfg).tables == streamed
+            out = tmp_path / f"{n}-{threads}"
+            cfg = EnumerationConfig(order=n, out=str(out), threads=threads)
+            run_enumeration(cfg)
+            assert _read_tables(out) == streamed
+
+
+def test_interrupted_run_leaves_a_prefix_of_whole_files(tmp_path,
+                                                         monkeypatch):
+    # a task of order 4 raises partway through a full run of order 5; the
+    # files written before it are the first ones of a whole run, unchanged
+    whole = tmp_path / "whole"
+    run_enumeration(EnumerationConfig(order=5, out=str(whole)))
+    task = engine._semilattice_task
+
+    def failing(n, collect, item):
+        if len(item[0]) == 4:
+            raise RuntimeError("task failed")
+        return task(n, collect, item)
+
+    monkeypatch.setattr(engine, "_semilattice_task", failing)
+    cut = tmp_path / "cut"
+    with pytest.raises(RuntimeError, match="task failed"):
+        run_enumeration(EnumerationConfig(order=5, out=str(cut)))
+    names = sorted(p.name for p in cut.iterdir())
+    assert 0 < len(names) < TOTALS[5][0]
+    assert names == [f"isg_n5_{i:06d}.tbl" for i in range(len(names))]
+    full = _read_dir(whole)
+    assert all(full[name] == (cut / name).read_bytes() for name in names)
+
+
+def test_ahead_takes_one_map_ahead():
+    # a full run's next slice is submitted as the parent starts on the last
+    # one's results, and not before: at most two slices are in flight
+    taken = []
+
+    def maps():
+        for k in range(3):
+            taken.append(k)
+            yield [k, k]
+
+    seen = [(x, len(taken)) for x in engine._ahead(maps())]
+    assert seen == [(0, 2), (0, 2), (1, 3), (1, 3), (2, 3), (2, 3)]
 
 
 def test_repeated_runs_identical():
@@ -696,8 +752,8 @@ def test_written_outputs_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     for out in (out1, out2):
-        result = run_enumeration(EnumerationConfig(order=4, mode="full"))
-        n = write_cayley_files(result, str(out))
+        run_enumeration(EnumerationConfig(order=4, out=str(out)))
+        n = len(list(out.glob("*.tbl")))
         assert n == TOTALS[4][0]
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
@@ -706,8 +762,7 @@ def test_written_outputs_byte_identical(tmp_path):
 
 
 def test_cayley_file_format(tmp_path):
-    result = run_enumeration(EnumerationConfig(order=3, mode="full"))
-    write_cayley_files(result, str(tmp_path))
+    run_enumeration(EnumerationConfig(order=3, out=str(tmp_path)))
     names = sorted(os.listdir(tmp_path))
     assert len(names) == TOTALS[3][0]
     assert names[0] == "isg_n3_000000.tbl"
@@ -729,7 +784,7 @@ def test_semilattice_file(tmp_path):
         parse_cover_line(line)
 
 
-def test_progress_reports_rate_and_eta(capsys):
+def test_progress_reports_rate_and_eta(capsys, tmp_path):
     enumerate_counts_only(5, progress=True)
     err = capsys.readouterr().err
     # captured stderr is not a terminal: one plain line per level
@@ -744,16 +799,12 @@ def test_progress_reports_rate_and_eta(capsys):
         assert float(rate.removesuffix("/s")) > 0
         assert eta == "ETA 0s"
     # full mode has tasks of every order up to n, row n included
-    run_enumeration(EnumerationConfig(order=4, mode="full", progress=True))
+    run_enumeration(EnumerationConfig(order=4, out=str(tmp_path),
+                                      progress=True))
     lines = capsys.readouterr().err.rstrip("\n").split("\n")
     assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",
                                                       "m=4"]
     assert lines[3].startswith("m=4: 5/5 semilattices, ")
-
-
-def test_counts_mode_emits_no_tables():
-    result = run_enumeration(EnumerationConfig(order=4, mode="counts"))
-    assert result.tables == []
 
 
 def test_stats_diagnostic_present():
@@ -778,5 +829,3 @@ def test_config_validation():
         EnumerationConfig(order=0)
     with pytest.raises(ValueError):
         EnumerationConfig(order=3, threads=0)
-    with pytest.raises(ValueError):
-        EnumerationConfig(order=3, mode="bogus")

@@ -17,11 +17,13 @@ first skeletons keep the classes, and their order, of a search over all.
 
 `run_enumeration` maps `_semilattice_task` over one task list and merges
 the ledgers of the tasks in task order, so ledgers and output files do not
-depend on the worker count.  An E of order n is its own
+depend on the worker count.  A task is E's tuple of down-set masks alone:
+whatever else a step needs (Aut(E), shapes, extension ideals) it derives
+from that tuple where it is used.  An E of order n is its own
 class, whose table is its meet table.  Counts mode searches no E above
 order n - 4: the parent grows the orders m < r = max(1, n - 3) by canonical
-augmentation (`owned_children`) and sends each search task the generators
-of Aut(E) it found, and each E of order r roots one subtree task
+augmentation (`owned_children`), whose labels the search tasks take, and
+each E of order r roots one subtree task
 (`_subtree_cells`), which reads the rows r to n off Aut(E)-orbits, so no
 order from r on returns to the parent.  Full mode maps the canonical levels
 1..n (`semilattice_level`), whose labels its tables follow, an eighth of a
@@ -172,7 +174,6 @@ class CountLedger:
 
 @dataclass
 class RunResult:
-    order: int
     ledger: CountLedger
 
 
@@ -242,13 +243,14 @@ def _keep_new(candidates, stats):
             yield S
 
 
-def _classes(n, E, shapes, gens):
+def _classes(n, E):
     """Yield (shape, kept, stats) per shape over E: one representative per
     class of order n with D-partitions of that shape, from one store per
     orbit representative skeleton, and that search's [generated, immediate,
-    iso_tests]; `gens` generate Aut(E)."""
+    iso_tests]."""
+    _, _, gens = _canonical_labeling(E.size, E.down)
     catalog = _groups.catalog(n)
-    for shape, comps in shapes:
+    for shape, comps in _shapes_with_compositions(n, E.size):
         stats = [0, 0, 0]
         dparts = d_partitions(E, shape)
         kept = [S for basis in _skeletons(E, comps, dparts, catalog, gens)
@@ -256,15 +258,12 @@ def _classes(n, E, shapes, gens):
         yield shape, kept, stats
 
 
-def _semilattice_task(n, collect, task):
+def _semilattice_task(n, collect, down):
     """(ledger, tables) of one task: the cells of order n that the
     semilattice E with these down-set masks contributes, and in counts mode
     from order n - 3 on those of the semilattices in its subtree too.
-
-    `task` is (down, gens): gens generate Aut(E), or are None for E to be
-    labelled here.  tables holds (table, m) per class in full mode.
+    tables holds (table, m) per class in full mode.
     """
-    down, gens = task
     m = len(down)
     ledger = CountLedger()
     # labels are linear extensions: E has a maximum iff down[-1] is full
@@ -277,11 +276,8 @@ def _semilattice_task(n, collect, task):
     if not collect and m >= n - 3:
         _subtree_cells(n, down, ledger)
         return ledger, []
-    if gens is None:
-        _, _, gens = _canonical_labeling(m, down)
     tables = []
-    for shape, kept, stats in _classes(n, MeetSemilattice(down),
-                                       _shapes_with_compositions(n, m), gens):
+    for shape, kept, stats in _classes(n, MeetSemilattice(down)):
         ledger.add_cell(m, shape, len(kept),
                         sum(S.is_commutative() for S in kept), lattice)
         ledger.add_stats(*stats)
@@ -407,7 +403,7 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     `_semilattice_task` over tasks in order of their semilattice's order."""
     n = config.order
     collect = config.out is not None
-    result = RunResult(order=n, ledger=CountLedger())
+    result = RunResult(ledger=CountLedger())
     # a terminal gets every update, each over the last; a log one line per order
     tty = config.progress and sys.stderr.isatty()
     lead = "\r" if tty else ""
@@ -424,30 +420,26 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
     try:
         if collect:  # the canonical levels, built on the pool if any
             os.makedirs(config.out, exist_ok=True)
-            levels = [[(down, None) for down in semilattice_level(m, mapper)]
-                      for m in range(1, n + 1)]
+            levels = [semilattice_level(m, mapper) for m in range(1, n + 1)]
             # mapped an eighth of a level at a time; a pool map submits its
             # tasks when `_ahead` takes it, so two eighths at most are queued
             slices = [lv[i:i + 1 + len(lv) // 8] for lv in levels
                       for i in range(0, len(lv), 1 + len(lv) // 8)]
         else:
-            # the orders below r grow here by canonical augmentation, and
-            # their tasks take the generators that this labelling finds
+            # the orders below r grow here by canonical augmentation, in the
+            # labels that the search tasks take
             tasks, level = [], [(1,)]
             for m in range(1, max(1, n - 3)):
-                grown = []
-                for down in level:
-                    _, _, gens = _canonical_labeling(m, down)
-                    tasks.append((down, gens))
-                    grown += owned_children(down, gens)
-                level = grown
-            slices = [tasks + [(down, None) for down in level]]
+                tasks += level
+                level = [child for down in level for child in owned_children(
+                    down, _canonical_labeling(m, down)[2])]
+            slices = [tasks + level]
         tasks = [task for piece in slices for task in piece]
-        sizes = Counter(len(down) for down, _ in tasks)
+        sizes = Counter(map(len, tasks))
         m = done = written = 0
         start = perf_counter()
         fn = partial(_semilattice_task, n, collect)
-        for (down, _), (part, tables) in zip(
+        for down, (part, tables) in zip(
                 tasks, _ahead(mapper(fn, piece) for piece in slices)):
             result.ledger.merge(part)
             written += write_cayley_files(tables, n, config.out, written)
@@ -486,10 +478,8 @@ def enumerate_semigroups(n: int):
     if n < 1:
         raise ValueError("order must be positive")
     for m in range(1, n + 1):
-        shapes = _shapes_with_compositions(n, m)
         for E in meet_semilattices(m):
-            _, _, gens = _canonical_labeling(m, E.down)
-            for _, kept, _ in _classes(n, E, shapes, gens):
+            for _, kept, _ in _classes(n, E):
                 yield from kept
 
 
@@ -521,9 +511,12 @@ def breakdown_csv(ledger: CountLedger, n: int) -> str:
 
 def write_cayley_files(tables, order: int, out_dir: str, first: int = 0) -> int:
     """One file per (table, #idempotents) pair, numbered from `first`:
-    `n=<size> e=<#idempotents>`, then the table, renamed into place whole."""
+    `n=<size> e=<#idempotents>`, then the table, renamed into place whole.
+    The number has 6 digits up to order 10 and one more per order above,
+    so names sort in number order up to S(12) = 9324047 classes."""
+    width = 6 + max(0, order - 10)
     for seq, (table, n_idem) in enumerate(tables, first):
-        path = os.path.join(out_dir, f"isg_n{order}_{seq:06d}.tbl")
+        path = os.path.join(out_dir, f"isg_n{order}_{seq:0{width}d}.tbl")
         with open(path + ".tmp", "w", encoding="ascii") as fh:
             fh.write(f"n={len(table)} e={n_idem}\n" + "".join(
                 " ".join(map(str, row)) + "\n" for row in table))

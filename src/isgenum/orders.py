@@ -9,8 +9,10 @@ all use "highest set bit" as "greatest element of a down-set".
 Level m+1 is generated from level m: each parent is extended by a new
 maximal element in every admissible way, and each child is reduced to its
 canonical form, which is read off its canonical key (the key lists every
-element's strict down-set in canonical labels).  The canonical search tries
-one member of each class of twins (elements with equal strict down- and
+element's strict down-set in canonical labels).  The admissible lower sets
+(`_extension_ideals`) come from one fold over the parent's down-set masks,
+one element at a time in label order.  The canonical search tries one
+member of each class of twins (elements with equal strict down- and
 up-sets), since swapping twins is an automorphism.  Parents are independent,
 so `semilattice_level(m, mapper)` can map them over a process pool; the
 first of each form over the parents in order is kept, which gives the same
@@ -377,34 +379,32 @@ def _point_orbits(n, gens):
 # isomorph-free generation
 
 
-def _extension_ideals(n, down, up):
+def _extension_ideals(down):
     """Strict down-sets usable as the lower set of a new maximal element.
 
     A candidate D must be an order ideal such that D intersected with every
     principal down-set has a greatest element; that keeps all binary meets
-    defined after the extension.  Candidates are unions of the principal
-    down-sets of an antichain, enumerated by ascending DFS.
+    defined after the extension.  The list grows one element at a time,
+    along the labels (a linear extension, so element 0 is the minimum and
+    lies in every candidate): when k joins, a candidate I stays iff
+    I & below_k has a greatest element, and I | 1 << k joins iff I contains
+    below_k, the strict down-set of k.  The candidates are then sorted by
+    their ascending maximal elements, which is the order of an ascending
+    search over the antichains that span them.
     """
-    res = []
-
-    def rec(start, dmask, incomp):
-        for x in range(start, n):
-            if (incomp >> x) & 1:
-                continue
-            nd = dmask | down[x]
-            ok = True
-            for a in range(n):
-                common = nd & down[a]
-                h = common.bit_length() - 1
-                if down[h] & common != common:
-                    ok = False
-                    break
-            if ok:
-                res.append(nd)
-            rec(x + 1, nd, incomp | down[x] | up[x])
-
-    rec(0, 0, 0)
-    return res
+    ideals = [(1, 1)]  # (candidate, its maximal elements) over labels < k
+    for k in range(1, len(down)):
+        below = down[k] ^ 1 << k
+        grown = []
+        for ideal, tops in ideals:
+            common = ideal & below
+            if down[common.bit_length() - 1] & common == common:
+                grown.append((ideal, tops))
+            if common == below:
+                grown.append((ideal | 1 << k, tops & ~below | 1 << k))
+        ideals = grown
+    ideals.sort(key=lambda item: tuple(_bits(item[1])))
+    return [ideal for ideal, _ in ideals]
 
 
 def _children(pdown):
@@ -413,7 +413,7 @@ def _children(pdown):
     n = len(pdown)
     _, _, gens = _canonical_labeling(n, pdown)
     return [_canonical_form(n + 1, pdown + (D | (1 << n),))
-            for D in _orbit_ideals(pdown, Poset(pdown).up, gens)]
+            for D in _orbit_ideals(pdown, gens)]
 
 
 def _image_tables(n, g):
@@ -428,10 +428,10 @@ def _image_tables(n, g):
     return tables
 
 
-def _orbit_ideals(pdown, up, gens):
+def _orbit_ideals(pdown, gens):
     """P's extension ideals, the first of each orbit under `gens`, in order."""
     n = len(pdown)
-    ideals = _extension_ideals(n, pdown, up)
+    ideals = _extension_ideals(pdown)
     if not gens:
         return ideals
     h, low = n // 2, (1 << n // 2) - 1
@@ -459,12 +459,14 @@ def owned_children(pdown, gens):
     automorphism).  Only a tie with a non-twin needs the child's labeling.
     """
     n = len(pdown)
-    up = Poset(pdown).up
+    covered = 0  # the elements below some other element
+    for x, d in enumerate(pdown):
+        covered |= d ^ 1 << x
     size = [d.bit_count() for d in pdown]
     tops = [(x, (size[x], sorted(size[y] for y in _bits(pdown[x]))))
-            for x in range(n) if up[x] == 1 << x]
+            for x in range(n) if not covered >> x & 1]
     children = []
-    for D in _orbit_ideals(pdown, up, gens):
+    for D in _orbit_ideals(pdown, gens):
         height = D.bit_count() + 1  # the new element's down-set size
         key = (height, sorted(size[y] for y in _bits(D)) + [height])
         rivals = [(x, k) for x, k in tops if not D >> x & 1 and k >= key]

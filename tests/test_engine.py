@@ -17,6 +17,7 @@ from isgenum.engine import (
     enumerate_fixed,
     enumerate_semigroups,
     run_enumeration,
+    write_cayley_files,
     write_semilattice_file,
 )
 from isgenum.esn import esn, validate_inverse_semigroup
@@ -438,10 +439,8 @@ def test_count_and_enumerate_ledgers_agree(tmp_path):
     assert full == counts
     gap = (0, 0, 0)
     for m in (3, 4, 5):
-        shapes = _shapes_with_compositions(6, m)
         for E in meet_semilattices(m):
-            _, _, gens = _canonical_labeling(m, E.down)
-            for *_, stats in _classes(6, E, shapes, gens):
+            for *_, stats in _classes(6, E):
                 gap = tuple(a + b for a, b in zip(gap, stats))
     assert gap == (142, 139, 3)
     assert (full.generated - counts.generated,
@@ -454,10 +453,8 @@ def _top_rows_by_search(n):
     n - 3 to n - 1 and from the masks of level n."""
     ledger = CountLedger()
     for m in range(max(n - 3, 1), n):
-        shapes = _shapes_with_compositions(n, m)
         for E in meet_semilattices(m):
-            _, _, gens = _canonical_labeling(m, E.down)
-            for shape, kept, _ in _classes(n, E, shapes, gens):
+            for shape, kept, _ in _classes(n, E):
                 comm = sum(map(_commutative_by_table, kept))
                 ledger.add_cell(m, shape, len(kept), comm, E.has_maximum())
     full = (1 << n) - 1
@@ -564,11 +561,10 @@ def _check_three_below_by_search(n):
     """`_three_below_counts` against the search, per semilattice of order
     n - 3: Clifford classes are the commutative ones, all of one shape."""
     m = n - 3
-    shapes = _shapes_with_compositions(n, m)
     for E in meet_semilattices(m):
-        _, _, gens = _canonical_labeling(m, E.down)
         counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
-                  for shape, kept, _ in _classes(n, E, shapes, gens)}
+                  for shape, kept, _ in _classes(n, E)}
+        _, _, gens = _canonical_labeling(m, E.down)
         clifford, brandt = _three_below_counts(E.down, gens)
         assert counts.pop((1,) * m, (0, 0)) == (clifford, clifford)
         assert counts.pop((2,) + (1,) * (m - 2), (0, 0)) == (brandt, 0)
@@ -621,10 +617,11 @@ def test_augmentation_counts_levels():
 
 
 def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
-    # 1377 for the tasks (one per semilattice of order 1..8: the parent
-    # labels orders 1..5, the subtree tasks orders 6..8) and 487
-    # for the children whose ownership neither the deletion key nor a twin
-    # rival settles, 375 of them of order 9
+    # 1377 for the tasks (one per semilattice of order 1..8, each labelled
+    # in its own task), 24 for the parent's growth of orders 1..5 (it labels
+    # each parent for its children, apart from its task), and 487 for the
+    # children whose ownership neither the deletion key nor a twin rival
+    # settles, 375 of them of order 9
     calls = []
 
     def counted(*args):
@@ -634,7 +631,7 @@ def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
     monkeypatch.setattr(orders, "_canonical_labeling", counted)
     monkeypatch.setattr(engine, "_canonical_labeling", counted)
     assert enumerate_counts_only(9).totals() == TOTALS[9]
-    assert len(calls) == 1864
+    assert len(calls) == 1888
     assert calls.count(9) == 375
 
 
@@ -656,8 +653,8 @@ def test_counts_stretch_order_11():
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; 217 s at two threads on a 2-core host, so CI
-    # skips it
+    # S(12) as published; 184 s at two threads on a 2-core host, so CI
+    # runs it on one Python version only
     assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
 
 
@@ -712,10 +709,10 @@ def test_interrupted_run_leaves_a_prefix_of_whole_files(tmp_path,
     run_enumeration(EnumerationConfig(order=5, out=str(whole)))
     task = engine._semilattice_task
 
-    def failing(n, collect, item):
-        if len(item[0]) == 4:
+    def failing(n, collect, down):
+        if len(down) == 4:
             raise RuntimeError("task failed")
-        return task(n, collect, item)
+        return task(n, collect, down)
 
     monkeypatch.setattr(engine, "_semilattice_task", failing)
     cut = tmp_path / "cut"
@@ -726,6 +723,17 @@ def test_interrupted_run_leaves_a_prefix_of_whole_files(tmp_path,
     assert names == [f"isg_n5_{i:06d}.tbl" for i in range(len(names))]
     full = _read_dir(whole)
     assert all(full[name] == (cut / name).read_bytes() for name in names)
+
+
+def test_file_names_sort_in_number_order(tmp_path):
+    # S(11) = 1198651 classes, so order 11 numbers past 999999; names up to
+    # order 10 keep their six digits
+    table = ((0,),)
+    write_cayley_files([(table, 1)] * 2, 11, str(tmp_path), first=999999)
+    write_cayley_files([(table, 1)], 10, str(tmp_path), first=7)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["isg_n10_000007.tbl", "isg_n11_0999999.tbl",
+                     "isg_n11_1000000.tbl"]
 
 
 def test_ahead_takes_one_map_ahead():

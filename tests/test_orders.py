@@ -334,13 +334,49 @@ def test_image_tables_map_every_extension_ideal():
     for m in range(1, 8):
         for E in meet_semilattices(m):
             _, _, gens = orders._canonical_labeling(m, E.down)
-            ideals = orders._extension_ideals(m, E.down, E.up)
+            ideals = orders._extension_ideals(E.down)
             h = m // 2
             for g in gens:
                 low, high = orders._image_tables(m, g)
                 for D in ideals:
                     assert low[D & (1 << h) - 1] | high[D >> h] == sum(
                         1 << g[x] for x in orders._bits(D))
+
+
+def _extension_ideals_by_definition(down):
+    """Every nonempty down-closed mask whose meet with each down[x] has a
+    greatest element, sorted by its ascending maximal elements."""
+    n = len(down)
+    ideals = []
+    for mask in range(1, 1 << n):
+        members = list(orders._bits(mask))
+        if any(down[x] & ~mask for x in members):
+            continue
+        if all(any(mask & down[x] & ~down[g] == 0
+                   for g in orders._bits(mask & down[x]))
+               for x in range(n)):
+            tops = [x for x in members
+                    if not any(y != x and down[y] >> x & 1 for y in members)]
+            ideals.append((tops, mask))
+    return [mask for _, mask in sorted(ideals)]
+
+
+def test_extension_ideals_match_definition():
+    # in canonical labels and in the labels that canonical augmentation
+    # grows, which are linear extensions too
+    checked = 0
+    level = [(1,)]
+    for m in range(1, 8):
+        grown = []
+        for down in level:
+            grown += orders.owned_children(
+                down, orders._canonical_labeling(m, down)[2])
+        for down in (*semilattice_level(m), *level):
+            assert orders._extension_ideals(down) == (
+                _extension_ideals_by_definition(down)), down
+            checked += 1
+        level = grown
+    assert checked == 2 * sum(SEMILATTICES[m] for m in range(1, 8))
 
 
 def test_rigid_semilattices_own_pairwise_distinct_children():

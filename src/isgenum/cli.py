@@ -18,6 +18,7 @@ import sys
 
 from .engine import (
     EnumerationConfig,
+    _write_whole,
     breakdown_csv,
     enumerate_fixed,
     run_enumeration,
@@ -102,8 +103,8 @@ def _cmd_count(args) -> int:
     result = run_enumeration(cfg)
     _print_summary(result.ledger, args.order)
     if args.breakdown is not None:
-        with open(args.breakdown, "w", encoding="ascii") as fh:
-            fh.write(breakdown_csv(result.ledger, args.order))
+        _write_whole(args.breakdown,
+                     [breakdown_csv(result.ledger, args.order)])
         print(f"breakdown={args.breakdown}")
     return EXIT_OK
 
@@ -113,8 +114,8 @@ def _cmd_enumerate(args) -> int:
                             threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     result = run_enumeration(cfg)
-    with open(os.path.join(args.out, "breakdown.csv"), "w", encoding="ascii") as fh:
-        fh.write(breakdown_csv(result.ledger, args.order))
+    _write_whole(os.path.join(args.out, "breakdown.csv"),
+                 [breakdown_csv(result.ledger, args.order)])
     _print_summary(result.ledger, args.order)
     print(f"files={result.ledger.totals()[0]} out={args.out}")
     return EXIT_OK

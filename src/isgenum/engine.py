@@ -21,9 +21,11 @@ depend on the worker count.  A task is E's tuple of down-set masks alone:
 whatever else a step needs (Aut(E), shapes, extension ideals) it derives
 from that tuple where it is used.  An E of order n is its own
 class, whose table is its meet table.  Counts mode searches no E above
-order n - 4: the parent grows the orders m < r = max(1, n - 3) by canonical
-augmentation (`owned_children`), whose labels the search tasks take, and
-each E of order r roots one subtree task
+order n - 4, and of an E of order n - 4 only the shapes with a 2-block:
+its all-points cell comes from `_four_below_clifford`.  The parent grows
+the orders m < r = max(1, n - 3) by canonical augmentation
+(`owned_children`), whose labels the search tasks take, and each E of
+order r roots one subtree task
 (`_subtree_cells`), which reads the rows r to n off Aut(E)-orbits, so no
 order from r on returns to the parent.  Full mode maps the canonical levels
 1..n (`semilattice_level`), whose labels its tables follow, an eighth of a
@@ -37,6 +39,7 @@ The pipeline calls every layer through this module's own names (`esn`,
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import sys
@@ -243,14 +246,16 @@ def _keep_new(candidates, stats):
             yield S
 
 
-def _classes(n, E):
+def _classes(n, E, gens, clifford=True):
     """Yield (shape, kept, stats) per shape over E: one representative per
     class of order n with D-partitions of that shape, from one store per
     orbit representative skeleton, and that search's [generated, immediate,
-    iso_tests]."""
-    _, _, gens = _canonical_labeling(E.size, E.down)
+    iso_tests].  `gens` generate Aut(E); the all-points shape is searched
+    only if `clifford`."""
     catalog = _groups.catalog(n)
     for shape, comps in _shapes_with_compositions(n, E.size):
+        if shape[0] == 1 and not clifford:
+            continue
         stats = [0, 0, 0]
         dparts = d_partitions(E, shape)
         kept = [S for basis in _skeletons(E, comps, dparts, catalog, gens)
@@ -276,8 +281,14 @@ def _semilattice_task(n, collect, down):
     if not collect and m >= n - 3:
         _subtree_cells(n, down, ledger)
         return ledger, []
+    gens = _canonical_labeling(m, down)[2]
+    clifford = collect or m < n - 4
+    if not clifford:
+        count = _four_below_clifford(down, gens)
+        ledger.add_cell(m, (1,) * m, count, count, lattice)
     tables = []
-    for shape, kept, stats in _classes(n, MeetSemilattice(down)):
+    for shape, kept, stats in _classes(n, MeetSemilattice(down), gens,
+                                       clifford):
         ledger.add_cell(m, shape, len(kept),
                         sum(S.is_commutative() for S in kept), lattice)
         ledger.add_stats(*stats)
@@ -388,6 +399,41 @@ def _three_below_counts(down, gens):
         *sorted((g[t[0]], g[t[1]])), g[t[2]], t[3]))
 
 
+def _four_below_clifford(down, gens):
+    """Clifford classes of order m + 4 over E, from the arguments that
+    `_two_below_counts` takes.
+
+    Four non-identity elements leave five kinds of group placement: C5 at a
+    point (one class per orbit), C2 at a 4-set (`_c2_orbits`), and three
+    kinds with one class per orbit of the items (A, B, t): C4, and again
+    C2 x C2, at e with C2 at f (A = (e,), B = (f,)); C3 at e and f
+    (A = {e, f}, B = ()); C3 at e with C2 at f and g (A = (e,),
+    B = {f, g}).  t = 1 marks a nontrivial structure map between the pair
+    (e, f), {e, f} or {f, g}, unique up to the groups' automorphisms; it
+    needs one point of the pair to cover the other, since a point between
+    has a trivial group, and no map between C3 and C2 is nontrivial.
+    """
+    E = Poset(down)
+    m, covers = E.size, set(E.covers)
+
+    def ts(x, y):
+        return range(1 + ((x, y) in covers or (y, x) in covers))
+
+    def orbits(items):
+        return _orbit_count(items, gens, lambda g, i: (
+            tuple(sorted(g[x] for x in i[0])),
+            tuple(sorted(g[x] for x in i[1])), i[2]))
+
+    pairs = list(itertools.combinations(range(m), 2))
+    return (len(set(_point_orbits(m, gens))) + _c2_orbits(E, gens, 4)
+            + 2 * orbits([((e,), (f,), t) for e, f in
+                          itertools.permutations(range(m), 2)
+                          for t in ts(e, f)])
+            + orbits([((e, f), (), t) for e, f in pairs for t in ts(e, f)])
+            + orbits([((e,), (f, g), t) for e in range(m) for f, g in pairs
+                      if e != f and e != g for t in ts(f, g)]))
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -467,8 +513,9 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
     """Count ledger for order n; searches the rows of at most n - 4
-    idempotents, building candidates' tables but keeping none, and reads the
-    rows n - 3 to n off the Aut(E)-orbits of the subtree tasks."""
+    idempotents, building candidates' tables but keeping none, except row
+    n - 4's all-points cell, which its tasks read off Aut(E)-orbits, as the
+    subtree tasks read the rows n - 3 to n."""
     cfg = EnumerationConfig(order=n, threads=threads, progress=progress)
     return run_enumeration(cfg).ledger
 
@@ -479,7 +526,8 @@ def enumerate_semigroups(n: int):
         raise ValueError("order must be positive")
     for m in range(1, n + 1):
         for E in meet_semilattices(m):
-            for _, kept, _ in _classes(n, E):
+            gens = _canonical_labeling(m, E.down)[2]
+            for _, kept, _ in _classes(n, E, gens):
                 yield from kept
 
 
@@ -516,19 +564,30 @@ def write_cayley_files(tables, order: int, out_dir: str, first: int = 0) -> int:
     so names sort in number order up to S(12) = 9324047 classes."""
     width = 6 + max(0, order - 10)
     for seq, (table, n_idem) in enumerate(tables, first):
-        path = os.path.join(out_dir, f"isg_n{order}_{seq:0{width}d}.tbl")
-        with open(path + ".tmp", "w", encoding="ascii") as fh:
-            fh.write(f"n={len(table)} e={n_idem}\n" + "".join(
-                " ".join(map(str, row)) + "\n" for row in table))
-        os.replace(path + ".tmp", path)
+        _write_whole(
+            os.path.join(out_dir, f"isg_n{order}_{seq:0{width}d}.tbl"),
+            [f"n={len(table)} e={n_idem}\n"]
+            + [" ".join(map(str, row)) + "\n" for row in table])
     return len(tables)
 
 
 def write_semilattice_file(m: int, path: str) -> int:
     """Cover-relation lines for every semilattice of order m."""
-    # build the level first, so a bad m leaves an existing file untouched
     level = semilattice_level(m)
-    with open(path, "w", encoding="ascii") as fh:
-        for down in level:
-            fh.write(format_cover_line(MeetSemilattice(down)) + "\n")
+    _write_whole(path, (format_cover_line(MeetSemilattice(down)) + "\n"
+                        for down in level))
     return len(level)
+
+
+def _write_whole(path, chunks):
+    """Write the strings of `chunks` to `path` under a temporary name and
+    rename it into place, so a write that fails or is cut leaves the old
+    file, or none, at `path`."""
+    try:
+        with open(path + ".tmp", "w", encoding="ascii") as fh:
+            fh.writelines(chunks)
+        os.replace(path + ".tmp", path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path + ".tmp")
+        raise

@@ -8,6 +8,7 @@ from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
     _classes,
+    _four_below_clifford,
     _shapes_with_compositions,
     _skeletons,
     _three_below_counts,
@@ -121,6 +122,11 @@ def _raw_generated(n):
                             for order in g_posets(basis):
                                 out.append(esn(basis, order))
     return out
+
+
+def _search(n, E):
+    """`_classes` over every shape, with generators of Aut(E)."""
+    return _classes(n, E, _canonical_labeling(E.size, E.down)[2])
 
 
 def _commutative_by_table(S):
@@ -399,7 +405,7 @@ def test_thread_count_does_not_change_counters():
     for threads in (1, 2):
         ledger = enumerate_counts_only(7, threads=threads)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            80, 64, 16
+            14, 13, 1
         )
 
 
@@ -408,7 +414,7 @@ def test_thread_count_does_not_change_order_8():
     ledgers = [enumerate_counts_only(8, threads=k) for k in (1, 2)]
     for ledger in ledgers:
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            542, 382, 184
+            209, 128, 94
         )
     assert ledgers[0].cells == ledgers[1].cells
     assert breakdown_csv(ledgers[0], 8) == breakdown_csv(ledgers[1], 8)
@@ -430,33 +436,42 @@ def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
 
 
 def test_count_and_enumerate_ledgers_agree(tmp_path):
-    # full mode also searches rows n - 3, n - 2 and n - 1, which counts mode
-    # reads off the Aut(E)-orbits, so the counters differ by exactly that
-    # search
+    # full mode also searches rows n - 3, n - 2 and n - 1, and the Clifford
+    # cell of row n - 4, which counts mode reads off the Aut(E)-orbits, so
+    # the counters differ by exactly that search
     counts = enumerate_counts_only(6)
     full = run_enumeration(EnumerationConfig(order=6,
                                              out=str(tmp_path))).ledger
     assert full == counts
     gap = (0, 0, 0)
-    for m in (3, 4, 5):
+    for m in (2, 3, 4, 5):
         for E in meet_semilattices(m):
-            for *_, stats in _classes(6, E):
-                gap = tuple(a + b for a, b in zip(gap, stats))
-    assert gap == (142, 139, 3)
+            for shape, _, stats in _search(6, E):
+                if m > 2 or shape == (1, 1):
+                    gap = tuple(a + b for a, b in zip(gap, stats))
+    assert gap == (159, 151, 8)
     assert (full.generated - counts.generated,
             full.immediate - counts.immediate,
             full.iso_tests - counts.iso_tests) == gap
 
 
+def _read_off_orbits(n, m, shape):
+    """Whether counts mode fills the cell (m, shape) of order n from
+    Aut(E)-orbits: rows n - 3 to n, and row n - 4's all-points cell."""
+    return m > n - 4 or m == n - 4 and shape == (1,) * m
+
+
 def _top_rows_by_search(n):
-    """Rows n - 3 to n as full mode fills them: by the search over levels
-    n - 3 to n - 1 and from the masks of level n."""
+    """The cells of `_read_off_orbits` as full mode fills them: by the search
+    over levels n - 4 to n - 1 and from the masks of level n."""
     ledger = CountLedger()
-    for m in range(max(n - 3, 1), n):
+    for m in range(max(n - 4, 1), n):
         for E in meet_semilattices(m):
-            for shape, kept, _ in _classes(n, E):
-                comm = sum(map(_commutative_by_table, kept))
-                ledger.add_cell(m, shape, len(kept), comm, E.has_maximum())
+            for shape, kept, _ in _search(n, E):
+                if _read_off_orbits(n, m, shape):
+                    comm = sum(map(_commutative_by_table, kept))
+                    ledger.add_cell(m, shape, len(kept), comm,
+                                    E.has_maximum())
     full = (1 << n) - 1
     for down in semilattice_level(n):
         ledger.add_cell(n, (1,) * n, 1, 1, down[-1] == full)
@@ -466,13 +481,15 @@ def _top_rows_by_search(n):
 def _check_top_rows(n):
     searched = _top_rows_by_search(n)
     # m = n - 1 admits only singleton D-classes, and m = n - 2 and n - 3
-    # besides them only one 2-block over C1
+    # besides them only one 2-block over C1; of row n - 4 only the
+    # all-points cell is read off orbits
     assert set(searched.cells) <= {
-        (m, (1,) * m) for m in range(n - 3, n + 1)} | {
+        (m, (1,) * m) for m in range(n - 4, n + 1)} | {
         (n - 2, (2,) + (1,) * (n - 4)), (n - 3, (2,) + (1,) * (n - 5))}
     for threads in (1, 2):
         ledger = enumerate_counts_only(n, threads=threads)
-        top = {k: v for k, v in ledger.cells.items() if k[0] >= n - 3}
+        top = {k: v for k, v in ledger.cells.items()
+               if _read_off_orbits(n, *k)}
         assert top == searched.cells
 
 
@@ -563,7 +580,7 @@ def _check_three_below_by_search(n):
     m = n - 3
     for E in meet_semilattices(m):
         counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
-                  for shape, kept, _ in _classes(n, E)}
+                  for shape, kept, _ in _search(n, E)}
         _, _, gens = _canonical_labeling(m, E.down)
         clifford, brandt = _three_below_counts(E.down, gens)
         assert counts.pop((1,) * m, (0, 0)) == (clifford, clifford)
@@ -579,6 +596,112 @@ def test_three_below_counts_match_search(n):
 @pytest.mark.stretch
 def test_three_below_stretch_order_10():
     _check_three_below_by_search(10)
+
+
+def _check_four_below_by_search(n):
+    """`_four_below_clifford` against the search's all-points cell, per
+    semilattice of order n - 4: every class in it is commutative."""
+    m = n - 4
+    for E in meet_semilattices(m):
+        counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
+                  for shape, kept, _ in _search(n, E)}
+        _, _, gens = _canonical_labeling(m, E.down)
+        clifford = _four_below_clifford(E.down, gens)
+        assert counts[(1,) * m] == (clifford, clifford)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_four_below_clifford_matches_search(n):
+    _check_four_below_by_search(n)
+
+
+@pytest.mark.stretch
+def test_four_below_clifford_stretch_order_10():
+    _check_four_below_by_search(10)
+
+
+def _cyclic(k):
+    return tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
+
+
+# every group with at most four non-identity elements, as a Cayley table
+# with identity 0: C1, C2, C3, C4, C2 x C2 and C5
+_SMALL_GROUPS = (*map(_cyclic, range(1, 5)),
+                 tuple(tuple(a ^ b for b in range(4)) for a in range(4)),
+                 _cyclic(5))
+
+
+def _homs(G, H):
+    """Every homomorphism G -> H, as the tuple of the images of G."""
+    return [f for f in itertools.product(range(len(H)), repeat=len(G))
+            if all(f[G[x][y]] == H[f[x]][f[y]]
+                   for x in range(len(G)) for y in range(len(G)))]
+
+
+_HOMS = {(i, j): _homs(G, H) for i, G in enumerate(_SMALL_GROUPS)
+         for j, H in enumerate(_SMALL_GROUPS)}
+_AUTS = [[f for f in _HOMS[i, i] if len(set(f)) == len(G)]
+         for i, G in enumerate(_SMALL_GROUPS)]
+
+
+def _placements(m, left=4):
+    """Every tuple of m indices into _SMALL_GROUPS whose groups have `left`
+    non-identity elements in all."""
+    if m == 0:
+        return [()] if left == 0 else []
+    return [(i,) + rest for i, G in enumerate(_SMALL_GROUPS)
+            if len(G) - 1 <= left
+            for rest in _placements(m - 1, left - len(G) + 1)]
+
+
+def _four_below_by_listed_automorphisms(E):
+    """Clifford classes of order |E| + 4 over E: every placement of groups
+    with four non-identity elements in all, and every family of structure
+    maps phi(a, b): G_a -> G_b for b < a with phi(a, b) = phi(d, b) phi(a, d)
+    over all triples b < d < a, up to every automorphism of E, listed, and
+    the groups' own automorphisms."""
+    m = E.size
+    ones = (0,) * m
+    auts = list(colored_isomorphisms(E, ones, ones))
+    strict = [(b, a) for b, a in itertools.permutations(range(m), 2)
+              if E.leq(b, a)]
+    classes, seen = 0, set()
+    for place in _placements(m):
+        for maps in itertools.product(*(_HOMS[place[a], place[b]]
+                                        for b, a in strict)):
+            phi = dict(zip(strict, maps))
+            if not all(phi[b, a] == tuple(phi[b, d][y] for y in phi[d, a])
+                       for b, a in strict for d in range(m)
+                       if (b, d) in phi and (d, a) in phi):
+                continue
+            # a map to or from C1 is trivial, so the others determine phi
+            phi = {(b, a): f for (b, a), f in phi.items()
+                   if place[b] and place[a]}
+            if (place, tuple(sorted(phi.items()))) in seen:
+                continue
+            classes += 1
+            for p in auts:
+                for alpha in itertools.product(*(_AUTS[i] for i in place)):
+                    # phi(a, b) moves to alpha_b phi(a, b) alpha_a^-1 at
+                    # (p[b], p[a]), and G_x to p[x]
+                    moved = []
+                    for (b, a), f in phi.items():
+                        g = [0] * len(f)
+                        for x, y in enumerate(f):
+                            g[alpha[a][x]] = alpha[b][y]
+                        moved.append(((p[b], p[a]), tuple(g)))
+                    where = sorted(zip(p, place))
+                    seen.add((tuple(i for _, i in where),
+                              tuple(sorted(moved))))
+    return classes
+
+
+def test_four_below_clifford_matches_listed_automorphisms():
+    for m in range(1, 7):
+        for E in meet_semilattices(m):
+            _, _, gens = _canonical_labeling(m, E.down)
+            assert _four_below_clifford(E.down, gens) == (
+                _four_below_by_listed_automorphisms(E))
 
 
 def test_commutative_from_skeleton_matches_table_scan():
@@ -647,13 +770,13 @@ def test_top_rows_stretch_order_9():
 
 @pytest.mark.stretch
 def test_counts_stretch_order_11():
-    # S(11) as published; 27-28 s at two threads on a 2-core host
+    # S(11) as published; 14 s at two threads on a 2-core host
     assert enumerate_counts_only(11, threads=2).totals() == TOTALS[11]
 
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; 184 s at two threads on a 2-core host, so CI
+    # S(12) as published; 121 s at two threads on a 2-core host, so CI
     # runs it on one Python version only
     assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
 
@@ -792,6 +915,40 @@ def test_semilattice_file(tmp_path):
         parse_cover_line(line)
 
 
+@pytest.mark.parametrize("name, write", [
+    ("sl.txt", lambda out: write_semilattice_file(5, str(out / "sl.txt"))),
+    ("isg_n1_000000.tbl",
+     lambda out: write_cayley_files([(((0,),), 1)], 1, str(out))),
+])
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, name,
+                                             write):
+    # the write raises after its first string: the file written before is
+    # intact, and no temporary file is left behind
+    (tmp_path / name).write_text("earlier\n")
+
+    class Cut:
+        def __init__(self, path, mode, encoding):
+            self.fh = open(path, mode, encoding=encoding)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            for k, chunk in enumerate(chunks):
+                if k == 1:
+                    raise OSError("disk full")
+                self.fh.write(chunk)
+
+    monkeypatch.setattr(engine, "open", Cut, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text() == "earlier\n"
+
+
 def test_progress_reports_rate_and_eta(capsys, tmp_path):
     enumerate_counts_only(5, progress=True)
     err = capsys.readouterr().err
@@ -819,15 +976,19 @@ def test_stats_diagnostic_present():
     from isgenum.orders import semilattice_count
 
     ledger = enumerate_counts_only(5)
-    # the top semilattice row and the three rows below it, whose classes
-    # are read off Aut(E)-orbits, are filled directly, not generated by
-    # search
+    # the top semilattice row, the three rows below it and row 1's one
+    # all-points cell (C5) are read off Aut(E)-orbits, so nothing of order
+    # 5 is generated by search
     row4 = ledger.cell(4, (1,) * 4)[0]
     row3 = ledger.cell(3, (1,) * 3)[0] + ledger.cell(3, (2, 1))[0]
     row2 = ledger.cell(2, (1,) * 2)[0] + ledger.cell(2, (2,))[0]
-    assert (row2, row3, row4) == (6, 14, 16)
-    assert ledger.generated >= (
-        TOTALS[5][0] - semilattice_count(5) - row4 - row3 - row2)
+    row1 = ledger.cell(1, (1,))[0]
+    assert (row1, row2, row3, row4) == (1, 6, 14, 16)
+    assert (TOTALS[5][0] - semilattice_count(5)
+            == row4 + row3 + row2 + row1)
+    assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (0, 0, 0)
+    # order 6 still searches row 2's Brandt cell
+    ledger = enumerate_counts_only(6)
     assert 0 < ledger.immediate <= ledger.generated
     assert ledger.iso_tests >= 0
 

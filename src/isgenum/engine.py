@@ -19,17 +19,16 @@ first skeletons keep the classes, and their order, of a search over all.
 the ledgers of the tasks in task order, so ledgers and output files do not
 depend on the worker count.  A task is E's tuple of down-set masks alone:
 whatever else a step needs (Aut(E), shapes, extension ideals) it derives
-from that tuple where it is used.  An E of order n is its own
-class, whose table is its meet table.  Counts mode searches no E above
-order n - 4, and of an E of order n - 4 only the shapes with a 2-block:
-its all-points cell comes from `_four_below_clifford`.  The parent grows
-the orders m < r = max(1, n - 3) by canonical augmentation
-(`owned_children`), whose labels the search tasks take, and each E of
-order r roots one subtree task
-(`_subtree_cells`), which reads the rows r to n off Aut(E)-orbits, so no
-order from r on returns to the parent.  Full mode maps the canonical levels
-1..n (`semilattice_level`), whose labels its tables follow, an eighth of a
-level at a time, and writes each task's tables as its result arrives.
+from that tuple where it is used.  Each step picks E's rows by
+k = n - |E|.  At k = 0, E is its own class, whose table is its meet table.
+Counts mode reads the rows k <= 3, and row 4's all-points cell, off
+Aut(E)-orbits (`_orbit_row`), and searches the rest.  From k = 3 on, its
+step also runs on each semilattice that E owns under canonical augmentation
+(`owned_children`), so the parent grows only the orders below
+max(1, n - 3), in the labels that the tasks take.  Full mode maps the
+canonical levels 1..n (`semilattice_level`), whose labels its tables
+follow, an eighth of a level at a time, and writes each task's tables as
+its result arrives.
 `enumerate_semigroups` streams `_classes` over every E, and
 `enumerate_fixed` runs `_keep_new` on one skeleton.
 
@@ -58,6 +57,7 @@ from .orders import (
     Poset,
     _bits,
     _canonical_labeling,
+    _image_tables,
     _orbit_roots,
     _point_orbits,
     format_cover_line,
@@ -111,7 +111,7 @@ class EnumerationConfig:
 
 
 class CountLedger:
-    """Per-(idempotent count, shape) tallies plus run statistics.
+    """Per-(idempotent count, shape tuple) tallies plus run statistics.
 
     Each cell holds [isgs, commutative isgs, monoids, commutative monoids,
     contributing semilattices, contributing lattices].
@@ -128,7 +128,9 @@ class CountLedger:
     def add_cell(self, m, shape, isgs, comm, is_lattice):
         if isgs == 0:
             return
-        cell = self.cells.setdefault((m, tuple(shape)), [0, 0, 0, 0, 0, 0])
+        cell = self.cells.get((m, shape))
+        if cell is None:
+            cell = self.cells[m, shape] = [0, 0, 0, 0, 0, 0]
         cell[0] += isgs
         cell[1] += comm
         cell[4] += 1
@@ -263,77 +265,51 @@ def _classes(n, E, gens, clifford=True):
         yield shape, kept, stats
 
 
-def _semilattice_task(n, collect, down):
-    """(ledger, tables) of one task: the cells of order n that the
-    semilattice E with these down-set masks contributes, and in counts mode
-    from order n - 3 on those of the semilattices in its subtree too.
-    tables holds (table, m) per class in full mode.
+# counts mode reads the rows k = n - |E| <= _WALK_ROWS off Aut(E)-orbits,
+# walking from each E of order n - _WALK_ROWS through the semilattices that
+# it owns, so its parent grows only the orders below
+_WALK_ROWS = 3
+
+
+def _semilattice_task(n, collect, down, ledger=None):
+    """(ledger, tables) of one step: `ledger` (a new one by default) with
+    the cells of order n that the semilattice E with these down-set masks
+    contributes added, and in full mode (table, m) per class.  k = n - |E|
+    picks the rows.  At k = 0, E is its own class, whose table is its meet
+    table.  In counts mode, `_orbit_row` reads the rows k <= _WALK_ROWS, and
+    the step then runs on each semilattice that E owns, into the same
+    ledger; at k = 4 it reads the all-points cell, and the search the other
+    shapes.  Every other row is searched.
     """
     m = len(down)
-    ledger = CountLedger()
+    k = n - m
+    if ledger is None:
+        ledger = CountLedger()
     # labels are linear extensions: E has a maximum iff down[-1] is full
     lattice = down[-1] == (1 << m) - 1
-    if m == n:
-        # the only inverse semigroup of order n whose idempotents exhaust it
-        # is the semilattice itself
+    if k == 0:
         ledger.add_cell(n, (1,) * n, 1, 1, lattice)
         return ledger, [(MeetSemilattice(down).meet, n)] if collect else []
-    if not collect and m >= n - 3:
-        _subtree_cells(n, down, ledger)
-        return ledger, []
     gens = _canonical_labeling(m, down)[2]
-    clifford = collect or m < n - 4
-    if not clifford:
-        count = _four_below_clifford(down, gens)
-        ledger.add_cell(m, (1,) * m, count, count, lattice)
+    if not collect and k <= 4:
+        # Clifford classes are commutative and Brandt ones are not; at
+        # m = 1 there is no Brandt class, and add_cell skips a count of 0
+        clifford, brandt = _orbit_row(k, down, gens)
+        ledger.add_cell(m, (1,) * m, clifford, clifford, lattice)
+        if k <= _WALK_ROWS:
+            ledger.add_cell(m, (2,) + (1,) * (m - 2), brandt, 0, lattice)
+            for child in owned_children(down, gens):
+                _semilattice_task(n, collect, child, ledger)
+            return ledger, []
     tables = []
     for shape, kept, stats in _classes(n, MeetSemilattice(down), gens,
-                                       clifford):
+                                       collect or k > 4):
         ledger.add_cell(m, shape, len(kept),
                         sum(S.is_commutative() for S in kept), lattice)
         ledger.add_stats(*stats)
         if collect:
             tables += [(S.table, m) for S in kept]
     return ledger, tables
-
-
-def _subtree_cells(n, down, ledger):
-    """Add to the ledger the cells of the semilattice E of order m, with
-    n - 3 <= m < n and these down-set masks, and those of the semilattices
-    below order n that it owns, of those that they own, and so on, depth
-    first.  The rows of an E of order n - 3 or n - 2 come from
-    `_three_below_counts` or `_two_below_counts`.  An E of order n - 1 has
-    one class per Aut(E)-orbit on points, and each semilattice of order n
-    it owns is one class."""
-    m = len(down)
-    ones = (1,) * m
-    lattice = down[-1] == (1 << m) - 1
-    _, _, gens = _canonical_labeling(m, down)
-    children = owned_children(down, gens)
-    if m == n - 1:
-        # one point carries C2, and two choices of it are isomorphic iff an
-        # automorphism of E swaps them
-        orbits = len(set(_point_orbits(m, gens)))
-        ledger.add_cell(m, ones, orbits, orbits, lattice)
-        for child in children:
-            ledger.add_cell(n, ones + (1,), 1, 1, child[-1] == (1 << n) - 1)
-        return
-    # Clifford classes are commutative and Brandt ones are not; at m = 1
-    # there is no Brandt class, and add_cell skips a count of 0
-    clifford, brandt = (_two_below_counts if m == n - 2
-                        else _three_below_counts)(down, gens)
-    ledger.add_cell(m, ones, clifford, clifford, lattice)
-    ledger.add_cell(m, (2,) + ones[2:], brandt, 0, lattice)
-    for child in children:
-        _subtree_cells(n, child, ledger)
-
-
-def _orbit_count(items, gens, image):
-    """Number of orbits on the items of the group that `gens` generate;
-    image(g, item) is an item."""
-    items = list(items)
-    roots = _orbit_roots(items, lambda item: [image(g, item) for g in gens])
-    return sum(root == i for i, root in enumerate(roots))
 
 
 def _c2_orbits(E, gens, k):
@@ -352,86 +328,72 @@ def _c2_orbits(E, gens, k):
                                             and (d, a) in ids)
                         for b, a in below
                         for d in _bits(down[a] & up[b] ^ 1 << a ^ 1 << b))]
-    return _orbit_count(maps, gens, lambda g, item: (
-        tuple(sorted(g[x] for x in item[0])),
-        tuple(sorted((g[b], g[a]) for b, a in item[1]))))
+    return len(set(_orbit_roots(maps, lambda item: [
+        (tuple(sorted(map(g.__getitem__, item[0]))),
+         tuple(sorted((g[b], g[a]) for b, a in item[1]))) for g in gens])))
 
 
-def _twins(down):
-    """The pairs a < b with equal strict down-sets."""
-    return [(a, b) for a, b in itertools.combinations(range(len(down)), 2)
-            if down[a] ^ 1 << a == down[b] ^ 1 << b]
+def _orbit_row(k, down, gens):
+    """(Clifford, Brandt) classes of order m + k over the semilattice E of
+    order m with these down-set masks, for k = 1..4; `gens` generate
+    Aut(E).  At k = 4 the Brandt count is None: the search finds it.
 
-
-def _two_below_counts(down, gens):
-    """(Clifford, Brandt) classes of order m + 2 over the semilattice E of
-    order m with these down-set masks; `gens` generate Aut(E).
-
-    The non-idempotents number sum p * (p * |G| - 1) = 2 over the blocks:
-    C3 at a point (one class per Aut(E)-orbit), C2 at two (`_c2_orbits`),
-    or a twin block {a, b} over C1 (one per orbit of twin pairs).
+    The non-idempotents number sum p * (p * |G| - 1) = k over the blocks.  A
+    group of order k + 1 at a point gives one class per orbit of points for
+    each such group, and C2 at a k-set those of `_c2_orbits`.  The other
+    Clifford classes are one per orbit of the items (A, B, t): C3 at e with
+    C2 at f (A = (e,), B = (f,)); at k = 4, C4, and again C2 x C2, at e
+    with C2 at f (the same items), C3 at e and f (A = {e, f}, B = ()), and
+    C3 at e with C2 at f and g (A = (e,), B = {f, g}).  t = 1 marks a
+    nontrivial structure map between the pair (e, f), {e, f} or {f, g},
+    unique up to the groups' automorphisms; it needs one point of the pair
+    to cover the other, since a point between has a trivial group, and no
+    map between C3 and C2 is nontrivial.  A Brandt class has a twin block
+    {a, b} (equal strict down-sets) over C1: at k = 2 one per orbit of
+    ({a, b}, (), 0), and at k = 3, with C2 at c, one per orbit of
+    ({a, b}, (c,), t), where t = 1 marks a second class when c = a ^ b (the
+    arrow a -> b restricts to either element of C2 at c) or c covers a and
+    b (C2 may swap them).
     """
+    m = len(down)
+    # a group of order k + 1 at one point: C2; C3; C4 or C2 x C2; C5
+    clifford = (1, 1, 2, 1)[k - 1] * len(set(_point_orbits(m, gens)))
+    if k == 1:
+        return clifford, 0
     E = Poset(down)
-    return (len(set(_point_orbits(E.size, gens))) + _c2_orbits(E, gens, 2),
-            _orbit_count(_twins(down), gens,
-                         lambda g, p: tuple(sorted((g[p[0]], g[p[1]])))))
-
-
-def _three_below_counts(down, gens):
-    """(Clifford, Brandt) classes of order m + 3, as `_two_below_counts`:
-    C4 or C2 x C2 at a point gives one class per orbit of points each, C3 at
-    e and C2 at f one per orbit of pairs (e, f), and C2 at a 3-set those of
-    `_c2_orbits`.  A twin block {a, b} over C1 with C2 at c gives one per
-    orbit of ({a, b}, c), or two when c = a ^ b (the arrow a -> b restricts
-    to either element of C2 at c) or c covers a and b (C2 may swap them).
-    """
-    E = Poset(down)
-    m, covers = E.size, set(E.covers)
-    clifford = (2 * len(set(_point_orbits(m, gens))) + _c2_orbits(E, gens, 3)
-                + _orbit_count(itertools.permutations(range(m), 2), gens,
-                               lambda g, p: (g[p[0]], g[p[1]])))
-    # one item per class: the twins, c, and which of the two it is
-    brandt = [(a, b, c, two) for a, b in _twins(down) for c in range(m)
-              if c != a and c != b for two in range(1 + (
-                  c == (down[a] & down[b]).bit_length() - 1
-                  or (a, c) in covers and (b, c) in covers))]
-    return clifford, _orbit_count(brandt, gens, lambda g, t: (
-        *sorted((g[t[0]], g[t[1]])), g[t[2]], t[3]))
-
-
-def _four_below_clifford(down, gens):
-    """Clifford classes of order m + 4 over E, from the arguments that
-    `_two_below_counts` takes.
-
-    Four non-identity elements leave five kinds of group placement: C5 at a
-    point (one class per orbit), C2 at a 4-set (`_c2_orbits`), and three
-    kinds with one class per orbit of the items (A, B, t): C4, and again
-    C2 x C2, at e with C2 at f (A = (e,), B = (f,)); C3 at e and f
-    (A = {e, f}, B = ()); C3 at e with C2 at f and g (A = (e,),
-    B = {f, g}).  t = 1 marks a nontrivial structure map between the pair
-    (e, f), {e, f} or {f, g}, unique up to the groups' automorphisms; it
-    needs one point of the pair to cover the other, since a point between
-    has a trivial group, and no map between C3 and C2 is nontrivial.
-    """
-    E = Poset(down)
-    m, covers = E.size, set(E.covers)
-
-    def ts(x, y):
-        return range(1 + ((x, y) in covers or (y, x) in covers))
-
-    def orbits(items):
-        return _orbit_count(items, gens, lambda g, i: (
-            tuple(sorted(g[x] for x in i[0])),
-            tuple(sorted(g[x] for x in i[1])), i[2]))
-
+    clifford += _c2_orbits(E, gens, k)
+    covers = set(E.covers) if k > 2 else ()
     pairs = list(itertools.combinations(range(m), 2))
-    return (len(set(_point_orbits(m, gens))) + _c2_orbits(E, gens, 4)
-            + 2 * orbits([((e,), (f,), t) for e, f in
-                          itertools.permutations(range(m), 2)
+    h, low = m // 2, (1 << m // 2) - 1
+    tables = [_image_tables(m, g) for g in gens]
+
+    def orbits(items):  # the point sets A and B as masks
+        return len(set(_orbit_roots(items, lambda i: [
+            (lo[i[0] & low] | hi[i[0] >> h], lo[i[1] & low] | hi[i[1] >> h],
+             i[2]) for lo, hi in tables])))
+
+    def ts(x, y):  # at k = 3 every pair is C3 and C2
+        return range(1 + (k == 4 and ((x, y) in covers or (y, x) in covers)))
+
+    if k > 2:  # at k = 4 twice: C4, and C2 x C2, at e
+        clifford += (k - 2) * orbits([(1 << e, 1 << f, t) for e, f in
+                                      itertools.permutations(range(m), 2)
+                                      for t in ts(e, f)])
+    if k == 4:
+        return (clifford
+                + orbits([(1 << e | 1 << f, 0, t) for e, f in pairs
                           for t in ts(e, f)])
-            + orbits([((e, f), (), t) for e, f in pairs for t in ts(e, f)])
-            + orbits([((e,), (f, g), t) for e in range(m) for f, g in pairs
-                      if e != f and e != g for t in ts(f, g)]))
+                + orbits([(1 << e, 1 << f | 1 << g, t) for e in range(m)
+                          for f, g in pairs if e != f and e != g
+                          for t in ts(f, g)]), None)
+    twins = [(a, b) for a, b in pairs if down[a] ^ 1 << a == down[b] ^ 1 << b]
+    if k == 2:
+        return clifford, orbits([(1 << a | 1 << b, 0, 0) for a, b in twins])
+    return clifford, orbits([
+        (1 << a | 1 << b, 1 << c, t) for a, b in twins for c in range(m)
+        if c != a and c != b for t in range(1 + (
+            c == (down[a] & down[b]).bit_length() - 1
+            or (a, c) in covers and (b, c) in covers))])
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +434,11 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
             slices = [lv[i:i + 1 + len(lv) // 8] for lv in levels
                       for i in range(0, len(lv), 1 + len(lv) // 8)]
         else:
-            # the orders below r grow here by canonical augmentation, in the
-            # labels that the search tasks take
+            # the orders below r = max(1, n - _WALK_ROWS) grow here by
+            # canonical augmentation, in the labels that the tasks take; each
+            # of order r walks the rows from k = _WALK_ROWS down
             tasks, level = [], [(1,)]
-            for m in range(1, max(1, n - 3)):
+            for m in range(1, max(1, n - _WALK_ROWS)):
                 tasks += level
                 level = [child for down in level for child in owned_children(
                     down, _canonical_labeling(m, down)[2])]
@@ -514,8 +477,8 @@ def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
     """Count ledger for order n; searches the rows of at most n - 4
     idempotents, building candidates' tables but keeping none, except row
-    n - 4's all-points cell, which its tasks read off Aut(E)-orbits, as the
-    subtree tasks read the rows n - 3 to n."""
+    n - 4's all-points cell, which it reads off Aut(E)-orbits, as it does
+    the rows n - 3 to n."""
     cfg = EnumerationConfig(order=n, threads=threads, progress=progress)
     return run_enumeration(cfg).ledger
 

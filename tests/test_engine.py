@@ -8,11 +8,9 @@ from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
     _classes,
-    _four_below_clifford,
+    _orbit_row,
     _shapes_with_compositions,
     _skeletons,
-    _three_below_counts,
-    _two_below_counts,
     breakdown_csv,
     enumerate_counts_only,
     enumerate_fixed,
@@ -518,7 +516,8 @@ def test_two_below_counts_match_listed_automorphisms():
                 rest = tuple((z,) for z in range(m) if z not in (a, b))
                 brandt += is_d_partition(E, ((a, b),) + rest)
             _, _, gens = _canonical_labeling(m, E.down)
-            assert _two_below_counts(E.down, gens) == (clifford, brandt)
+            assert _orbit_row(1, E.down, gens) == (len(points), 0)
+            assert _orbit_row(2, E.down, gens) == (clifford, brandt)
 
 
 def _three_below_by_listed_automorphisms(E):
@@ -566,23 +565,33 @@ def _three_below_by_listed_automorphisms(E):
     return 2 * len(points) + len(ordered) + len(maps), brandt
 
 
+def _check_three_below_by_listed_automorphisms(m):
+    for E in meet_semilattices(m):
+        _, _, gens = _canonical_labeling(m, E.down)
+        assert _orbit_row(3, E.down, gens) == (
+            _three_below_by_listed_automorphisms(E))
+
+
 def test_three_below_counts_match_listed_automorphisms():
     for m in range(1, 8):
-        for E in meet_semilattices(m):
-            _, _, gens = _canonical_labeling(m, E.down)
-            assert _three_below_counts(E.down, gens) == (
-                _three_below_by_listed_automorphisms(E))
+        _check_three_below_by_listed_automorphisms(m)
+
+
+@pytest.mark.stretch
+def test_three_below_stretch_listed_automorphisms_m_8():
+    # the semilattices of order 8 that a count of order 11 walks
+    _check_three_below_by_listed_automorphisms(8)
 
 
 def _check_three_below_by_search(n):
-    """`_three_below_counts` against the search, per semilattice of order
+    """`_orbit_row(3)` against the search, per semilattice of order
     n - 3: Clifford classes are the commutative ones, all of one shape."""
     m = n - 3
     for E in meet_semilattices(m):
         counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
                   for shape, kept, _ in _search(n, E)}
         _, _, gens = _canonical_labeling(m, E.down)
-        clifford, brandt = _three_below_counts(E.down, gens)
+        clifford, brandt = _orbit_row(3, E.down, gens)
         assert counts.pop((1,) * m, (0, 0)) == (clifford, clifford)
         assert counts.pop((2,) + (1,) * (m - 2), (0, 0)) == (brandt, 0)
         assert not any(count for count, _ in counts.values())
@@ -599,14 +608,14 @@ def test_three_below_stretch_order_10():
 
 
 def _check_four_below_by_search(n):
-    """`_four_below_clifford` against the search's all-points cell, per
-    semilattice of order n - 4: every class in it is commutative."""
+    """`_orbit_row(4)`'s Clifford count against the search's all-points
+    cell, per semilattice of order n - 4: every class in it is commutative."""
     m = n - 4
     for E in meet_semilattices(m):
         counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
                   for shape, kept, _ in _search(n, E)}
         _, _, gens = _canonical_labeling(m, E.down)
-        clifford = _four_below_clifford(E.down, gens)
+        clifford = _orbit_row(4, E.down, gens)[0]
         assert counts[(1,) * m] == (clifford, clifford)
 
 
@@ -696,12 +705,22 @@ def _four_below_by_listed_automorphisms(E):
     return classes
 
 
+def _check_four_below_by_listed_automorphisms(m):
+    for E in meet_semilattices(m):
+        _, _, gens = _canonical_labeling(m, E.down)
+        assert _orbit_row(4, E.down, gens)[0] == (
+            _four_below_by_listed_automorphisms(E))
+
+
 def test_four_below_clifford_matches_listed_automorphisms():
     for m in range(1, 7):
-        for E in meet_semilattices(m):
-            _, _, gens = _canonical_labeling(m, E.down)
-            assert _four_below_clifford(E.down, gens) == (
-                _four_below_by_listed_automorphisms(E))
+        _check_four_below_by_listed_automorphisms(m)
+
+
+@pytest.mark.stretch
+def test_four_below_clifford_stretch_listed_automorphisms_m_7():
+    # the semilattices of order 7 whose tasks a count of order 11 runs
+    _check_four_below_by_listed_automorphisms(7)
 
 
 def test_commutative_from_skeleton_matches_table_scan():

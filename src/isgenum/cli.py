@@ -112,7 +112,6 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     cfg = EnumerationConfig(order=args.order, out=args.out,
                             threads=args.threads)
-    os.makedirs(args.out, exist_ok=True)
     result = run_enumeration(cfg)
     _write_whole(os.path.join(args.out, "breakdown.csv"),
                  [breakdown_csv(result.ledger, args.order)])

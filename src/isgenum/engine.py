@@ -21,14 +21,14 @@ depend on the worker count.  A task is E's tuple of down-set masks alone:
 whatever else a step needs (Aut(E), shapes, extension ideals) it derives
 from that tuple where it is used.  Each step picks E's rows by
 k = n - |E|.  At k = 0, E is its own class, whose table is its meet table.
-Counts mode reads the rows k <= 3, and row 4's all-points cell, off
-Aut(E)-orbits (`_orbit_row`), and searches the rest.  From k = 3 on, its
-step also runs on each semilattice that E owns under canonical augmentation
-(`owned_children`), so the parent grows only the orders below
-max(1, n - 3), in the labels that the tasks take.  Full mode maps the
-canonical levels 1..n (`semilattice_level`), whose labels its tables
-follow, an eighth of a level at a time, and writes each task's tables as
-its result arrives.
+Both modes take their tasks from the canonical levels (`semilattice_level`).
+Counts mode maps the levels 1..max(1, n - 3) at once.  It reads the rows
+k <= 3, and row 4's all-points cell, off Aut(E)-orbits (`_orbit_row`), and
+searches the rest.  From k = 3 on, its step also runs on each semilattice
+that E owns under canonical augmentation (`owned_children`), so each E of
+the top level walks the orders above it.  Full mode maps the levels 1..n,
+whose labels its tables follow, an eighth of a level at a time, and writes
+each task's tables as its result arrives.
 `enumerate_semigroups` streams `_classes` over every E, and
 `enumerate_fixed` runs `_keep_new` on one skeleton.
 
@@ -57,7 +57,7 @@ from .orders import (
     Poset,
     _bits,
     _canonical_labeling,
-    _image_tables,
+    _mask_images,
     _orbit_roots,
     _point_orbits,
     format_cover_line,
@@ -108,6 +108,8 @@ class EnumerationConfig:
         limit = max(2, os.cpu_count() or 1)
         if self.threads > limit:
             raise ValueError(f"thread count is limited to {limit} here")
+        if self.out is not None:  # an unusable directory fails before a run
+            os.makedirs(self.out, exist_ok=True)
 
 
 class CountLedger:
@@ -267,7 +269,7 @@ def _classes(n, E, gens, clifford=True):
 
 # counts mode reads the rows k = n - |E| <= _WALK_ROWS off Aut(E)-orbits,
 # walking from each E of order n - _WALK_ROWS through the semilattices that
-# it owns, so its parent grows only the orders below
+# it owns, so its tasks are the canonical levels up to that order
 _WALK_ROWS = 3
 
 
@@ -364,13 +366,11 @@ def _orbit_row(k, down, gens):
     clifford += _c2_orbits(E, gens, k)
     covers = set(E.covers) if k > 2 else ()
     pairs = list(itertools.combinations(range(m), 2))
-    h, low = m // 2, (1 << m // 2) - 1
-    tables = [_image_tables(m, g) for g in gens]
+    images = _mask_images(m, gens)
 
     def orbits(items):  # the point sets A and B as masks
         return len(set(_orbit_roots(items, lambda i: [
-            (lo[i[0] & low] | hi[i[0] >> h], lo[i[1] & low] | hi[i[1] >> h],
-             i[2]) for lo, hi in tables])))
+            (a, b, i[2]) for a, b in zip(images(i[0]), images(i[1]))])))
 
     def ts(x, y):  # at k = 3 every pair is C3 and C2
         return range(1 + (k == 4 and ((x, y) in covers or (y, x) in covers)))
@@ -426,24 +426,17 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
                 64 * config.threads))
 
     try:
-        if collect:  # the canonical levels, built on the pool if any
-            os.makedirs(config.out, exist_ok=True)
-            levels = [semilattice_level(m, mapper) for m in range(1, n + 1)]
+        # the canonical levels, built on the pool if any; in counts mode
+        # each semilattice of the top one walks the rows from k = _WALK_ROWS
+        top = n if collect else max(1, n - _WALK_ROWS)
+        levels = [semilattice_level(m, mapper) for m in range(1, top + 1)]
+        tasks = [down for level in levels for down in level]
+        slices = [tasks]
+        if collect:
             # mapped an eighth of a level at a time; a pool map submits its
             # tasks when `_ahead` takes it, so two eighths at most are queued
             slices = [lv[i:i + 1 + len(lv) // 8] for lv in levels
                       for i in range(0, len(lv), 1 + len(lv) // 8)]
-        else:
-            # the orders below r = max(1, n - _WALK_ROWS) grow here by
-            # canonical augmentation, in the labels that the tasks take; each
-            # of order r walks the rows from k = _WALK_ROWS down
-            tasks, level = [], [(1,)]
-            for m in range(1, max(1, n - _WALK_ROWS)):
-                tasks += level
-                level = [child for down in level for child in owned_children(
-                    down, _canonical_labeling(m, down)[2])]
-            slices = [tasks + level]
-        tasks = [task for piece in slices for task in piece]
         sizes = Counter(map(len, tasks))
         m = done = written = 0
         start = perf_counter()
@@ -475,10 +468,11 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 
 def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
-    """Count ledger for order n; searches the rows of at most n - 4
-    idempotents, building candidates' tables but keeping none, except row
-    n - 4's all-points cell, which it reads off Aut(E)-orbits, as it does
-    the rows n - 3 to n."""
+    """Count ledger for order n, over the canonical levels 1..max(1, n - 3)
+    and the semilattices that those of the top level own; searches the rows
+    of at most n - 4 idempotents, building candidates' tables but keeping
+    none, except row n - 4's all-points cell, which it reads off
+    Aut(E)-orbits, as it does the rows n - 3 to n."""
     cfg = EnumerationConfig(order=n, threads=threads, progress=progress)
     return run_enumeration(cfg).ledger
 

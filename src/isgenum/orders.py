@@ -416,28 +416,29 @@ def _children(pdown):
             for D in _orbit_ideals(pdown, gens)]
 
 
-def _image_tables(n, g):
-    """Two tables that map an n-bit mask through the permutation g: the
-    image of D is low[D & (1 << h) - 1] | high[D >> h], h = n // 2."""
+def _mask_images(n, gens):
+    """A function from an n-bit mask to its images under each permutation of
+    `gens`, in order.  Each permutation gets two tables, and the image of D
+    is lo[D & (1 << h) - 1] | hi[D >> h], h = n // 2."""
+    h, low = n // 2, (1 << n // 2) - 1
     tables = []
-    for lo, hi in ((0, n // 2), (n // 2, n)):
-        t = [0]
-        for x in range(lo, hi):  # t[i] is the image of the mask i << lo
-            t += [image | 1 << g[x] for image in t]
-        tables.append(t)
-    return tables
+    for g in gens:
+        pair = []
+        for a, b in ((0, h), (h, n)):
+            t = [0]
+            for x in range(a, b):  # t[i] is the image of the mask i << a
+                t += [image | 1 << g[x] for image in t]
+            pair.append(t)
+        tables.append(pair)
+    return lambda D: [lo[D & low] | hi[D >> h] for lo, hi in tables]
 
 
 def _orbit_ideals(pdown, gens):
     """P's extension ideals, the first of each orbit under `gens`, in order."""
-    n = len(pdown)
     ideals = _extension_ideals(pdown)
     if not gens:
         return ideals
-    h, low = n // 2, (1 << n // 2) - 1
-    tables = [_image_tables(n, g) for g in gens]
-    roots = _orbit_roots(ideals, lambda D: [
-        lo[D & low] | hi[D >> h] for lo, hi in tables])
+    roots = _orbit_roots(ideals, _mask_images(len(pdown), gens))
     return [D for i, D in enumerate(ideals) if roots[i] == i]
 
 

@@ -130,13 +130,11 @@ def test_invalid_fixed_input_leaves_no_out_dir(tmp_path, capsys):
 
 
 def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
-    # rejected with the config, before any semilattice level is built:
-    # full mode's canonical levels or counts mode's owned children
+    # rejected with the config, before any semilattice level is built
     def no_levels(*args):
         raise AssertionError("semilattice levels built beyond the catalog")
 
     monkeypatch.setattr(engine, "semilattice_level", no_levels)
-    monkeypatch.setattr(engine, "owned_children", no_levels)
     for argv in (["count", "--order", "16"],
                  ["enumerate", "--order", "16", "--out", str(tmp_path / "x")]):
         start = time.perf_counter()

@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from isgenum.engine import (
     EnumerationConfig,
     _classes,
     _orbit_row,
+    _semilattice_task,
     _shapes_with_compositions,
     _skeletons,
     breakdown_csv,
@@ -419,9 +421,10 @@ def test_thread_count_does_not_change_order_8():
 
 
 def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
-    # at n = 8 the parent extends the semilattices of orders 1..4; each of
-    # order r = 5 roots a subtree task, whose owned children (from order 5
-    # on) a worker finds
+    # at n = 8 the parent takes the canonical levels 1..5 and extends none
+    # of them: canonical augmentation runs only in the walk from each
+    # semilattice of order r = 5, whose steps of orders 5, 6 and 7 find the
+    # owned children of orders 6, 7 and 8
     calls = []
 
     def counted(pdown, gens):
@@ -429,8 +432,26 @@ def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
         return owned_children(pdown, gens)
 
     monkeypatch.setattr(engine, "owned_children", counted)
-    assert enumerate_counts_only(8, threads=2).totals() == TOTALS[8]
-    assert sorted(set(calls)) == [1, 2, 3, 4]
+    assert enumerate_counts_only(8).totals() == TOTALS[8]
+    assert sorted(set(calls)) == [5, 6, 7]
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_count_tasks_are_the_canonical_levels(monkeypatch, n):
+    # the top-level steps (each with a new ledger) take the canonical levels
+    # 1..r, r = max(1, n - 3), in order; the walk's steps share their
+    # root's ledger
+    tasks = []
+
+    def counted(order, collect, down, ledger=None):
+        if ledger is None:
+            tasks.append(down)
+        return _semilattice_task(order, collect, down, ledger)
+
+    monkeypatch.setattr(engine, "_semilattice_task", counted)
+    assert enumerate_counts_only(n).totals() == TOTALS[n]
+    assert tasks == [down for m in range(1, max(1, n - 3) + 1)
+                     for down in semilattice_level(m)]
 
 
 def test_count_and_enumerate_ledgers_agree(tmp_path):
@@ -759,21 +780,23 @@ def test_augmentation_counts_levels():
 
 
 def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
-    # 1377 for the tasks (one per semilattice of order 1..8, each labelled
-    # in its own task), 24 for the parent's growth of orders 1..5 (it labels
-    # each parent for its children, apart from its task), and 487 for the
-    # children whose ownership neither the deletion key nor a twin rival
-    # settles, 375 of them of order 9
+    # 1377 for the steps (one per semilattice of order 1..8, each labelled
+    # in its own step), 134 for the canonical levels 1..6 built from a cold
+    # cache (the 24 semilattices of orders 1..5 labelled for their children,
+    # and the 110 children put in canonical form), and 487 for the children
+    # whose ownership neither the deletion key nor a twin rival settles, 375
+    # of them of order 9
     calls = []
 
     def counted(*args):
         calls.append(args[0])
         return _canonical_labeling(*args)
 
+    monkeypatch.setattr(orders, "_LEVELS", [((1,),)])
     monkeypatch.setattr(orders, "_canonical_labeling", counted)
     monkeypatch.setattr(engine, "_canonical_labeling", counted)
     assert enumerate_counts_only(9).totals() == TOTALS[9]
-    assert len(calls) == 1888
+    assert len(calls) == 1998
     assert calls.count(9) == 375
 
 
@@ -795,7 +818,7 @@ def test_counts_stretch_order_11():
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; 121 s at two threads on a 2-core host, so CI
+    # S(12) as published; 138-147 s at two threads on a 2-core host, so CI
     # runs it on one Python version only
     assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
 
@@ -807,14 +830,6 @@ def test_counts_of_orders_one_and_two(threads):
         ledger = enumerate_counts_only(n, threads=threads)
         assert ledger.totals() == TOTALS[n]
         assert {k: tuple(v) for k, v in ledger.cells.items()} == BREAKDOWN[n]
-
-
-def test_counts_mode_builds_no_level(monkeypatch):
-    # counts mode grows its own levels, so a count is cold by construction:
-    # a fresh cache, restored after the test, stays as it was
-    monkeypatch.setattr(orders, "_LEVELS", [((1,),)])
-    enumerate_counts_only(8)
-    assert orders._LEVELS == [((1,),)]
 
 
 def _read_dir(out):
@@ -989,6 +1004,25 @@ def test_progress_reports_rate_and_eta(capsys, tmp_path):
     assert [line.split(":")[0] for line in lines] == ["m=1", "m=2", "m=3",
                                                       "m=4"]
     assert lines[3].startswith("m=4: 5/5 semilattices, ")
+
+
+def test_progress_rewrites_a_terminal_line(capsys, monkeypatch):
+    # on a terminal every update starts with a carriage return, over the
+    # last, and each order ends its line
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    enumerate_counts_only(5, progress=True)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2
+    lines = err.rstrip("\n").split("\n")
+    assert all(line.startswith("\r") for line in lines)
+    assert [line.split("\r")[-1].split(":")[0] for line in lines] == ["m=1",
+                                                                     "m=2"]
+    # at n = 7 the five semilattices of order 4 rewrite one line five times
+    enumerate_counts_only(7, progress=True)
+    last = capsys.readouterr().err.rstrip("\n").split("\n")[-1]
+    assert [update.split(" semilattices")[0]
+            for update in last.split("\r")[1:]] == [
+        f"m=4: {done}/5" for done in range(1, 6)]
 
 
 def test_stats_diagnostic_present():

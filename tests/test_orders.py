@@ -334,13 +334,10 @@ def test_image_tables_map_every_extension_ideal():
     for m in range(1, 8):
         for E in meet_semilattices(m):
             _, _, gens = orders._canonical_labeling(m, E.down)
-            ideals = orders._extension_ideals(E.down)
-            h = m // 2
-            for g in gens:
-                low, high = orders._image_tables(m, g)
-                for D in ideals:
-                    assert low[D & (1 << h) - 1] | high[D >> h] == sum(
-                        1 << g[x] for x in orders._bits(D))
+            images = orders._mask_images(m, gens)
+            for D in orders._extension_ideals(E.down):
+                assert images(D) == [sum(1 << g[x] for x in orders._bits(D))
+                                     for g in gens]
 
 
 def _extension_ideals_by_definition(down):

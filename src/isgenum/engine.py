@@ -18,17 +18,19 @@ first skeletons keep the classes, and their order, of a search over all.
 `run_enumeration` maps `_semilattice_task` over one task list and merges
 the ledgers of the tasks in task order, so ledgers and output files do not
 depend on the worker count.  A task is E's tuple of down-set masks alone:
-whatever else a step needs (Aut(E), shapes, extension ideals) it derives
-from that tuple where it is used.  Each step picks E's rows by
-k = n - |E|.  At k = 0, E is its own class, whose table is its meet table.
+whatever else it needs (Aut(E), shapes, extension ideals) it derives from
+that tuple where it is used.  Each step picks E's rows by k = n - |E|.
+At k = 0, E is its own class, whose table is its meet table.
 Both modes take their tasks from the canonical levels (`semilattice_level`).
 Counts mode maps the levels 1..max(1, n - 3) at once.  It reads the rows
 k <= 3, and row 4's all-points cell, off Aut(E)-orbits (`_orbit_row`), and
 searches the rest.  From k = 3 on, its step also runs on each semilattice
-that E owns under canonical augmentation (`owned_children`), so each E of
-the top level walks the orders above it.  Full mode maps the levels 1..n,
-whose labels its tables follow, an eighth of a level at a time, and writes
-each task's tables as its result arrives.
+that E owns under canonical augmentation (`_owned`), so each E of the top
+level walks the orders above it.  Such a step takes the generators of its
+automorphism group and its extension ideals from its parent's, and at
+k = 1 it only counts the owned children, each its own class.  Full mode
+maps the levels 1..n, whose labels its tables follow, an eighth of a level
+at a time, and writes each task's tables as its result arrives.
 `enumerate_semigroups` streams `_classes` over every E, and
 `enumerate_fixed` runs `_keep_new` on one skeleton.
 
@@ -57,12 +59,13 @@ from .orders import (
     Poset,
     _bits,
     _canonical_labeling,
+    _extension_ideals,
     _mask_images,
-    _orbit_roots,
+    _orbits,
+    _owned,
     _point_orbits,
     format_cover_line,
     meet_semilattices,
-    owned_children,
     semilattice_level,
 )
 from .shapes import (
@@ -215,10 +218,8 @@ def _skeletons(E, comps, dparts, catalog, gens):
                            key=lambda block: block_order(block[0]))
             yield tuple(zip(*moved))  # (blocks, groups)
 
-    roots = _orbit_roots(skeletons, images)
-    for i, (P, f) in enumerate(skeletons):
-        if roots[i] == i:
-            yield e_groupoid(E, P, f)
+    for orbit in _orbits(skeletons, images):
+        yield e_groupoid(E, *orbit[0])
 
 
 def _candidates(basis):
@@ -273,15 +274,17 @@ def _classes(n, E, gens, clifford=True):
 _WALK_ROWS = 3
 
 
-def _semilattice_task(n, collect, down, ledger=None):
+def _semilattice_task(n, collect, down, ledger=None, inherited=None):
     """(ledger, tables) of one step: `ledger` (a new one by default) with
     the cells of order n that the semilattice E with these down-set masks
     contributes added, and in full mode (table, m) per class.  k = n - |E|
     picks the rows.  At k = 0, E is its own class, whose table is its meet
     table.  In counts mode, `_orbit_row` reads the rows k <= _WALK_ROWS, and
     the step then runs on each semilattice that E owns, into the same
-    ledger; at k = 4 it reads the all-points cell, and the search the other
-    shapes.  Every other row is searched.
+    ledger, with the generators of its automorphism group and its extension
+    ideals (`inherited`) from E's; at k = 1 it only counts those children.
+    At k = 4 it reads the all-points cell, and the search the other shapes.
+    Every other row is searched.  A task, with no `inherited`, labels E.
     """
     m = len(down)
     k = n - m
@@ -292,7 +295,7 @@ def _semilattice_task(n, collect, down, ledger=None):
     if k == 0:
         ledger.add_cell(n, (1,) * n, 1, 1, lattice)
         return ledger, [(MeetSemilattice(down).meet, n)] if collect else []
-    gens = _canonical_labeling(m, down)[2]
+    gens, ideals = inherited or (_canonical_labeling(m, down)[2], None)
     if not collect and k <= 4:
         # Clifford classes are commutative and Brandt ones are not; at
         # m = 1 there is no Brandt class, and add_cell skips a count of 0
@@ -300,8 +303,13 @@ def _semilattice_task(n, collect, down, ledger=None):
         ledger.add_cell(m, (1,) * m, clifford, clifford, lattice)
         if k <= _WALK_ROWS:
             ledger.add_cell(m, (2,) + (1,) * (m - 2), brandt, 0, lattice)
-            for child in owned_children(down, gens):
-                _semilattice_task(n, collect, child, ledger)
+            owned = _owned(down, gens, ideals or _extension_ideals(down))
+            for D, inherit in owned:
+                if k == 1:  # E + z is its own class, a lattice iff z is top
+                    ledger.add_cell(n, (1,) * n, 1, 1, D == (1 << m) - 1)
+                else:
+                    _semilattice_task(n, collect, down + (D | 1 << m,),
+                                      ledger, inherit())
             return ledger, []
     tables = []
     for shape, kept, stats in _classes(n, MeetSemilattice(down), gens,
@@ -330,7 +338,7 @@ def _c2_orbits(E, gens, k):
                                             and (d, a) in ids)
                         for b, a in below
                         for d in _bits(down[a] & up[b] ^ 1 << a ^ 1 << b))]
-    return len(set(_orbit_roots(maps, lambda item: [
+    return len(list(_orbits(maps, lambda item: [
         (tuple(sorted(map(g.__getitem__, item[0]))),
          tuple(sorted((g[b], g[a]) for b, a in item[1]))) for g in gens])))
 
@@ -369,7 +377,7 @@ def _orbit_row(k, down, gens):
     images = _mask_images(m, gens)
 
     def orbits(items):  # the point sets A and B as masks
-        return len(set(_orbit_roots(items, lambda i: [
+        return len(list(_orbits(items, lambda i: [
             (a, b, i[2]) for a, b in zip(images(i[0]), images(i[1]))])))
 
     def ts(x, y):  # at k = 3 every pair is C3 and C2

@@ -23,8 +23,10 @@ The canonical search also yields automorphism generators, from which
 augmentation, in its labels with the new element last: over level m, one
 per class of order m + 1.  An invariant key of the maximal elements and
 swaps of twins settle most ownership ties, so few children are labeled.
-The engine closes its skeletons, and finds the point and pair orbits of a
-semilattice, under the same generators with `_orbit_roots`.
+The engine's walk runs the same test (`_owned`), which also derives each
+owned child's generators and extension ideals from the parent's
+(`_inherit`).  The engine closes its skeletons, and finds the point and
+pair orbits of a semilattice, under the same generators with `_orbits`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
 directly, and `colored_isomorphisms` searches the automorphisms of one
@@ -32,6 +34,8 @@ poset that carry one coloring of its elements to another.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 __all__ = [
     "Poset",
@@ -350,33 +354,52 @@ def _canonical_form(n, down):
     return tuple(mask | 1 << i for i, (_, mask) in enumerate(key))
 
 
-def _orbit_roots(items, images):
-    """Union-find over the generator images: roots[i] is the index of the
-    first item in the orbit of items[i].  images(item) lists the item's
-    images under the generators; every image must be among the items."""
-    index = {item: i for i, item in enumerate(items)}
-    roots = list(range(len(items)))
-
-    def find(i):
-        while roots[i] != i:
-            roots[i] = roots[roots[i]]
-            i = roots[i]
-        return i
-
-    for i, item in enumerate(items):
-        for image in images(item):
-            a, b = find(i), find(index[image])
-            if a != b:
-                roots[max(a, b)] = min(a, b)
-    return [find(i) for i in range(len(items))]
+def _orbits(items, images):
+    """The orbits of `items` under a list of generators, each from its first
+    item in list order, in breadth-first order (`_inherit` replays that
+    search).  images(item) lists the item's images under the generators;
+    every image must be among the items."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            continue
+        seen.add(item)
+        orbit = [item]
+        for y in orbit:
+            for image in images(y):
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        yield orbit
 
 
 def _point_orbits(n, gens):
-    return _orbit_roots(range(n), lambda x: [g[x] for g in gens])
+    """roots[x]: the least point of the orbit of x under `gens`."""
+    roots = list(range(n))
+    for orbit in _orbits(range(n), lambda x: [g[x] for g in gens]):
+        for x in orbit:
+            roots[x] = orbit[0]
+    return roots
 
 
 # ---------------------------------------------------------------------------
 # isomorph-free generation
+
+
+def _grow(down, ideals, k):
+    """One step of the fold below: the extension ideals of the first k + 1
+    elements of `down` from `ideals`, those of the first k.  An ideal I stays
+    iff I & below_k has a greatest element, and I | 1 << k joins iff I
+    contains below_k, the strict down-set of k."""
+    below = down[k] ^ 1 << k
+    grown = []
+    for ideal in ideals:
+        common = ideal & below
+        if down[common.bit_length() - 1] & common == common:
+            grown.append(ideal)
+        if common == below:
+            grown.append(ideal | 1 << k)
+    return grown
 
 
 def _extension_ideals(down):
@@ -384,27 +407,18 @@ def _extension_ideals(down):
 
     A candidate D must be an order ideal such that D intersected with every
     principal down-set has a greatest element; that keeps all binary meets
-    defined after the extension.  The list grows one element at a time,
-    along the labels (a linear extension, so element 0 is the minimum and
-    lies in every candidate): when k joins, a candidate I stays iff
-    I & below_k has a greatest element, and I | 1 << k joins iff I contains
-    below_k, the strict down-set of k.  The candidates are then sorted by
+    defined after the extension.  The list grows one element at a time
+    (`_grow`), along the labels (a linear extension, so element 0 is the
+    minimum and lies in every candidate).  The candidates are then sorted by
     their ascending maximal elements, which is the order of an ascending
     search over the antichains that span them.
     """
-    ideals = [(1, 1)]  # (candidate, its maximal elements) over labels < k
+    ideals = [1]
     for k in range(1, len(down)):
-        below = down[k] ^ 1 << k
-        grown = []
-        for ideal, tops in ideals:
-            common = ideal & below
-            if down[common.bit_length() - 1] & common == common:
-                grown.append((ideal, tops))
-            if common == below:
-                grown.append((ideal | 1 << k, tops & ~below | 1 << k))
-        ideals = grown
-    ideals.sort(key=lambda item: tuple(_bits(item[1])))
-    return [ideal for ideal, _ in ideals]
+        ideals = _grow(down, ideals, k)
+    up = Poset(down).up
+    return sorted(ideals, key=lambda D: tuple(
+        x for x in _bits(D) if up[x] & D == 1 << x))
 
 
 def _children(pdown):
@@ -412,8 +426,9 @@ def _children(pdown):
     new maximal element, one per Aut(P)-orbit of ideals, in ideal order."""
     n = len(pdown)
     _, _, gens = _canonical_labeling(n, pdown)
-    return [_canonical_form(n + 1, pdown + (D | (1 << n),))
-            for D in _orbit_ideals(pdown, gens)]
+    return [_canonical_form(n + 1, pdown + (orbit[0] | (1 << n),))
+            for orbit in _orbits(_extension_ideals(pdown),
+                                       _mask_images(n, gens))]
 
 
 def _mask_images(n, gens):
@@ -433,19 +448,46 @@ def _mask_images(n, gens):
     return lambda D: [lo[D & low] | hi[D >> h] for lo, hi in tables]
 
 
-def _orbit_ideals(pdown, gens):
-    """P's extension ideals, the first of each orbit under `gens`, in order."""
-    ideals = _extension_ideals(pdown)
-    if not gens:
-        return ideals
-    roots = _orbit_roots(ideals, _mask_images(len(pdown), gens))
-    return [D for i, D in enumerate(ideals) if roots[i] == i]
+def _inherit(pdown, gens, ideals, images, orbit, ties, cgens):
+    """(generators of Aut(E), E's extension ideals in some order) for the
+    child E = P + z of `_owned`, z = |P| with the strict down-set orbit[0],
+    from P's generators and extension ideals (`ideals`).
+
+    If E was labeled on a tie, `cgens` are its generators.  Else every
+    maximal element of E with z's key is z or a twin of z (`ties`), so
+    Aut(E) is the stabilizer of orbit[0] in Aut(P), fixing z, and the swaps
+    of z with its twins.  The stabilizer has the Schreier generators
+    u_{g(y)}^-1 g u_y over the y of the orbit and g of `gens`, where u_y
+    maps orbit[0] to y (Seress, "Permutation Group Algorithms", 2003): a
+    replay of the breadth-first search of `_orbits` builds u.  The
+    ideals are one more step of the fold.
+    """
+    n = len(pdown)
+    if cgens is None:
+        u = {orbit[0]: tuple(range(n))}
+        cgens = {}
+        for y in orbit:
+            for g, gy in zip(gens, images(y)):
+                gu = tuple([g[x] for x in u[y]])
+                if gy not in u:
+                    u[gy] = gu
+                    continue
+                inv = sorted(range(n), key=u[gy].__getitem__)
+                cgens[tuple([inv[x] for x in gu]) + (n,)] = None
+        cgens.pop(tuple(range(n + 1)), None)
+        cgens = list(cgens)
+        for x in ties:
+            swap = list(range(n + 1))
+            swap[x], swap[n] = n, x
+            cgens.append(tuple(swap))
+    return cgens, _grow(pdown + (orbit[0] | 1 << n,), ideals, n)
 
 
-def owned_children(pdown, gens):
-    """The one-point extensions of the semilattice P that P owns, given
-    generators of Aut(P): each is `pdown` plus the new maximal element's
-    down-set, a linear extension again.
+def _owned(pdown, gens, ideals):
+    """Yield (D, inherit) for each one-point extension of the semilattice P
+    that P owns, given generators of Aut(P) and P's extension ideals: D is
+    the new maximal element's strict down-set, and inherit() gives the
+    child's generators and extension ideals (`_inherit`).
 
     Ownership is McKay's canonical augmentation ("Isomorph-free exhaustive
     generation", 1998): P extends by one ideal per Aut(P)-orbit, and owns
@@ -454,34 +496,57 @@ def owned_children(pdown, gens):
     (|down x|, the sorted down-set sizes of the y <= x), which no
     automorphism changes; the deletion element is the candidate, a maximal
     element of largest key, labeled last.  An old element's key is the same
-    in P and in the child.  The child is rejected if a rival has a larger
-    key than the new element, and kept if every rival of equal key is its
-    twin (equal strict down-sets; both are maximal, so swapping them is an
-    automorphism).  Only a tie with a non-twin needs the child's labeling.
+    in P and in the child.  A rival is an old maximal element outside D
+    with a key at least the new element's, so with at least as large a
+    down-set, and a larger down-set means a larger key.  The child is
+    rejected if a rival has a larger key than the new element, and kept if
+    every rival is its twin (equal strict down-sets; both are maximal, so
+    swapping them is an automorphism).  Only a tie with a non-twin needs
+    the child's labeling.
     """
     n = len(pdown)
     covered = 0  # the elements below some other element
     for x, d in enumerate(pdown):
         covered |= d ^ 1 << x
     size = [d.bit_count() for d in pdown]
-    tops = [(x, (size[x], sorted(size[y] for y in _bits(pdown[x]))))
-            for x in range(n) if not covered >> x & 1]
-    children = []
-    for D in _orbit_ideals(pdown, gens):
+    tall = [0] * (n + 3)  # tall[h]: the maximal elements with |down x| >= h
+    for x in _bits(~covered & (1 << n) - 1):
+        tall[size[x]] |= 1 << x
+    for h in range(n, 0, -1):
+        tall[h] |= tall[h + 1]
+    keys = {x: (size[x], sorted(size[y] for y in _bits(pdown[x])))
+            for x in _bits(tall[1])}
+    images = _mask_images(n, gens)
+    for orbit in _orbits(ideals, images):
+        D = orbit[0]
         height = D.bit_count() + 1  # the new element's down-set size
-        key = (height, sorted(size[y] for y in _bits(D)) + [height])
-        rivals = [(x, k) for x, k in tops if not D >> x & 1 and k >= key]
-        if any(k > key for _, k in rivals):
+        if tall[height + 1] & ~D:  # a rival with a larger down-set
             continue
-        child = pdown + (D | 1 << n,)
-        if any(pdown[x] ^ 1 << x != D for x, _ in rivals):
-            _, labels, cgens = _canonical_labeling(n + 1, child)
-            orbit = _point_orbits(n + 1, cgens)
-            last = max([n] + [x for x, _ in rivals], key=labels.index)
-            if orbit[last] != orbit[n]:
+        ties, cgens = [], None
+        if tall[height] & ~D:
+            key = (height, sorted(size[y] for y in _bits(D)) + [height])
+            rivals = list(_bits(tall[height] & ~D))
+            if any(keys[x] > key for x in rivals):
                 continue
-        children.append(child)
-    return children
+            ties = [x for x in rivals if keys[x] == key]
+            if any(pdown[x] ^ 1 << x != D for x in ties):
+                _, labels, cgens = _canonical_labeling(
+                    n + 1, pdown + (D | 1 << n,))
+                orbits = _point_orbits(n + 1, cgens)
+                last = max([n] + ties, key=labels.index)
+                if orbits[last] != orbits[n]:
+                    continue
+        yield D, partial(_inherit, pdown, gens, ideals, images, orbit, ties,
+                         cgens)
+
+
+def owned_children(pdown, gens):
+    """The one-point extensions of the semilattice P that P owns, given
+    generators of Aut(P): each is `pdown` plus the new maximal element's
+    down-set, a linear extension again (see `_owned`)."""
+    n = len(pdown)
+    return [pdown + (D | 1 << n,)
+            for D, _ in _owned(pdown, gens, _extension_ideals(pdown))]
 
 
 _LEVELS: list[tuple] = [((1,),)]

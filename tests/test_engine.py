@@ -426,12 +426,13 @@ def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
     # semilattice of order r = 5, whose steps of orders 5, 6 and 7 find the
     # owned children of orders 6, 7 and 8
     calls = []
+    owned = engine._owned
 
-    def counted(pdown, gens):
+    def counted(pdown, gens, ideals):
         calls.append(len(pdown))
-        return owned_children(pdown, gens)
+        return owned(pdown, gens, ideals)
 
-    monkeypatch.setattr(engine, "owned_children", counted)
+    monkeypatch.setattr(engine, "_owned", counted)
     assert enumerate_counts_only(8).totals() == TOTALS[8]
     assert sorted(set(calls)) == [5, 6, 7]
 
@@ -443,10 +444,10 @@ def test_count_tasks_are_the_canonical_levels(monkeypatch, n):
     # root's ledger
     tasks = []
 
-    def counted(order, collect, down, ledger=None):
+    def counted(order, collect, down, ledger=None, inherited=None):
         if ledger is None:
             tasks.append(down)
-        return _semilattice_task(order, collect, down, ledger)
+        return _semilattice_task(order, collect, down, ledger, inherited)
 
     monkeypatch.setattr(engine, "_semilattice_task", counted)
     assert enumerate_counts_only(n).totals() == TOTALS[n]
@@ -779,13 +780,74 @@ def test_augmentation_counts_levels():
     _check_grown_levels(8)
 
 
+def _closure(n, gens):
+    """The permutation group that `gens` generate, by breadth-first search."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for p in frontier:
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def _check_inherited(top):
+    """Walk from the one-element semilattice as counts mode does, every
+    child with the generators and extension ideals its parent passes down,
+    and check them against a fresh labeling and fold for every child of a
+    semilattice of order below `top`; the number of children checked."""
+    checked = 0
+    stack = [((1,), [], [1])]
+    while stack:
+        pdown, gens, ideals = stack.pop()
+        n = len(pdown) + 1
+        for D, inherit in orders._owned(pdown, gens, ideals):
+            child = pdown + (D | 1 << n - 1,)
+            cgens, cideals = inherit()
+            assert len(set(cideals)) == len(cideals)
+            assert set(cideals) == set(orders._extension_ideals(child))
+            fresh = _canonical_labeling(n, child)[2]
+            # every generator is an automorphism, and they generate every
+            # fresh one, so the two generate one group of the same order
+            for g in cgens:
+                assert sorted(g) == list(range(n))
+                for x in range(n):
+                    assert child[g[x]] == sum(
+                        1 << g[y] for y in range(n) if child[x] >> y & 1)
+            group = _closure(n, cgens)
+            assert all(g in group for g in fresh)
+            assert orders._point_orbits(n, cgens) == (
+                orders._point_orbits(n, fresh))
+            assert [set(o) for o in orders._orbits(
+                cideals, orders._mask_images(n, cgens))] == [
+                set(o) for o in orders._orbits(
+                    cideals, orders._mask_images(n, fresh))]
+            checked += 1
+            if n < top:
+                stack.append((child, cgens, cideals))
+    return checked
+
+
+def test_inherited_generators_and_ideals_match_a_fresh_labeling():
+    # every semilattice of order 1..7, in the labels the walk grows
+    assert _check_inherited(8) == sum(SEMILATTICES[m] for m in range(2, 9))
+
+
+@pytest.mark.stretch
+def test_inherited_stretch_orders_8_and_9():
+    assert _check_inherited(10) == sum(SEMILATTICES[m] for m in range(2, 11))
+
+
 def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
-    # 1377 for the steps (one per semilattice of order 1..8, each labelled
-    # in its own step), 134 for the canonical levels 1..6 built from a cold
-    # cache (the 24 semilattices of orders 1..5 labelled for their children,
-    # and the 110 children put in canonical form), and 487 for the children
-    # whose ownership neither the deletion key nor a twin rival settles, 375
-    # of them of order 9
+    # 77 for the top-level steps (one per semilattice of order 1..6, each
+    # labelled in its own step; the walk's steps of orders 7 and 8 take
+    # their generators from their parents), 140 for the canonical levels
+    # 1..6 built from a cold cache (the 24 semilattices of orders 1..5
+    # labelled for their children, and the 116 children put in canonical
+    # form), and 481 for the children whose ownership neither the deletion
+    # key nor a twin rival settles: 21, 85 and 375 of orders 7, 8 and 9
     calls = []
 
     def counted(*args):
@@ -796,7 +858,7 @@ def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
     monkeypatch.setattr(orders, "_canonical_labeling", counted)
     monkeypatch.setattr(engine, "_canonical_labeling", counted)
     assert enumerate_counts_only(9).totals() == TOTALS[9]
-    assert len(calls) == 1998
+    assert len(calls) == 698
     assert calls.count(9) == 375
 
 
@@ -812,13 +874,13 @@ def test_top_rows_stretch_order_9():
 
 @pytest.mark.stretch
 def test_counts_stretch_order_11():
-    # S(11) as published; 14 s at two threads on a 2-core host
+    # S(11) as published; 9 s at two threads on a 2-core host
     assert enumerate_counts_only(11, threads=2).totals() == TOTALS[11]
 
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; 138-147 s at two threads on a 2-core host, so CI
+    # S(12) as published; 79-81 s at two threads on a 2-core host, so CI
     # runs it on one Python version only
     assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
 

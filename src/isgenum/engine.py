@@ -23,14 +23,17 @@ that tuple where it is used.  Each step picks E's rows by k = n - |E|.
 At k = 0, E is its own class, whose table is its meet table.
 Both modes take their tasks from the canonical levels (`semilattice_level`).
 Counts mode maps the levels 1..max(1, n - 3) at once.  It reads the rows
-k <= 3, and row 4's all-points cell, off Aut(E)-orbits (`_orbit_row`), and
-searches the rest.  From k = 3 on, its step also runs on each semilattice
-that E owns under canonical augmentation (`_owned`), so each E of the top
-level walks the orders above it.  Such a step takes the generators of its
-automorphism group and its extension ideals from its parent's, and at
-k = 1 it only counts the owned children, each its own class.  Full mode
-maps the levels 1..n, whose labels its tables follow, an eighth of a level
-at a time, and writes each task's tables as its result arrives.
+k <= 3, and row 4's all-points cell, off Aut(E)-orbits (`_orbit_row`), the
+all-points cell of every row k > 4 off the orbits of Aut(E) and the
+groups' automorphisms on strong semilattices of groups (`_clifford_cell`),
+and searches the rest.  From k = 3 on, its step also runs on each
+semilattice that E owns under canonical augmentation (`_owned`), so each E
+of the top level walks the orders above it.  Such a step takes the
+generators of its automorphism group and its extension ideals from its
+parent's, and at k = 1 it only counts the owned children, each its own
+class.  Full mode maps the levels 1..n, whose labels its tables follow, an
+eighth of a level at a time, and writes each task's tables as its result
+arrives.
 `enumerate_semigroups` streams `_classes` over every E, and
 `enumerate_fixed` runs `_keep_new` on one skeleton.
 
@@ -256,7 +259,7 @@ def _classes(n, E, gens, clifford=True):
     class of order n with D-partitions of that shape, from one store per
     orbit representative skeleton, and that search's [generated, immediate,
     iso_tests].  `gens` generate Aut(E); the all-points shape is searched
-    only if `clifford`."""
+    only if `clifford`, which counts mode leaves False."""
     catalog = _groups.catalog(n)
     for shape, comps in _shapes_with_compositions(n, E.size):
         if shape[0] == 1 and not clifford:
@@ -283,8 +286,9 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
     the step then runs on each semilattice that E owns, into the same
     ledger, with the generators of its automorphism group and its extension
     ideals (`inherited`) from E's; at k = 1 it only counts those children.
-    At k = 4 it reads the all-points cell, and the search the other shapes.
-    Every other row is searched.  A task, with no `inherited`, labels E.
+    At k = 4 it reads the all-points cell, and at k > 4 `_clifford_cell`
+    counts it; the search finds the other shapes.  Full mode searches every
+    row.  A task, with no `inherited`, labels E.
     """
     m = len(down)
     k = n - m
@@ -296,7 +300,9 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
         ledger.add_cell(n, (1,) * n, 1, 1, lattice)
         return ledger, [(MeetSemilattice(down).meet, n)] if collect else []
     gens, ideals = inherited or (_canonical_labeling(m, down)[2], None)
-    if not collect and k <= 4:
+    if not collect and k > 4:
+        ledger.add_cell(m, (1,) * m, *_clifford_cell(n, down, gens), lattice)
+    elif not collect:
         # Clifford classes are commutative and Brandt ones are not; at
         # m = 1 there is no Brandt class, and add_cell skips a count of 0
         clifford, brandt = _orbit_row(k, down, gens)
@@ -313,7 +319,7 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
             return ledger, []
     tables = []
     for shape, kept, stats in _classes(n, MeetSemilattice(down), gens,
-                                       collect or k > 4):
+                                       collect):
         ledger.add_cell(m, shape, len(kept),
                         sum(S.is_commutative() for S in kept), lattice)
         ledger.add_stats(*stats)
@@ -404,6 +410,92 @@ def _orbit_row(k, down, gens):
             or (a, c) in covers and (b, c) in covers))])
 
 
+# (G.mul, H.mul) -> the maps G -> H; G.mul -> pairs (a, a^-1) generating Aut(G)
+_HOMS: dict = {}
+_AUT_GENS: dict = {}
+
+
+def _homs(G, H):
+    if (G.mul, H.mul) not in _HOMS:
+        _HOMS[G.mul, H.mul] = tuple(G.homomorphisms([[
+            y for y in range(H.order)
+            if G.element_order(g) % H.element_order(y) == 0]
+            for g in G.generating_set()], H.mul))
+    return _HOMS[G.mul, H.mul]
+
+
+def _aut_gens(G):
+    if G.mul not in _AUT_GENS:
+        one, gens = tuple(range(G.order)), []
+        group = {one}
+        for a in G.automorphism_images():
+            if a not in group:
+                gens.append((a, tuple(sorted(one, key=a.__getitem__))))
+                group = set(next(_orbits([one], lambda f: [
+                    tuple(a[x] for x in f) for a, _ in gens])))
+        _AUT_GENS[G.mul] = gens
+    return _AUT_GENS[G.mul]
+
+
+def _clifford_cell(n, down, gens):
+    """(classes, commutative classes) of order n whose D-classes are the
+    points of E, with these down-set masks and `gens` generating Aut(E).  An
+    item, a strong semilattice of groups, is a catalog group G_x per point,
+    sum(|G_x| - 1) = n - |E|, and a map G_a -> G_b per cover b < a, with one
+    composite along all maximal chains from a to b.  Classes are orbits under
+    Aut(E) and each Aut(G_x), whose a sends the maps phi out of x to phi a^-1
+    and into x to a phi; the commutative ones have abelian groups."""
+    m = len(down)
+    catalog = _groups.catalog(n - m + 1)
+    auts = [_aut_gens(G) for G in catalog]
+    # by upper end: the maps into the points below a come before a's own
+    covers = sorted(Poset(down).covers, key=lambda cover: cover[::-1])
+    moves = [(h, [covers.index((h[b], h[a])) for b, a in covers])  # h = g^-1
+             for h in (sorted(range(m), key=g.__getitem__) for g in gens)]
+    lower = [[b for b, a in covers if a == x] for x in range(m)]
+    touch = [[(j, a == x) for j, (b, a) in enumerate(covers) if x in (b, a)]
+             for x in range(m)]  # (cover, whether its map is out of x)
+    # each b < a with the lower covers of a above it
+    chains = [[(b, [c for c in lower[a] if down[c] >> b & 1])
+               for b in _bits(down[a] ^ 1 << a)] for a in range(m)]
+    items, phi = [], {}  # phi[a, b]: the map G_a -> G_b
+
+    def extend(a, left, place, maps):  # the group at a, then its maps down
+        if a == m:
+            return items.append((place, maps))
+        for i, G in enumerate(catalog):  # by order; the last point takes all
+            if G.order > left + 1 or a == m - 1 and G.order <= left:
+                continue
+            phi[a, a] = tuple(range(G.order))
+            for fs in itertools.product(*(_homs(G, catalog[place[c]])
+                                          for c in lower[a])):
+                phi.update(zip([(a, c) for c in lower[a]], fs))
+                for b, above in chains[a]:  # maps to or from C1 are trivial
+                    ends = {tuple(phi[c, b][y] for y in phi[a, c]) for c in
+                            above} if i and place[b] else {(0,) * G.order}
+                    if len(ends) > 1:
+                        break
+                    phi[a, b] = ends.pop()
+                else:
+                    extend(a + 1, left + 1 - G.order, place + (i,), maps + fs)
+
+    def images(item):
+        place, maps = item
+        for h, js in moves:
+            yield tuple(place[x] for x in h), tuple(maps[j] for j in js)
+        for x, i in enumerate(place):
+            for a, inv in auts[i]:
+                f = list(maps)
+                for j, out in touch[x]:
+                    f[j] = tuple(f[j][y] for y in inv) if out else tuple(
+                        a[y] for y in f[j])
+                yield place, tuple(f)
+
+    extend(0, n - m, (), ())
+    roots = [orbit[0][0] for orbit in _orbits(items, images)]
+    return len(roots), sum(all(catalog[i].abelian for i in p) for p in roots)
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -479,8 +571,8 @@ def enumerate_counts_only(n: int, threads: int = 1,
     """Count ledger for order n, over the canonical levels 1..max(1, n - 3)
     and the semilattices that those of the top level own; searches the rows
     of at most n - 4 idempotents, building candidates' tables but keeping
-    none, except row n - 4's all-points cell, which it reads off
-    Aut(E)-orbits, as it does the rows n - 3 to n."""
+    none, except their all-points cells, which it reads off orbits, as it
+    does the rows n - 3 to n."""
     cfg = EnumerationConfig(order=n, threads=threads, progress=progress)
     return run_enumeration(cfg).ledger
 

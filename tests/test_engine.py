@@ -9,6 +9,7 @@ from isgenum.engine import (
     CountLedger,
     EnumerationConfig,
     _classes,
+    _clifford_cell,
     _orbit_row,
     _semilattice_task,
     _shapes_with_compositions,
@@ -405,7 +406,7 @@ def test_thread_count_does_not_change_counters():
     for threads in (1, 2):
         ledger = enumerate_counts_only(7, threads=threads)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            14, 13, 1
+            3, 2, 1
         )
 
 
@@ -414,7 +415,7 @@ def test_thread_count_does_not_change_order_8():
     ledgers = [enumerate_counts_only(8, threads=k) for k in (1, 2)]
     for ledger in ledgers:
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            209, 128, 94
+            38, 28, 11
         )
     assert ledgers[0].cells == ledgers[1].cells
     assert breakdown_csv(ledgers[0], 8) == breakdown_csv(ledgers[1], 8)
@@ -457,35 +458,35 @@ def test_count_tasks_are_the_canonical_levels(monkeypatch, n):
 
 def test_count_and_enumerate_ledgers_agree(tmp_path):
     # full mode also searches rows n - 3, n - 2 and n - 1, and the Clifford
-    # cell of row n - 4, which counts mode reads off the Aut(E)-orbits, so
-    # the counters differ by exactly that search
+    # cell of every row, which counts mode reads off the Aut(E)-orbits or
+    # `_clifford_cell`, so the counters differ by exactly that search
     counts = enumerate_counts_only(6)
     full = run_enumeration(EnumerationConfig(order=6,
                                              out=str(tmp_path))).ledger
     assert full == counts
     gap = (0, 0, 0)
-    for m in (2, 3, 4, 5):
+    for m in range(1, 6):
         for E in meet_semilattices(m):
             for shape, _, stats in _search(6, E):
-                if m > 2 or shape == (1, 1):
+                if m > 2 or shape[0] == 1:
                     gap = tuple(a + b for a, b in zip(gap, stats))
-    assert gap == (159, 151, 8)
+    assert gap == (161, 153, 8)
     assert (full.generated - counts.generated,
             full.immediate - counts.immediate,
             full.iso_tests - counts.iso_tests) == gap
 
 
 def _read_off_orbits(n, m, shape):
-    """Whether counts mode fills the cell (m, shape) of order n from
-    Aut(E)-orbits: rows n - 3 to n, and row n - 4's all-points cell."""
-    return m > n - 4 or m == n - 4 and shape == (1,) * m
+    """Whether counts mode fills the cell (m, shape) of order n from orbits:
+    rows n - 3 to n, and every all-points cell."""
+    return m > n - 4 or shape == (1,) * m
 
 
 def _top_rows_by_search(n):
     """The cells of `_read_off_orbits` as full mode fills them: by the search
-    over levels n - 4 to n - 1 and from the masks of level n."""
+    over levels 1 to n - 1 and from the masks of level n."""
     ledger = CountLedger()
-    for m in range(max(n - 4, 1), n):
+    for m in range(1, n):
         for E in meet_semilattices(m):
             for shape, kept, _ in _search(n, E):
                 if _read_off_orbits(n, m, shape):
@@ -501,10 +502,10 @@ def _top_rows_by_search(n):
 def _check_top_rows(n):
     searched = _top_rows_by_search(n)
     # m = n - 1 admits only singleton D-classes, and m = n - 2 and n - 3
-    # besides them only one 2-block over C1; of row n - 4 only the
-    # all-points cell is read off orbits
+    # besides them only one 2-block over C1; of the rows below only the
+    # all-points cells are read off orbits
     assert set(searched.cells) <= {
-        (m, (1,) * m) for m in range(n - 4, n + 1)} | {
+        (m, (1,) * m) for m in range(1, n + 1)} | {
         (n - 2, (2,) + (1,) * (n - 4)), (n - 3, (2,) + (1,) * (n - 5))}
     for threads in (1, 2):
         ledger = enumerate_counts_only(n, threads=threads)
@@ -649,6 +650,19 @@ def test_four_below_clifford_matches_search(n):
 @pytest.mark.stretch
 def test_four_below_clifford_stretch_order_10():
     _check_four_below_by_search(10)
+
+
+def test_clifford_cell_matches_orbit_row():
+    # two derivations of the Clifford classes of rows k = 1..4: the strong
+    # semilattices of groups up to Aut(E) and each Aut(G_x), and the orbit
+    # formulas of `_orbit_row`; every group of order at most 5 is abelian
+    for m in range(1, 7):
+        for E in meet_semilattices(m):
+            _, _, gens = _canonical_labeling(m, E.down)
+            for k in range(1, 5):
+                clifford = _orbit_row(k, E.down, gens)[0]
+                assert _clifford_cell(m + k, E.down, gens) == (
+                    clifford, clifford)
 
 
 def _cyclic(k):
@@ -873,14 +887,19 @@ def test_top_rows_stretch_order_9():
 
 
 @pytest.mark.stretch
+def test_top_rows_stretch_order_10():
+    _check_top_rows(10)
+
+
+@pytest.mark.stretch
 def test_counts_stretch_order_11():
-    # S(11) as published; 9 s at two threads on a 2-core host
+    # S(11) as published; 9.5-9.8 s at two threads on a 2-core host
     assert enumerate_counts_only(11, threads=2).totals() == TOTALS[11]
 
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; 79-81 s at two threads on a 2-core host, so CI
+    # S(12) as published; 65-70 s at two threads on a 2-core host, so CI
     # runs it on one Python version only
     assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
 
@@ -1102,8 +1121,12 @@ def test_stats_diagnostic_present():
     assert (TOTALS[5][0] - semilattice_count(5)
             == row4 + row3 + row2 + row1)
     assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (0, 0, 0)
-    # order 6 still searches row 2's Brandt cell
+    # order 6 searches nothing either: row 1's all-points cell comes from
+    # `_clifford_cell`, and row 2 admits no 2-block; order 7 searches row
+    # 3's Brandt cell
     ledger = enumerate_counts_only(6)
+    assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (0, 0, 0)
+    ledger = enumerate_counts_only(7)
     assert 0 < ledger.immediate <= ledger.generated
     assert ledger.iso_tests >= 0
 

@@ -97,6 +97,6 @@ def test_tables_of_order_7(tmp_path):
 
 
 def test_ledger_counters():
-    for n, expected in ((7, (14, 13, 1)), (8, (209, 128, 94))):
+    for n, expected in ((7, (3, 2, 1)), (8, (38, 28, 11))):
         ledger = enumerate_counts_only(n)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == expected

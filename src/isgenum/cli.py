@@ -124,6 +124,8 @@ def _parse_dpartition(text: str, size: int):
     """Blocks of --dpartition in the order given, each sorted."""
     blocks = []
     for chunk in text.split("|"):
+        if not chunk.strip():
+            raise ValueError("empty block in --dpartition")
         members = []
         for tok in chunk.split(","):
             tok = tok.strip()
@@ -132,8 +134,6 @@ def _parse_dpartition(text: str, size: int):
             if not tok.isdigit():
                 raise ValueError(f"bad element {tok!r} in --dpartition")
             members.append(int(tok))
-        if not members:
-            raise ValueError("empty block in --dpartition")
         blocks.append(tuple(sorted(members)))
     flat = sorted(x for b in blocks for x in b)
     if flat != list(range(size)):

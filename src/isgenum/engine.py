@@ -15,27 +15,26 @@ carries one skeleton to the other, so every skeleton of an orbit holds a
 member of each of the orbit's classes, and no class spans two orbits: the
 first skeletons keep the classes, and their order, of a search over all.
 
-`run_enumeration` maps `_semilattice_task` over one task list and merges
-the ledgers of the tasks in task order, so ledgers and output files do not
-depend on the worker count.  A task is E's tuple of down-set masks alone:
-whatever else it needs (Aut(E), shapes, extension ideals) it derives from
-that tuple where it is used.  Each step picks E's rows by k = n - |E|.
-At k = 0, E is its own class, whose table is its meet table.
-Both modes take their tasks from the canonical levels (`semilattice_level`).
-Counts mode maps the levels 1..max(1, n - 3) at once.  It reads the rows
-k <= 3, and row 4's all-points cell, off Aut(E)-orbits (`_orbit_row`), the
-all-points cell of every row k > 4 off the orbits of Aut(E) and the
-groups' automorphisms on strong semilattices of groups (`_clifford_cell`),
-and searches the rest.  From k = 3 on, its step also runs on each
-semilattice that E owns under canonical augmentation (`_owned`), so each E
-of the top level walks the orders above it.  Such a step takes the
-generators of its automorphism group and its extension ideals from its
-parent's, and at k = 1 it only counts the owned children, each its own
-class.  Full mode maps the levels 1..n, whose labels its tables follow, an
-eighth of a level at a time, and writes each task's tables as its result
-arrives.
-`enumerate_semigroups` streams `_classes` over every E, and
-`enumerate_fixed` runs `_keep_new` on one skeleton.
+`run_enumeration` maps `_semilattice_task` over the canonical levels
+(`semilattice_level`) an eighth of a level at a time, in both modes:
+counts mode the levels 1..max(1, n - 3), full mode the levels 1..n, whose
+labels its tables follow.  Ledgers merge in task order, so ledgers and
+output files do not depend on the worker count.  A task is E's tuple of
+down-set masks alone: whatever else it needs (Aut(E), shapes, extension
+ideals) it derives from that tuple where it is used.  Each step picks E's
+rows by k = n - |E|.  At k = 0, E is its own class, whose table is its
+meet table.  Counts mode reads the rows k <= 3, and row 4's all-points
+cell, off Aut(E)-orbits (`_orbit_row`), the all-points cell of every row
+k > 4 off the orbits of Aut(E) and the groups' automorphisms on strong
+semilattices of groups (`_clifford_cell`), and searches the rest.  From
+k = 3 on, its step also runs on each semilattice that E owns under
+canonical augmentation (`_owned`), so each E of the top level walks the
+orders above it.  Such a step takes the generators of its automorphism
+group and its extension ideals from its parent's, and at k = 1 it only
+counts the owned children, each its own class.  Full mode writes each
+task's tables as its result arrives.  `enumerate_semigroups` streams
+`_classes` over every E, and `enumerate_fixed` runs `_keep_new` on one
+skeleton.
 
 The pipeline calls every layer through this module's own names (`esn`,
 `g_posets`, `is_isoc`, ...), which is where `bench/tracer.py` wraps them.
@@ -47,7 +46,6 @@ import contextlib
 import itertools
 import os
 import sys
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -194,15 +192,6 @@ class RunResult:
 # the pipeline
 
 
-def _shapes_with_compositions(n, m):
-    out = []
-    for shape in partitions(m):
-        comps = admissible_compositions(n, shape)
-        if comps:
-            out.append((shape, comps))
-    return out
-
-
 def _skeletons(E, comps, dparts, catalog, gens):
     """Basis of the first (D-partition, group map) of each orbit under the
     automorphisms of E that `gens` generate, over every composition.
@@ -261,8 +250,11 @@ def _classes(n, E, gens, clifford=True):
     iso_tests].  `gens` generate Aut(E); the all-points shape is searched
     only if `clifford`, which counts mode leaves False."""
     catalog = _groups.catalog(n)
-    for shape, comps in _shapes_with_compositions(n, E.size):
+    for shape in partitions(E.size):
         if shape[0] == 1 and not clifford:
+            continue
+        comps = admissible_compositions(n, shape)
+        if not comps:
             continue
         stats = [0, 0, 0]
         dparts = d_partitions(E, shape)
@@ -508,11 +500,12 @@ def _ahead(maps):
 
 def run_enumeration(config: EnumerationConfig) -> RunResult:
     """Run a full or counts-only enumeration per the config, mapping
-    `_semilattice_task` over tasks in order of their semilattice's order."""
+    `_semilattice_task` over the canonical levels in order, an eighth of a
+    level per map."""
     n = config.order
     collect = config.out is not None
     result = RunResult(ledger=CountLedger())
-    # a terminal gets every update, each over the last; a log one line per order
+    # a terminal gets every update, each over the last; a log one per level
     tty = config.progress and sys.stderr.isatty()
     lead = "\r" if tty else ""
 
@@ -530,36 +523,25 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
         # each semilattice of the top one walks the rows from k = _WALK_ROWS
         top = n if collect else max(1, n - _WALK_ROWS)
         levels = [semilattice_level(m, mapper) for m in range(1, top + 1)]
-        tasks = [down for level in levels for down in level]
-        slices = [tasks]
-        if collect:
-            # mapped an eighth of a level at a time; a pool map submits its
-            # tasks when `_ahead` takes it, so two eighths at most are queued
-            slices = [lv[i:i + 1 + len(lv) // 8] for lv in levels
-                      for i in range(0, len(lv), 1 + len(lv) // 8)]
-        sizes = Counter(map(len, tasks))
-        m = done = written = 0
-        start = perf_counter()
+        # mapped an eighth of a level at a time; a pool map submits its
+        # tasks when `_ahead` takes it, so two eighths at most are queued
         fn = partial(_semilattice_task, n, collect)
-        for down, (part, tables) in zip(
-                tasks, _ahead(mapper(fn, piece) for piece in slices)):
-            result.ledger.merge(part)
-            written += write_cayley_files(tables, n, config.out, written)
-            if not config.progress:
-                continue
-            if len(down) != m:
-                m, done = len(down), 0
-            done += 1
-            if tty or done == sizes[m]:
-                rate = done / max(perf_counter() - start, 1e-9)
-                print(
-                    f"{lead}m={m}: {done}/{sizes[m]} semilattices, "
-                    f"{rate:.1f}/s, ETA {(sizes[m] - done) / rate:.0f}s",
-                    end="", flush=True, file=sys.stderr,
-                )
-            if done == sizes[m]:
-                print(file=sys.stderr)
-                start = perf_counter()
+        results = _ahead(mapper(fn, lv[i:i + 1 + len(lv) // 8])
+                         for lv in levels
+                         for i in range(0, len(lv), 1 + len(lv) // 8))
+        written = 0
+        for m, level in enumerate(levels, 1):
+            size, start = len(level), perf_counter()
+            for done, (part, tables) in enumerate(
+                    itertools.islice(results, size), 1):
+                result.ledger.merge(part)
+                written += write_cayley_files(tables, n, config.out, written)
+                if config.progress and (tty or done == size):
+                    rate = done / max(perf_counter() - start, 1e-9)
+                    print(f"{lead}m={m}: {done}/{size} semilattices, "
+                          f"{rate:.1f}/s, ETA {(size - done) / rate:.0f}s",
+                          end="\n" if done == size else "", flush=True,
+                          file=sys.stderr)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -129,6 +129,20 @@ def test_invalid_fixed_input_leaves_no_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_dpartition_block_is_named(tmp_path, capsys):
+    # an empty block is reported as one, not as a bad element ''
+    sl = tmp_path / "s.txt"
+    sl.write_text("3:0<1,0<2\n")
+    out = tmp_path / "D"
+    for blocks in ("0,1|", "0,1||2", "|0,1,2"):
+        assert main(["fixed", "--semilattice", f"{sl}:1", "--dpartition",
+                     blocks, "--groups", "C1,C1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "empty block in --dpartition" in err, blocks
+        assert "bad element" not in err
+        assert not out.exists()
+
+
 def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
     # rejected with the config, before any semilattice level is built
     def no_levels(*args):

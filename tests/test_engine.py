@@ -12,7 +12,6 @@ from isgenum.engine import (
     _clifford_cell,
     _orbit_row,
     _semilattice_task,
-    _shapes_with_compositions,
     _skeletons,
     breakdown_csv,
     enumerate_counts_only,
@@ -219,7 +218,8 @@ def test_skeletons_keeps_first_of_each_orbit():
             for E in meet_semilattices(m):
                 autos = _automorphisms(E)
                 _, _, gens = _canonical_labeling(E.size, E.down)
-                for shape, comps in _shapes_with_compositions(n, m):
+                for shape in partitions(m):
+                    comps = admissible_compositions(n, shape)
                     dparts = d_partitions(E, shape)
                     seen = set()
                     first = []
@@ -419,6 +419,35 @@ def test_thread_count_does_not_change_order_8():
         )
     assert ledgers[0].cells == ledgers[1].cells
     assert breakdown_csv(ledgers[0], 8) == breakdown_csv(ledgers[1], 8)
+
+
+def test_pool_maps_each_level_in_eighths(monkeypatch):
+    # counts mode maps like full mode: each canonical level 1..5 of a count
+    # of order 8 (1, 1, 2, 5 and 15 semilattices) in slices of
+    # 1 + len(level) // 8 tasks, in level order
+    maps = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, tasks, chunksize=1):
+            if getattr(fn, "func", None) is _semilattice_task:
+                maps.append(list(tasks))
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcess)
+    ledger = enumerate_counts_only(8, threads=2)
+    one = enumerate_counts_only(8)
+    assert ledger == one
+    assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
+        one.generated, one.immediate, one.iso_tests)
+    assert [len(tasks) for tasks in maps] == [1] * 9 + [2] * 7 + [1]
+    assert [down for tasks in maps for down in tasks] == [
+        down for m in range(1, 6) for down in semilattice_level(m)]
 
 
 def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
@@ -1104,6 +1133,19 @@ def test_progress_rewrites_a_terminal_line(capsys, monkeypatch):
     assert [update.split(" semilattices")[0]
             for update in last.split("\r")[1:]] == [
         f"m=4: {done}/5" for done in range(1, 6)]
+
+
+def test_progress_is_the_same_at_two_threads(capsys):
+    # one final line per level, whatever the worker count; only the rate,
+    # a timing, may differ
+    finals = []
+    for threads in (1, 2):
+        enumerate_counts_only(7, threads=threads, progress=True)
+        lines = capsys.readouterr().err.rstrip("\n").split("\n")
+        finals.append([(line.split(", ")[0], line.split(", ")[2])
+                       for line in lines])
+    assert finals[0] == finals[1]
+    assert finals[0][-1] == ("m=4: 5/5 semilattices", "ETA 0s")
 
 
 def test_stats_diagnostic_present():

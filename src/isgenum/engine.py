@@ -224,13 +224,22 @@ def _keep_new(candidates, stats):
     """Yield each candidate that is not isomorphic to an earlier one.
 
     Candidates are bucketed by `invariants` and compared with `is_isoc`
-    against their own bucket only.  `stats` is [generated, immediate,
-    iso_tests], updated in place: candidates seen, candidates that found
-    their bucket empty, and `is_isoc` calls.
+    against their own bucket only.  The first candidate is yielded at once
+    and keyed only when a second one arrives, so a skeleton with one order
+    computes no key.  `stats` is [generated, immediate, iso_tests], updated
+    in place: candidates seen, candidates that found their bucket empty,
+    and `is_isoc` calls.
     """
-    store = {}
+    store, first = {}, None
     for S in candidates:
         stats[0] += 1
+        if first is None:
+            first = S
+            stats[1] += 1
+            yield S
+            continue
+        if not store:
+            store[invariants(first)] = [first]
         bucket = store.setdefault(invariants(S), [])
         if not bucket:
             stats[1] += 1

@@ -6,8 +6,12 @@ search enumerates every partial order on the basis that restricts to the
 semilattice order on idempotents, to equality inside blocks, and admits
 unique restrictions and corestrictions; each such order yields one inverse
 semigroup downstream.  The search relates one block at a time, in
-`pos_blocks` order: its state is the number of blocks done and the tuple of
-down-set masks, and each complete order is yielded as a `BasisOrder`.
+`pos_blocks` order, but steps only over the blocks with more than one
+element: a point block over C1 is an idempotent, whose down-set is already
+E's, so its one extension is its parent.  The state is the number of steps
+done and the tuple of down-set masks, and each complete order is yielded as
+a `BasisOrder`.  Within one `g_posets` call each block pair's possibility
+list is read once.
 
 Orders are stored as per-element bitmasks over a global element index in
 which idempotent (block, e, e, identity) is element e of E, and the
@@ -331,19 +335,22 @@ def _passes_cardinality_test(basis: GroupoidBasis, down, new_pos: int) -> bool:
     as many elements as the block's least idempotent does."""
     elems = basis.pos_elems[new_pos]
     ref = min(basis.partition[basis.pos_blocks[new_pos]])
+    others = [t for t in elems if t != ref]
     for q in range(new_pos):
         bm = basis.pos_mask[q]
         r = (down[ref] & bm).bit_count()
-        for t in elems:
+        for t in others:
             if (down[t] & bm).bit_count() != r:
                 return False
     return True
 
 
-def _children(basis: GroupoidBasis, down, new_pos: int):
+def _children(basis: GroupoidBasis, down, new_pos: int, lists=None):
     """Extend `down`, an order on the first `new_pos` blocks in search
     order, over the next block in every valid way.
 
+    `lists`, when given, maps a position to the possibility lists of its
+    covered pairs; they are computed on first use and read from it after.
     `_passes_cardinality_test` is the only check after the closure: a pair
     the closure adds beyond the chosen possibility on a covered block (an
     earlier one, by the D-partition condition) lifts an element's count in
@@ -351,8 +358,12 @@ def _children(basis: GroupoidBasis, down, new_pos: int):
     its E-down-set there.
     """
     elems = basis.pos_elems[new_pos]
-    covered = basis.covered_positions[new_pos]
-    polists = [poset_possibilities(basis, new_pos, q) for q in covered]
+    if lists is None:
+        lists = {}
+    polists = lists.get(new_pos)
+    if polists is None:
+        polists = lists[new_pos] = [poset_possibilities(basis, new_pos, q)
+                                    for q in basis.covered_positions[new_pos]]
     for combo in itertools.product(*polists):
         nd = list(down)
         for ti, t in enumerate(elems):
@@ -371,17 +382,21 @@ def _children(basis: GroupoidBasis, down, new_pos: int):
 
 
 def g_posets(basis: GroupoidBasis):
-    """Stream every partial order on the basis usable by the construction."""
-    k = len(basis.pos_blocks)
+    """Stream every partial order on the basis usable by the construction,
+    stepping over no point block over C1: its one child is its parent."""
+    steps = [p for p in range(1, len(basis.pos_blocks))
+             if len(basis.pos_elems[p]) > 1]
+    k = len(steps)
+    lists = {}  # position -> possibility lists of its covered pairs
 
     def rec(depth, down):
         if depth == k:
             yield BasisOrder(down)
             return
-        for child in _children(basis, down, depth):
+        for child in _children(basis, down, steps[depth], lists):
             yield from rec(depth + 1, child)
 
-    yield from rec(1, basis.root_down())
+    yield from rec(0, basis.root_down())
 
 
 # ---------------------------------------------------------------------------

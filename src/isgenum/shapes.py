@@ -73,9 +73,17 @@ def is_d_partition(E, blocks) -> bool:
     elements of a block have, inside every block, equally many elements
     below them."""
     masks = [sum(1 << x for x in X) for X in blocks]
-    profiles = [tuple((d & mask).bit_count() for mask in masks)
-                for d in E.down]
-    return all(profiles[e] == profiles[X[0]] for X in blocks for e in X[1:])
+
+    def profile(e):
+        d = E.down[e]
+        return [(d & mask).bit_count() for mask in masks]
+
+    for X in blocks:
+        if len(X) > 1:  # a singleton block meets the condition by definition
+            first = profile(X[0])
+            if any(profile(e) != first for e in X[1:]):
+                return False
+    return True
 
 
 def block_order(block):

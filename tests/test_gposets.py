@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from isgenum.engine import _skeletons
+from isgenum.groups import catalog
 from isgenum.gposets import (
     _children,
     _passes_cardinality_test,
@@ -10,7 +12,7 @@ from isgenum.gposets import (
     poset_possibilities,
     validate_hypotheses,
 )
-from isgenum.orders import meet_semilattices, parse_cover_line
+from isgenum.orders import _canonical_labeling, meet_semilattices, parse_cover_line
 from isgenum.shapes import admissible_compositions, d_partitions, group_maps, partitions
 
 VEE = parse_cover_line("3:0<1,0<2")
@@ -464,6 +466,75 @@ def test_validate_hypotheses_rejects_order_not_closed_under_products(
                               ((1, 0, 0, 3), (0, 1, 1, 3))])
     with pytest.raises(AssertionError, match="order not closed under products"):
         validate_hypotheses(basis, down)
+
+
+# ---------------------------------------------------------------------------
+# the search steps only over blocks that can branch
+
+
+def _representative_bases(n, m_max):
+    """The basis of every orbit-representative skeleton of order n over
+    every E of order at most m_max, as the pipeline searches them."""
+    cat = catalog(n)
+    for m in range(1, min(n, m_max) + 1):
+        for E in meet_semilattices(m):
+            gens = _canonical_labeling(m, E.down)[2]
+            for shape in partitions(m):
+                comps = admissible_compositions(n, shape)
+                if comps:
+                    yield from _skeletons(E, comps, d_partitions(E, shape),
+                                          cat, gens)
+
+
+def _reference_search(basis, points):
+    """Every order on the basis by `_children` at every position after the
+    first, in search order; appends (position, order) to `points` for each
+    reached position whose block is a point over C1."""
+    k = len(basis.pos_blocks)
+
+    def rec(p, down):
+        if p == k:
+            yield down
+            return
+        if len(basis.pos_elems[p]) == 1:
+            points.append((p, down))
+        for child in _children(basis, down, p):
+            yield from rec(p + 1, child)
+
+    yield from rec(1, basis.root_down())
+
+
+def _check_against_reference(ns, m_max):
+    bases = orders = 0
+    for n in ns:
+        for basis in _representative_bases(n, m_max):
+            got = [o.down for o in g_posets(basis)]
+            assert got == list(_reference_search(basis, [])), repr(basis)
+            bases += 1
+            orders += len(got)
+    return bases, orders
+
+
+def test_g_posets_matches_reference_search():
+    assert _check_against_reference(range(1, 9), 6) == (2510, 3387)
+
+
+@pytest.mark.stretch
+def test_g_posets_matches_reference_search_stretch_order_9():
+    assert _check_against_reference([9], 9) == (23004, 27101)
+
+
+def test_point_over_c1_has_one_child_its_parent():
+    reached = 0
+    for n in range(1, 9):
+        for basis in _representative_bases(n, 6):
+            points = []
+            list(_reference_search(basis, points))
+            for p, down in points:
+                assert basis.groups[basis.pos_blocks[p]].order == 1
+                assert list(_children(basis, down, p)) == [down]
+            reached += len(points)
+    assert reached == 7940
 
 
 def test_debug_validation_flag(groups_by_name):

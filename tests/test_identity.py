@@ -6,11 +6,18 @@ import hashlib
 from isgenum.engine import (
     EnumerationConfig,
     enumerate_counts_only,
+    enumerate_fixed,
     run_enumeration,
 )
 from isgenum.gposets import _local_possibilities
 from isgenum.groups import catalog
 from isgenum.orders import format_cover_line, meet_semilattices
+from isgenum.shapes import (
+    admissible_compositions,
+    d_partitions,
+    group_maps,
+    partitions,
+)
 
 COVER_LINES_SHA256 = (
     "c48b5c551c3e363b4ec70a9b7330be036c01c0646f329cac613234bb57d5c2a8"
@@ -45,6 +52,12 @@ POSSIBILITIES_SHA256 = (
 )
 TABLES_N7_SHA256 = (
     "0e0f6923a4af1107f94ab30a89998c5357dfd91544e019b9117909370b505232"
+)
+
+# enumerate_fixed's tables, in order, over every skeleton of order 8 whose
+# semilattice has order 6
+FIXED_TABLES_E6_N8_SHA256 = (
+    "69f9a53b7aac2358beb60935e0b59bca53291fdaaf0acc9e6a8357e3b6865d30"
 )
 
 
@@ -100,3 +113,21 @@ def test_ledger_counters():
     for n, expected in ((7, (3, 2, 1)), (8, (38, 28, 11))):
         ledger = enumerate_counts_only(n)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == expected
+
+
+def test_fixed_tables_over_order_6_semilattices():
+    cat = catalog(8)
+    digest = hashlib.sha256()
+    skeletons = tables = 0
+    for E in meet_semilattices(6):
+        for shape in partitions(6):
+            comps = admissible_compositions(8, shape)
+            for P in d_partitions(E, shape):
+                for C in comps:
+                    for f in group_maps(P, C, cat):
+                        skeletons += 1
+                        for S in enumerate_fixed(E, P, f):
+                            tables += 1
+                            digest.update(repr(S.table).encode())
+    assert (skeletons, tables) == (1244, 1553)
+    assert digest.hexdigest() == FIXED_TABLES_E6_N8_SHA256

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from isgenum import engine
 from isgenum.engine import _keep_new, enumerate_semigroups
 from isgenum.esn import esn, natural_order_from_table
 from isgenum.gposets import BasisOrder, e_groupoid, g_posets
@@ -221,19 +222,35 @@ def test_is_isoc_accepts_lonely_permuted_twin(groups_by_name):
 # the keep-if-new filter (engine._keep_new)
 
 
-def test_is_new_empty_store(groups_by_name):
+def _count_invariants(monkeypatch):
+    """Patch the engine's `invariants` to record its arguments."""
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return invariants(S)
+
+    monkeypatch.setattr(engine, "invariants", counted)
+    return calls
+
+
+def test_is_new_empty_store(groups_by_name, monkeypatch):
+    # a lone candidate is kept without computing its key
     (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
+    calls = _count_invariants(monkeypatch)
     stats = [0, 0, 0]
     assert list(_keep_new([S], stats)) == [S]
-    assert stats == [1, 1, 0]
+    assert (calls, stats) == ([], [1, 1, 0])
 
 
-def test_is_new_detects_duplicate(groups_by_name):
+def test_is_new_detects_duplicate(groups_by_name, monkeypatch):
+    # the second candidate keys the first, then itself
     (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
     twin = _relabeled_twin(S, [0, 2, 1])
+    calls = _count_invariants(monkeypatch)
     stats = [0, 0, 0]
     assert list(_keep_new([S, twin], stats)) == [S]
-    assert stats == [2, 1, 1]
+    assert (calls, stats) == ([S, twin], [2, 1, 1])
 
 
 def test_is_new_keeps_same_key_sibling(groups_by_name):

@@ -21,17 +21,30 @@ non-idempotents of each block follow contiguously in (a, b, g) order.
 block-local index; `compose` rows are written from its per-(block size,
 group) product table through the block's element list.
 
-The cross-block possibilities between two blocks depend only on their
-groups, the block sizes and which positions of the lower block lie under
-each element of the upper one.  They are computed once per process in
-block-local coordinates, cached under (G, H, |X|, |Y|, below), and moved
-into a basis's global index by one table lookup for the idempotent bits and
-one shift for the rest.  The key holds no E labels or global indices, so
-the cache stays small: 83 entries for a whole order-9 count.  It is the
-only cache of that step: the wreath-group homomorphisms are rebuilt for
-each new entry.  Groups enter every cache key as their Cayley tables
-(`G.mul`): two groups that share a name but not a table never share an
-entry, and a new `Group` object with a known table adds none.
+Every cache here is keyed by what it depends on, and nothing in them is
+written after it is built:
+- `_BLOCK_CELLS`, under (|X|, G): a block's cells, their products and the
+  groupoid automorphisms that fix its idempotents.
+- `_LAYOUTS`, under (P, f) with P labelled: a basis's `_Layout`, everything
+  it holds that does not read E (elements, `compose`, `index`,
+  `block_of`/`dom`/`ran`, `with_dom`/`with_ran`, `offsets`, each block's
+  members and mask).  Every basis over that (P, f) shares it and adds only
+  E, the caller's groups, their coloring of E and the search order that E
+  sets.  `enumerate_semigroups(9)` builds 421 layouts for 23004 bases.
+  Their compose rows, elements and small tuples repeat from one layout to
+  the next, so `_SHARED` holds one copy of each (1896 tuples there).
+- `_POSS_CACHE`, under (G, H, |X|, |Y|, below): the cross-block
+  possibilities between two blocks, which depend only on their groups, the
+  block sizes and which positions of the lower block lie under each element
+  of the upper one.  They are computed once per process in block-local
+  coordinates and moved into a basis's global index by one table lookup for
+  the idempotent bits and one shift for the rest.  The key holds no E
+  labels or global indices, so the cache stays small: 25 entries for a
+  whole order-9 count, 65 for `enumerate_semigroups(9)`.  The wreath-group homomorphisms are rebuilt for each
+  new entry.
+Groups enter every key as their Cayley tables (`G.mul`): two groups that
+share a name but not a table never share an entry, and a new `Group` object
+with a known table adds none.
 """
 
 from __future__ import annotations
@@ -96,98 +109,148 @@ def _block_cells(x: int, G: Group):
     return data
 
 
-class GroupoidBasis:
-    """Matrix-unit basis with blocks indexed by a D-partition of E."""
+# (partition, group tables) -> _Layout, see _layout
+_LAYOUTS: dict = {}
+# every tuple that a layout holds, once, see _shared
+_SHARED: dict = {}
+
+
+def _shared(t: tuple) -> tuple:
+    """The one copy of `t` that layouts hold: their compose rows, elements
+    and small tuples repeat from one layout to the next."""
+    return _SHARED.setdefault(t, t)
+
+
+class _Layout:
+    """The part of a basis that does not read E, built once per labelled
+    D-partition and group tables (see `_layout`), shared by every basis over
+    them and never written after it is built.
+
+    A basis copies every field; besides those `GroupoidBasis` names:
+    `members[i]`, block i's elements in local order (its idempotents, then
+    its contiguous range of non-idempotents); `masks[i]`, their mask; and
+    `tail`, the reflexive down-sets of the non-idempotents.
+    """
 
     __slots__ = (
-        "E", "partition", "groups", "size", "elem", "index",
-        "dom", "ran", "with_dom", "with_ran", "block_of", "compose", "offsets",
-        "pos_blocks", "pos_elems", "pos_mask",
-        "covered_positions", "colors",
+        "partition", "size", "elem", "index", "block_of", "dom", "ran",
+        "with_dom", "with_ran", "compose", "offsets", "members", "masks",
+        "tail",
     )
 
-    def __init__(self, E, partition, groups):
-        partition = tuple(tuple(X) for X in partition)
-        groups = tuple(groups)
+    def __init__(self, partition, groups):
         if len(partition) != len(groups):
             raise ValueError("one group per block required")
-        flat = sorted(x for X in partition for x in X)
-        if flat != list(range(E.size)):
+        m = sum(map(len, partition))
+        if sorted(x for X in partition for x in X) != list(range(m)):
             raise ValueError("blocks must partition the elements of E")
         if any(len(partition[i]) < len(partition[i + 1])
                for i in range(len(partition) - 1)):
             raise ValueError("blocks must be weakly decreasing in size")
-        self.E = E
         self.partition = partition
-        self.groups = groups
 
         cell_data = [
             _block_cells(len(X), G) for X, G in zip(partition, groups)
         ]
-        size = E.size + sum(
+        size = m + sum(
             len(data[0]) - len(X) for X, data in zip(partition, cell_data)
         )
-        block_of_label = [0] * E.size
-        elem = [None] * E.size
+        elem = [None] * m
         compose = [None] * size
         offsets = []
-        block_elems = []
+        members = []
         for i, X in enumerate(partition):
             cells, _, cell_prods, _ = cell_data[i]
             off = len(elem)
             for e in X:
-                block_of_label[e] = i
                 elem[e] = (i, e, e, 0)
             elem.extend((i, X[a], X[b], g) for a, b, g in cells[len(X):])
-            # the block's elements in local order: its idempotents, then its
-            # contiguous range of non-idempotents
-            members = X + tuple(range(off, len(elem)))
-            for s, pairs in zip(members, cell_prods):
+            block = X + tuple(range(off, len(elem)))
+            for s, pairs in zip(block, cell_prods):
                 row = [-1] * size
                 for t, st in pairs:
-                    row[members[t]] = members[st]
-                compose[s] = tuple(row)
+                    row[block[t]] = block[st]
+                compose[s] = _shared(tuple(row))
             offsets.append(off)
-            block_elems.append(members)
-        self.elem = tuple(elem)
+            members.append(_shared(block))
+        self.elem = tuple(map(_shared, elem))
         self.size = size
-        self.offsets = tuple(offsets)
-        self.index = {t: s for s, t in enumerate(elem)}
-        self.block_of, self.ran, self.dom, _ = zip(*elem)
+        self.offsets = _shared(tuple(offsets))
+        self.index = {t: s for s, t in enumerate(self.elem)}
+        block_of, ran, dom, _ = zip(*elem)
+        self.block_of, self.ran, self.dom = map(_shared, (block_of, ran, dom))
         # per idempotent e, the mask of the elements with domain (range) e
-        with_dom, with_ran = [0] * E.size, [0] * E.size
+        with_dom, with_ran = [0] * m, [0] * m
         for s, (_, r, d, _) in enumerate(elem):
             with_dom[d] |= 1 << s
             with_ran[r] |= 1 << s
-        self.with_dom, self.with_ran = tuple(with_dom), tuple(with_ran)
+        self.with_dom = _shared(tuple(with_dom))
+        self.with_ran = _shared(tuple(with_ran))
         self.compose = tuple(compose)
+        self.members = tuple(members)
+        self.masks = _shared(tuple(sum(1 << s for s in b) for b in members))
+        self.tail = _shared(tuple(1 << s for s in range(m, size)))
+
+
+def _layout(partition, groups) -> _Layout:
+    """The layout of `partition` over `groups`, built on first use.  Groups
+    enter the key as their tables, so a new `Group` object with a known
+    table adds no layout."""
+    key = (partition, tuple([G.mul for G in groups]))
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS[key] = _Layout(partition, groups)
+    return layout
+
+
+class GroupoidBasis:
+    """Matrix-unit basis with blocks indexed by a D-partition of E.
+
+    Its element list, `compose` rows, `index`, `dom`/`ran`/`block_of`,
+    `with_dom`/`with_ran` and `offsets` are those of its shared `_Layout`;
+    it adds E, the caller's own groups, the coloring of E they give, and the
+    search order that E sets (`pos_blocks`, `pos_elems`, `pos_mask`,
+    `covered_positions`, `root_down`).
+    """
+
+    __slots__ = _Layout.__slots__ + (
+        "E", "groups", "colors",
+        "pos_blocks", "pos_elems", "pos_mask", "covered_positions",
+    )
+
+    def __init__(self, E, partition, groups):
+        groups = tuple(groups)
+        layout = _layout(tuple(map(tuple, partition)), groups)
+        # with_dom has one entry per idempotent of the layout
+        if len(layout.with_dom) != E.size:
+            raise ValueError("blocks must partition the elements of E")
+        for name in _Layout.__slots__:
+            setattr(self, name, getattr(layout, name))
+        self.E = E
+        self.groups = groups
+        partition = self.partition
+        idem_block = self.block_of[:E.size]
         # per idempotent: (size of its D-class, name of its maximal subgroup)
-        self.colors = tuple(
-            (len(partition[i]), groups[i].name) for i in block_of_label
-        )
+        color = [(len(X), G.name) for X, G in zip(partition, groups)]
+        self.colors = tuple(map(color.__getitem__, idem_block))
 
         # search order: deepest-reaching blocks first
-        level = E.down_level_of
-
-        def sort_key(i):
-            X = partition[i]
-            return (-max(map(level, X)), -len(X), X)
-
-        self.pos_blocks = tuple(sorted(range(len(partition)), key=sort_key))
-        pos_of_block = [0] * len(partition)
-        for p, i in enumerate(self.pos_blocks):
+        lev = E.down_level
+        keys = [(-max(map(lev.__getitem__, X)), -len(X), X) for X in partition]
+        order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+        pos_of_block = [0] * len(keys)
+        for p, i in enumerate(order):
             pos_of_block[i] = p
-        self.pos_elems = tuple(block_elems[i] for i in self.pos_blocks)
-        self.pos_mask = tuple(
-            sum(1 << s for s in elems) for elems in self.pos_elems
-        )
+        self.pos_blocks = order
+        self.pos_elems = tuple(map(layout.members.__getitem__, order))
+        self.pos_mask = tuple(map(layout.masks.__getitem__, order))
 
-        cov = [set() for _ in partition]
+        pos = [pos_of_block[i] for i in idem_block]
+        cov = [set() for _ in keys]
         for lo, hi in E.covers:
-            bl, bh = block_of_label[lo], block_of_label[hi]
-            if bl != bh:
-                cov[pos_of_block[bh]].add(pos_of_block[bl])
-        self.covered_positions = tuple(tuple(sorted(c)) for c in cov)
+            if pos[lo] != pos[hi]:
+                cov[pos[hi]].add(pos[lo])
+        self.covered_positions = tuple([tuple(sorted(c)) for c in cov])
 
     def __repr__(self):
         sig = ", ".join(
@@ -198,10 +261,7 @@ class GroupoidBasis:
 
     def root_down(self):
         """Order on idempotents inherited from E; everything else reflexive."""
-        E = self.E
-        return tuple(
-            E.down[s] if s < E.size else 1 << s for s in range(self.size)
-        )
+        return self.E.down + self.tail
 
 
 class BasisOrder(NamedTuple):

@@ -108,7 +108,7 @@ class Poset:
 class MeetSemilattice(Poset):
     """Poset with all binary meets, in canonical linear-extension labels."""
 
-    __slots__ = ("meet", "_down_level_of")
+    __slots__ = ("meet", "_down_level")
 
     def __init__(self, down):
         super().__init__(down)
@@ -133,21 +133,22 @@ class MeetSemilattice(Poset):
                 row.append(h)
             meet.append(tuple(row))
         self.meet = tuple(meet)
-        self._down_level_of = None
+        self._down_level = None
 
     def has_maximum(self) -> bool:
         """The labels are a linear extension, so only the last can be top."""
         return self.down[-1] == (1 << self.size) - 1
 
-    def down_level_of(self, x: int) -> int:
-        """0-based down-level index of x (0 = maximal elements)."""
-        if self._down_level_of is None:
+    @property
+    def down_level(self):
+        """Per element, its 0-based down-level index (0 = maximal elements)."""
+        if self._down_level is None:
             lev = [0] * self.size
             for i, level in enumerate(down_levels(self.down)):
-                for x_ in level:
-                    lev[x_] = i
-            self._down_level_of = tuple(lev)
-        return self._down_level_of[x]
+                for x in level:
+                    lev[x] = i
+            self._down_level = tuple(lev)
+        return self._down_level
 
 
 # ---------------------------------------------------------------------------

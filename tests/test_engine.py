@@ -24,7 +24,7 @@ from isgenum.engine import (
 from isgenum.esn import esn, validate_inverse_semigroup
 from isgenum.gposets import e_groupoid, g_posets
 from isgenum.groups import Group, catalog, is_isomorphic
-from isgenum.iso import brute_force_isomorphic
+from isgenum.iso import brute_force_isomorphic, is_isoc
 from isgenum.orders import (
     MeetSemilattice,
     _canonical_labeling,
@@ -352,12 +352,29 @@ def test_fixed_same_named_groups_stay_apart(groups_by_name):
         T = Group(S.table, "table")
         assert sorted(T.element_order(x) for x in range(4)) == orders
         assert is_isomorphic(T, groups_by_name[name])
+    # one table under two names: one layout, but each basis keeps the
+    # caller's own groups and the colors of their names
+    mul = groups_by_name["C2"].mul
+    A, B = Group(mul, "A"), Group(mul, "B")
+    a = e_groupoid(CHAIN2, ((0,), (1,)), (A, A))
+    layouts = len(gposets._LAYOUTS)
+    b = e_groupoid(CHAIN2, ((0,), (1,)), (A, B))
+    assert len(gposets._LAYOUTS) == layouts
+    assert a.elem is b.elem and a.compose is b.compose
+    assert a.groups[1] is A and b.groups[1] is B
+    assert a.colors == ((1, "A"), (1, "A"))
+    assert b.colors == ((1, "A"), (1, "B"))
+    (S,) = enumerate_fixed(E1, ((0,),), (A,))
+    (T,) = enumerate_fixed(E1, ((0,),), (B,))
+    assert S.groups[0] is A and T.groups[0] is B
+    assert not is_isoc(S, T)
 
 
 def test_fixed_caches_do_not_grow_with_fresh_groups(groups_by_name):
     # the search caches are keyed by group tables, so new Group objects
     # with a table already seen add no entries
-    caches = (gposets._BLOCK_CELLS, gposets._POSS_CACHE)
+    caches = (gposets._BLOCK_CELLS, gposets._POSS_CACHE, gposets._LAYOUTS,
+              gposets._SHARED)
     mul = groups_by_name["C2"].mul
 
     def call():

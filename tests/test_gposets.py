@@ -1,10 +1,13 @@
 import itertools
+import operator
 
 import pytest
 
+from isgenum import gposets
 from isgenum.engine import _skeletons
 from isgenum.groups import catalog
 from isgenum.gposets import (
+    GroupoidBasis,
     _children,
     _passes_cardinality_test,
     e_groupoid,
@@ -224,10 +227,16 @@ def test_e_groupoid_inverses_and_products(groups_by_name):
 
 
 def test_e_groupoid_validates_input(groups_by_name):
+    C1 = groups_by_name["C1"]
     with pytest.raises(ValueError):
-        e_groupoid(VEE, ((1, 2),), (groups_by_name["C1"],))
+        e_groupoid(VEE, ((1, 2),), (C1,))
     with pytest.raises(ValueError):
-        e_groupoid(VEE, ((0,), (1, 2)), (groups_by_name["C1"],) * 2)
+        e_groupoid(VEE, ((0,), (1, 2)), (C1,) * 2)
+    # the shape is checked when the layout is built; a layout cached from
+    # an E of order 3 must still refuse an E of order 4
+    e_groupoid(VEE, ((1, 2), (0,)), (C1, C1))
+    with pytest.raises(ValueError, match="partition the elements of E"):
+        e_groupoid(parse_cover_line("4:0<1,0<2,0<3"), ((1, 2), (0,)), (C1, C1))
 
 
 def _search_blocks(basis):
@@ -522,6 +531,70 @@ def test_g_posets_matches_reference_search():
 @pytest.mark.stretch
 def test_g_posets_matches_reference_search_stretch_order_9():
     assert _check_against_reference([9], 9) == (23004, 27101)
+
+
+# ---------------------------------------------------------------------------
+# one layout per (P, f), shared by every E
+
+
+def _uncached(E, P, f):
+    """The basis of (E, P, f) built from empty layout and tuple caches."""
+    kept = gposets._LAYOUTS, gposets._SHARED
+    gposets._LAYOUTS, gposets._SHARED = {}, {}
+    try:
+        return GroupoidBasis(E, P, f)
+    finally:
+        gposets._LAYOUTS, gposets._SHARED = kept
+
+
+def _check_cached_against_uncached(ns, m_max):
+    """Build every orbit-representative skeleton's basis through the layout
+    cache, in sweep order and in reverse, each from a cleared cache, and
+    compare it field by field with an uncached build."""
+    skeletons = [(b.E, b.partition, b.groups)
+                 for n in ns for b in _representative_bases(n, m_max)]
+    layouts = set()
+    for order in (skeletons, skeletons[::-1]):
+        gposets._LAYOUTS.clear()
+        gposets._SHARED.clear()
+        for E, P, f in order:
+            basis, fresh = GroupoidBasis(E, P, f), _uncached(E, P, f)
+            for name in GroupoidBasis.__slots__:
+                assert getattr(basis, name) == getattr(fresh, name), name
+            assert basis.root_down() == fresh.root_down()
+            # the caller's own objects, not those of the build that cached
+            assert basis.E is E
+            assert all(map(operator.is_, basis.groups, f))
+        layouts.add(len(gposets._LAYOUTS))
+    return len(skeletons), layouts.pop()
+
+
+def test_cached_basis_equals_uncached_build():
+    assert _check_cached_against_uncached(range(1, 9), 6) == (2510, 347)
+
+
+@pytest.mark.stretch
+def test_cached_basis_equals_uncached_build_stretch_order_9():
+    assert _check_cached_against_uncached([9], 9) == (23004, 421)
+
+
+def test_semilattices_share_a_layout_not_a_search_order(groups_by_name):
+    # one labelled (P, f) over two semilattices: the layout is shared, the
+    # search order is each E's own
+    C1 = groups_by_name["C1"]
+    for (E, F), P, blocks, covered in (
+            ((CHAIN3, VEE), ((0,), (1,), (2,)),
+             ((0, 1, 2), (0, 1, 2)), (((), (0,), (1,)), ((), (0,), (0,)))),
+            ((parse_cover_line("4:0<1,1<2,2<3"),
+              parse_cover_line("4:0<1,0<2,2<3")),
+             ((0,), (1,), (2,), (3,)), ((0, 1, 2, 3), (0, 2, 1, 3)),
+             (((), (0,), (1,), (2,)), ((), (0,), (0,), (1,))))):
+        f = (C1,) * len(P)
+        a, b = e_groupoid(E, P, f), e_groupoid(F, P, f)
+        assert a.elem is b.elem and a.compose is b.compose
+        assert (a.pos_blocks, b.pos_blocks) == blocks
+        assert (a.covered_positions, b.covered_positions) == covered
+        assert (a.root_down(), b.root_down()) == (E.down, F.down)
 
 
 def test_point_over_c1_has_one_child_its_parent():

@@ -48,7 +48,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from time import perf_counter
 
 from . import groups as _groups
@@ -411,31 +411,26 @@ def _orbit_row(k, down, gens):
             or (a, c) in covers and (b, c) in covers))])
 
 
-# (G.mul, H.mul) -> the maps G -> H; G.mul -> pairs (a, a^-1) generating Aut(G)
-_HOMS: dict = {}
-_AUT_GENS: dict = {}
-
-
+@cache
 def _homs(G, H):
-    if (G.mul, H.mul) not in _HOMS:
-        _HOMS[G.mul, H.mul] = tuple(G.homomorphisms([[
-            y for y in range(H.order)
-            if G.element_order(g) % H.element_order(y) == 0]
-            for g in G.generating_set()], H.mul))
-    return _HOMS[G.mul, H.mul]
+    """The maps G -> H, once per pair of catalog groups (one object each)."""
+    return tuple(G.homomorphisms([[
+        y for y in range(H.order)
+        if G.element_order(g) % H.element_order(y) == 0]
+        for g in G.generating_set()], H.mul))
 
 
+@cache
 def _aut_gens(G):
-    if G.mul not in _AUT_GENS:
-        one, gens = tuple(range(G.order)), []
-        group = {one}
-        for a in G.automorphism_images():
-            if a not in group:
-                gens.append((a, tuple(sorted(one, key=a.__getitem__))))
-                group = set(next(_orbits([one], lambda f: [
-                    tuple(a[x] for x in f) for a, _ in gens])))
-        _AUT_GENS[G.mul] = gens
-    return _AUT_GENS[G.mul]
+    """Pairs (a, a^-1) of automorphisms of G that generate Aut(G)."""
+    one, gens = tuple(range(G.order)), []
+    group = {one}
+    for a in G.automorphism_images():
+        if a not in group:
+            gens.append((a, tuple(sorted(one, key=a.__getitem__))))
+            group = set(next(_orbits([one], lambda f: [
+                tuple(a[x] for x in f) for a, _ in gens])))
+    return tuple(gens)
 
 
 def _clifford_cell(n, down, gens):

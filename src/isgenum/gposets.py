@@ -10,8 +10,7 @@ semigroup downstream.  The search relates one block at a time, in
 element: a point block over C1 is an idempotent, whose down-set is already
 E's, so its one extension is its parent.  The state is the number of steps
 done and the tuple of down-set masks, and each complete order is yielded as
-a `BasisOrder`.  Within one `g_posets` call each block pair's possibility
-list is read once.
+a `BasisOrder`.
 
 Orders are stored as per-element bitmasks over a global element index in
 which idempotent (block, e, e, identity) is element e of E, and the
@@ -37,11 +36,12 @@ written after it is built:
   possibilities between two blocks, which depend only on their groups, the
   block sizes and which positions of the lower block lie under each element
   of the upper one.  They are computed once per process in block-local
-  coordinates and moved into a basis's global index by one table lookup for
-  the idempotent bits and one shift for the rest.  The key holds no E
-  labels or global indices, so the cache stays small: 25 entries for a
-  whole order-9 count, 65 for `enumerate_semigroups(9)`.  The wreath-group homomorphisms are rebuilt for each
-  new entry.
+  coordinates, and each search step that reads them moves them into its
+  basis's global index by one table lookup for the idempotent bits and one
+  shift for the rest.  The key holds no E labels or global indices, so the
+  cache stays small: 25 entries for a whole order-9 count, 65 for
+  `enumerate_semigroups(9)`.  The wreath-group homomorphisms are rebuilt
+  for each new entry.
 Groups enter every key as their Cayley tables (`G.mul`): two groups that
 share a name but not a table never share an entry, and a new `Group` object
 with a known table adds none.
@@ -405,12 +405,12 @@ def _passes_cardinality_test(basis: GroupoidBasis, down, new_pos: int) -> bool:
     return True
 
 
-def _children(basis: GroupoidBasis, down, new_pos: int, lists=None):
+def _children(basis: GroupoidBasis, down, new_pos: int):
     """Extend `down`, an order on the first `new_pos` blocks in search
     order, over the next block in every valid way.
 
-    `lists`, when given, maps a position to the possibility lists of its
-    covered pairs; they are computed on first use and read from it after.
+    Each covered pair's possibilities come from `poset_possibilities`, whose
+    block-local lists `_POSS_CACHE` holds for the whole process.
     `_passes_cardinality_test` is the only check after the closure: a pair
     the closure adds beyond the chosen possibility on a covered block (an
     earlier one, by the D-partition condition) lifts an element's count in
@@ -418,12 +418,8 @@ def _children(basis: GroupoidBasis, down, new_pos: int, lists=None):
     its E-down-set there.
     """
     elems = basis.pos_elems[new_pos]
-    if lists is None:
-        lists = {}
-    polists = lists.get(new_pos)
-    if polists is None:
-        polists = lists[new_pos] = [poset_possibilities(basis, new_pos, q)
-                                    for q in basis.covered_positions[new_pos]]
+    polists = [poset_possibilities(basis, new_pos, q)
+               for q in basis.covered_positions[new_pos]]
     for combo in itertools.product(*polists):
         nd = list(down)
         for ti, t in enumerate(elems):
@@ -447,13 +443,12 @@ def g_posets(basis: GroupoidBasis):
     steps = [p for p in range(1, len(basis.pos_blocks))
              if len(basis.pos_elems[p]) > 1]
     k = len(steps)
-    lists = {}  # position -> possibility lists of its covered pairs
 
     def rec(depth, down):
         if depth == k:
             yield BasisOrder(down)
             return
-        for child in _children(basis, down, steps[depth], lists):
+        for child in _children(basis, down, steps[depth]):
             yield from rec(depth + 1, child)
 
     yield from rec(0, basis.root_down())

@@ -60,7 +60,7 @@ def _bits(mask):
 class Poset:
     """Finite poset; down[j] is the bitmask of {i : i <= j} (including j)."""
 
-    __slots__ = ("size", "down", "up", "_covers", "_profile")
+    __slots__ = ("size", "down", "up", "_covers")
 
     def __init__(self, down):
         down = tuple(down)
@@ -75,8 +75,7 @@ class Poset:
         self.size = n
         self.down = down
         self.up = tuple(up)
-        self._covers = None
-        self._profile = None  # see colored_isomorphisms
+        self._covers = None  # built on the first read of `covers`
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.down == other.down
@@ -185,10 +184,7 @@ def colored_isomorphisms(poset: Poset, ca, cb):
     if sorted(ca) != sorted(cb):
         return
     down = poset.down
-    sizes = poset._profile
-    if sizes is None:  # once per poset: is_isoc calls this per pair
-        sizes = poset._profile = tuple((d.bit_count(), u.bit_count())
-                                       for d, u in zip(down, poset.up))
+    sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(down, poset.up)]
     cand = []
     for a in range(n):
         opts = [

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import os
 import sys
@@ -805,6 +806,33 @@ def test_four_below_clifford_stretch_listed_automorphisms_m_7():
     _check_four_below_by_listed_automorphisms(7)
 
 
+def test_clifford_caches_list_every_map_and_generate_aut():
+    # `_clifford_cell` reads the maps between catalog groups and generators
+    # of their automorphism groups, cached per group object
+    small = catalog(4)
+    for G in small:
+        for H in small:
+            homs = engine._homs(G, H)
+            assert len(homs) == len(set(homs))
+            assert set(homs) == set(_homs(G.mul, H.mul))
+            assert engine._homs(G, H) is homs
+    for G in catalog(8):
+        gens = engine._aut_gens(G)
+        one = tuple(range(G.order))
+        for a, inv in gens:
+            assert tuple(a[x] for x in inv) == one
+        group, todo = {one}, [one]
+        while todo:
+            f = todo.pop()
+            for a, _ in gens:
+                g = tuple(a[x] for x in f)
+                if g not in group:
+                    group.add(g)
+                    todo.append(g)
+        assert group == set(G.automorphism_images())
+        assert engine._aut_gens(G) is gens
+
+
 def test_commutative_from_skeleton_matches_table_scan():
     for n in range(1, 9):
         comm = 0
@@ -1195,3 +1223,20 @@ def test_config_validation():
         EnumerationConfig(order=0)
     with pytest.raises(ValueError):
         EnumerationConfig(order=3, threads=0)
+
+
+def test_engine_binds_every_traced_layer():
+    # bench/tracer.py wraps these names of the engine and the CLI; loading
+    # the module does not install its wrappers
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from isgenum import cli
+
+    for name in (*tracer._ENGINE_CALLS, *tracer._ENGINE_GENERATORS,
+                 "ProcessPoolExecutor"):
+        assert hasattr(engine, name), name
+    for name in ("run_enumeration", "write_cayley_files"):
+        assert hasattr(cli, name), name

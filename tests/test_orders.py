@@ -236,20 +236,6 @@ def test_colored_isoms_match_uncolored_oracle():
         assert got == _automorphisms(E)
 
 
-def test_colored_isoms_keep_the_profile_of_their_poset():
-    # the (down-set size, up-set size) profile is built on the first call
-    # and reused by every later call on the same poset
-    for E in meet_semilattices(5):
-        colors = (0,) * E.size
-        assert E._profile is None
-        first = sorted(colored_isomorphisms(E, colors, colors))
-        profile = E._profile
-        assert profile == tuple((E.down[x].bit_count(), E.up[x].bit_count())
-                                for x in range(E.size))
-        assert sorted(colored_isomorphisms(E, colors, colors)) == first
-        assert E._profile is profile
-
-
 def _automorphisms(E):
     n = E.size
     return [

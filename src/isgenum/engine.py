@@ -16,25 +16,21 @@ member of each of the orbit's classes, and no class spans two orbits: the
 first skeletons keep the classes, and their order, of a search over all.
 
 `run_enumeration` maps `_semilattice_task` over the canonical levels
-(`semilattice_level`) an eighth of a level at a time, in both modes:
-counts mode the levels 1..max(1, n - 3), full mode the levels 1..n, whose
-labels its tables follow.  Ledgers merge in task order, so ledgers and
-output files do not depend on the worker count.  A task is E's tuple of
-down-set masks alone: whatever else it needs (Aut(E), shapes, extension
-ideals) it derives from that tuple where it is used.  Each step picks E's
-rows by k = n - |E|.  At k = 0, E is its own class, whose table is its
-meet table.  Counts mode reads the rows k <= 3, and row 4's all-points
-cell, off Aut(E)-orbits (`_orbit_row`), the all-points cell of every row
-k > 4 off the orbits of Aut(E) and the groups' automorphisms on strong
+(`semilattice_level`) an eighth of a level at a time: counts mode the
+levels 1..max(1, n - 3), full mode the levels 1..n, whose labels its
+tables follow.  Ledgers merge in task order, so ledgers and output files
+do not depend on the worker count.  A task is E's down-set masks alone.
+Each step picks E's rows by k = n - |E|; at k = 0, E is its own class.
+Counts mode reads the rows k <= 3 and row 4's all-points cell off
+Aut(E)-orbits (`_orbit_row`; C2 at k points by a rule on covers,
+`_c2_classes`), every other all-points cell off orbits on strong
 semilattices of groups (`_clifford_cell`), and searches the rest.  From
-k = 3 on, its step also runs on each semilattice that E owns under
-canonical augmentation (`_owned`), so each E of the top level walks the
-orders above it.  Such a step takes the generators of its automorphism
-group and its extension ideals from its parent's, and at k = 1 it only
-counts the owned children, each its own class.  Full mode writes each
-task's tables as its result arrives.  `enumerate_semigroups` streams
-`_classes` over every E, and `enumerate_fixed` runs `_keep_new` on one
-skeleton.
+k = 3 on, a step also runs on each semilattice that E owns under
+canonical augmentation (`_owned`: keys and refined colors settle most
+ties), with generators and extension ideals from E's, and at k = 1 only
+counts them.  A rigid E (no generators) searches no orbits.  Full mode
+writes each task's tables as they arrive.  `enumerate_semigroups` streams
+`_classes` over every E; `enumerate_fixed` runs `_keep_new` on one skeleton.
 
 The pipeline calls every layer through this module's own names (`esn`,
 `g_posets`, `is_isoc`, ...), which is where `bench/tracer.py` wraps them.
@@ -44,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -329,25 +326,40 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
     return ledger, tables
 
 
-def _c2_orbits(E, gens, k):
-    """Classes with C2 at the points of a k-set T, trivial groups elsewhere:
-    one per Aut(E)-orbit of (T, the pairs b < a in T whose structure map is
-    the identity).  It is the identity iff every d strictly between is in T
-    with identity maps from a to d and d to b, and trivial otherwise."""
-    down, up = E.down, E.up
-    maps = []
-    for T in itertools.combinations(range(E.size), k):
-        below = [(b, a) for b, a in itertools.combinations(T, 2)
-                 if down[a] >> b & 1]
-        maps += [(T, ids) for j in range(len(below) + 1)
-                 for ids in itertools.combinations(below, j)
-                 if all(((b, a) in ids) == (d in T and (b, d) in ids
-                                            and (d, a) in ids)
-                        for b, a in below
-                        for d in _bits(down[a] & up[b] ^ 1 << a ^ 1 << b))]
-    return len(list(_orbits(maps, lambda item: [
-        (tuple(sorted(map(g.__getitem__, item[0]))),
-         tuple(sorted((g[b], g[a]) for b, a in item[1]))) for g in gens])))
+def _c2_classes(k, down, covers, gens, images):
+    """Classes of order m + k over E (these down-set masks, sorted `covers`,
+    Aut(E) generated by `gens`, their `_mask_images` `images`) with C2 at a
+    k-set T, C1 elsewhere: one per orbit of (T, S), S the covers in T with
+    identity maps.  A map is the identity iff every chain composes to it, so
+    S is valid iff each b < a joined by S-covers has [b, a] in T and all its
+    covers in S.  T is S's points and any others: with no generators, sum
+    C(m - |pts S|, k - |pts S|) over the valid S."""
+    m = len(down)
+    ends = [1 << b | 1 << a for b, a in covers]
+    valid, sets = [], [(0, 0, 0)]  # (points, S as a cover mask, next cover)
+    for pts, S, first in sets:  # grows as it is read
+        reach = [0] * m  # reach[a]: the points below a by S-covers
+        for b, a in map(covers.__getitem__, _bits(S)):
+            reach[a] |= reach[b] | 1 << b  # by lower end: reach[b] is whole
+        if not (S & S - 1 and any(  # a cover outside S in some [b, a]
+                down[x] & reach[a] and down[a] >> y & 1 for a in _bits(pts)
+                for j, (x, y) in enumerate(covers) if not S >> j & 1)):
+            valid.append((pts, S))
+        sets += [(pts | ends[j], S | 1 << j, j + 1) for j in range(
+            first, len(covers)) if (pts | ends[j]).bit_count() <= k]
+    if not gens:
+        return sum(math.comb(m - pts.bit_count(), k - pts.bit_count())
+                   for pts, _ in valid)
+    moved = _mask_images(len(covers), [
+        [covers.index((g[b], g[a])) for b, a in covers] for g in gens])
+    ones = [1 << x for x in range(m)]
+    # Aut(E) fixes S = {}, whose items are the k-sets
+    return len(list(_orbits(map(sum, itertools.combinations(ones, k)),
+                            images))) + len(list(_orbits([
+        (sum(rest) | pts, S) for pts, S in valid if S
+        for rest in itertools.combinations([x for x in ones if not x & pts],
+                                           k - pts.bit_count())],
+        lambda item: list(zip(images(item[0]), moved(item[1]))))))
 
 
 def _orbit_row(k, down, gens):
@@ -357,7 +369,7 @@ def _orbit_row(k, down, gens):
 
     The non-idempotents number sum p * (p * |G| - 1) = k over the blocks.  A
     group of order k + 1 at a point gives one class per orbit of points for
-    each such group, and C2 at a k-set those of `_c2_orbits`.  The other
+    each such group, and C2 at a k-set those of `_c2_classes`.  The other
     Clifford classes are one per orbit of the items (A, B, t): C3 at e with
     C2 at f (A = (e,), B = (f,)); at k = 4, C4, and again C2 x C2, at e
     with C2 at f (the same items), C3 at e and f (A = {e, f}, B = ()), and
@@ -370,20 +382,21 @@ def _orbit_row(k, down, gens):
     ({a, b}, (), 0), and at k = 3, with C2 at c, one per orbit of
     ({a, b}, (c,), t), where t = 1 marks a second class when c = a ^ b (the
     arrow a -> b restricts to either element of C2 at c) or c covers a and
-    b (C2 may swap them).
+    b (C2 may swap them).  With no generators each item is its own orbit.
     """
     m = len(down)
     # a group of order k + 1 at one point: C2; C3; C4 or C2 x C2; C5
-    clifford = (1, 1, 2, 1)[k - 1] * len(set(_point_orbits(m, gens)))
+    clifford = (1, 1, 2, 1)[k - 1] * (
+        len(set(_point_orbits(m, gens))) if gens else m)
     if k == 1:
         return clifford, 0
-    E = Poset(down)
-    clifford += _c2_orbits(E, gens, k)
-    covers = set(E.covers) if k > 2 else ()
+    covers, images = Poset(down).covers, _mask_images(m, gens)
+    clifford += _c2_classes(k, down, covers, gens, images)
     pairs = list(itertools.combinations(range(m), 2))
-    images = _mask_images(m, gens)
 
     def orbits(items):  # the point sets A and B as masks
+        if not gens:
+            return len(items)
         return len(list(_orbits(items, lambda i: [
             (a, b, i[2]) for a, b in zip(images(i[0]), images(i[1]))])))
 

@@ -32,7 +32,7 @@ class Group:
     """Group on {0, ..., order-1} with identity 0, as an immutable Cayley table."""
 
     __slots__ = ("order", "mul", "inv", "name", "abelian", "_orders", "_gens",
-                 "_walk", "_auts")
+                 "_walk")
 
     def __init__(self, mul, name: str):
         order = len(mul)
@@ -82,7 +82,6 @@ class Group:
         self._orders = tuple(orders)
         self._gens = tuple(gens)
         self._walk = tuple(walk)
-        self._auts = None
 
     def __repr__(self):
         return f"Group({self.name})"
@@ -117,10 +116,8 @@ class Group:
                 yield tuple(img)
 
     def automorphism_images(self) -> tuple:
-        """All automorphisms as image tuples (cached)."""
-        if self._auts is None:
-            self._auts = tuple(_isomorphisms(self, self))
-        return self._auts
+        """All automorphisms as image tuples."""
+        return tuple(_isomorphisms(self, self))
 
 
 def _isomorphisms(G: Group, H: Group):

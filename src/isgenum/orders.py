@@ -21,12 +21,11 @@ level, order and labels for every mapper.
 The canonical search also yields automorphism generators, from which
 `owned_children` finds the children a semilattice owns under canonical
 augmentation, in its labels with the new element last: over level m, one
-per class of order m + 1.  An invariant key of the maximal elements and
-swaps of twins settle most ownership ties, so few children are labeled.
+per class of order m + 1.  Invariant keys and colors of the maximal
+elements and swaps of twins settle most ties, so few children are labeled.
 The engine's walk runs the same test (`_owned`), which also derives each
 owned child's generators and extension ideals from the parent's
-(`_inherit`).  The engine closes its skeletons, and finds the point and
-pair orbits of a semilattice, under the same generators with `_orbits`.
+(`_inherit`); the engine's orbit counts use those generators and `_orbits`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
 directly, and `colored_isomorphisms` searches the automorphisms of one
@@ -245,9 +244,20 @@ def _refined_colors(n, below, above):
         colors = nxt
 
 
-def _canonical_labeling(n, down):
+def _neighbors(down):
+    """below[x] and above[x]: the elements strictly below and above x."""
+    below = [list(_bits(d ^ 1 << x)) for x, d in enumerate(down)]
+    above = [[] for _ in down]
+    for x, ys in enumerate(below):
+        for y in ys:
+            above[y].append(x)
+    return below, above
+
+
+def _canonical_labeling(n, down, colors=None):
     """Minimal (color, predecessors-mask) sequence over all linear extensions,
     the first labeling that spells it, and generators of Aut(poset).
+    `colors` are the poset's `_refined_colors`, if the caller has them.
 
     Returns (key, labels, gens).  The key determines the poset up to
     isomorphism.  Entry i is the (color, mask) of the element labeled i, and
@@ -275,12 +285,8 @@ def _canonical_labeling(n, down):
     generate Aut (McKay and Piperno, "Practical graph isomorphism, II").
     """
     sdown = [down[x] ^ (1 << x) for x in range(n)]
-    below = [[i for i in range(n) if sdown[x] >> i & 1] for x in range(n)]
-    above = [[] for _ in range(n)]
-    for x in range(n):
-        for i in below[x]:
-            above[i].append(x)
-    colors = _refined_colors(n, below, above)
+    below, above = _neighbors(down)
+    colors = colors or _refined_colors(n, below, above)
     # earlier[x]: the twins of x with smaller indices
     earlier = [0] * n
     twins = {}
@@ -451,12 +457,12 @@ def _inherit(pdown, gens, ideals, images, orbit, ties, cgens):
     from P's generators and extension ideals (`ideals`).
 
     If E was labeled on a tie, `cgens` are its generators.  Else every
-    maximal element of E with z's key is z or a twin of z (`ties`), so
-    Aut(E) is the stabilizer of orbit[0] in Aut(P), fixing z, and the swaps
-    of z with its twins.  The stabilizer has the Schreier generators
-    u_{g(y)}^-1 g u_y over the y of the orbit and g of `gens`, where u_y
-    maps orbit[0] to y (Seress, "Permutation Group Algorithms", 2003): a
-    replay of the breadth-first search of `_orbits` builds u.  The
+    maximal element of E with z's key and color is z or a twin of z
+    (`ties`), so Aut(E) is the stabilizer of orbit[0] in Aut(P), fixing z,
+    and the swaps of z with its twins.  The stabilizer has the Schreier
+    generators u_{g(y)}^-1 g u_y over the y of the orbit and g of `gens`,
+    where u_y maps orbit[0] to y (Seress, "Permutation Group Algorithms",
+    2003): a replay of the breadth-first search of `_orbits` builds u.  The
     ideals are one more step of the fold.
     """
     n = len(pdown)
@@ -487,19 +493,19 @@ def _owned(pdown, gens, ideals):
     child's generators and extension ideals (`_inherit`).
 
     Ownership is McKay's canonical augmentation ("Isomorph-free exhaustive
-    generation", 1998): P extends by one ideal per Aut(P)-orbit, and owns
-    the child iff its new element shares an Aut(child)-orbit with the
-    canonical deletion element.  A maximal element x is keyed by
-    (|down x|, the sorted down-set sizes of the y <= x), which no
-    automorphism changes; the deletion element is the candidate, a maximal
-    element of largest key, labeled last.  An old element's key is the same
-    in P and in the child.  A rival is an old maximal element outside D
-    with a key at least the new element's, so with at least as large a
-    down-set, and a larger down-set means a larger key.  The child is
-    rejected if a rival has a larger key than the new element, and kept if
-    every rival is its twin (equal strict down-sets; both are maximal, so
-    swapping them is an automorphism).  Only a tie with a non-twin needs
-    the child's labeling.
+    generation", 1998): P extends by one ideal per Aut(P)-orbit (each ideal
+    its own orbit with no generators), and owns the child iff its new
+    element shares an Aut(child)-orbit with the canonical deletion element,
+    a maximal element of largest (key, color), labeled last among those.
+    The key of x, (|down x|, the sorted down-set sizes of the y <= x), is
+    the same in P and in the child, and the color is the child's
+    `_refined_colors`; no automorphism changes either.  A rival is an old
+    maximal element outside D with a key at least the new element's, so
+    with at least as large a down-set, and a larger down-set means a larger
+    key.  A rival of larger key, or of equal key and larger color, rejects
+    the child.  A twin (equal strict down-sets, both maximal: swapped by an
+    automorphism) shares its orbit, so only a tie with a non-twin needs the
+    colors, and only a non-twin of equal color needs the child's labeling.
     """
     n = len(pdown)
     covered = 0  # the elements below some other element
@@ -514,11 +520,11 @@ def _owned(pdown, gens, ideals):
     keys = {x: (size[x], sorted(size[y] for y in _bits(pdown[x])))
             for x in _bits(tall[1])}
     images = _mask_images(n, gens)
-    for orbit in _orbits(ideals, images):
+    # a rival of larger down-set rejects D and all its images: drop them first
+    kept = [D for D in ideals if not tall[D.bit_count() + 2] & ~D]
+    for orbit in _orbits(kept, images) if gens else ([D] for D in kept):
         D = orbit[0]
         height = D.bit_count() + 1  # the new element's down-set size
-        if tall[height + 1] & ~D:  # a rival with a larger down-set
-            continue
         ties, cgens = [], None
         if tall[height] & ~D:
             key = (height, sorted(size[y] for y in _bits(D)) + [height])
@@ -527,11 +533,15 @@ def _owned(pdown, gens, ideals):
                 continue
             ties = [x for x in rivals if keys[x] == key]
             if any(pdown[x] ^ 1 << x != D for x in ties):
-                _, labels, cgens = _canonical_labeling(
-                    n + 1, pdown + (D | 1 << n,))
+                child = pdown + (D | 1 << n,)
+                colors = _refined_colors(n + 1, *_neighbors(child))
+                if any(colors[x] > colors[n] for x in ties):
+                    continue
+                ties = [x for x in ties if colors[x] == colors[n]]
+            if any(pdown[x] ^ 1 << x != D for x in ties):
+                _, labels, cgens = _canonical_labeling(n + 1, child, colors)
                 orbits = _point_orbits(n + 1, cgens)
-                last = max([n] + ties, key=labels.index)
-                if orbits[last] != orbits[n]:
+                if orbits[max([n] + ties, key=labels.index)] != orbits[n]:
                     continue
         yield D, partial(_inherit, pdown, gens, ideals, images, orbit, ties,
                          cgens)

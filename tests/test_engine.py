@@ -590,6 +590,79 @@ def test_two_below_counts_match_listed_automorphisms():
             assert _orbit_row(2, E.down, gens) == (clifford, brandt)
 
 
+def _c2_orbits(E, gens, k):
+    """Classes with C2 at the points of a k-set T, trivial groups elsewhere,
+    from every subset of T's comparable pairs: one per orbit of (T, the
+    pairs b < a in T whose structure map is the identity).  It is the
+    identity iff every d strictly between is in T with identity maps from
+    a to d and d to b, and trivial otherwise."""
+    down, up = E.down, E.up
+    maps = []
+    for T in itertools.combinations(range(E.size), k):
+        below = [(b, a) for b, a in itertools.combinations(T, 2)
+                 if down[a] >> b & 1]
+        maps += [(T, ids) for j in range(len(below) + 1)
+                 for ids in itertools.combinations(below, j)
+                 if all(((b, a) in ids) == (d in T and (b, d) in ids
+                                            and (d, a) in ids)
+                        for b, a in below
+                        for d in orders._bits(
+                            down[a] & up[b] ^ 1 << a ^ 1 << b))]
+    return len(list(orders._orbits(maps, lambda item: [
+        (tuple(sorted(map(g.__getitem__, item[0]))),
+         tuple(sorted((g[b], g[a]) for b, a in item[1]))) for g in gens])))
+
+
+def _check_c2_cover_rule(sizes):
+    """`_c2_classes`, which lists sets of identity covers, against the
+    listing of every set of identity pairs, on every semilattice of the
+    given orders for k = 2..4, under its generators and under none."""
+    for m in sizes:
+        for E in meet_semilattices(m):
+            fresh = _canonical_labeling(m, E.down)[2]
+            for gens in (fresh, []):
+                images = orders._mask_images(m, gens)
+                for k in range(2, 5):
+                    assert engine._c2_classes(
+                        k, E.down, E.covers, gens, images) == (
+                        _c2_orbits(E, gens, k)), (E.down, gens, k)
+
+
+def test_c2_cover_rule_matches_pair_listing():
+    _check_c2_cover_rule(range(1, 8))
+
+
+@pytest.mark.stretch
+def test_c2_cover_rule_stretch_orders_8_and_9():
+    _check_c2_cover_rule((8, 9))
+
+
+def test_rigid_nodes_search_no_orbits(monkeypatch):
+    # with no generators every point, item and ideal is its own orbit, so
+    # the rows and the owned children of a rigid semilattice come out the
+    # same with the orbit search patched out; a child labelled on a tie
+    # gets its point orbits from the closure of its generators here
+    rigid = [down for m in range(1, 8) for down in semilattice_level(m)
+             if not _canonical_labeling(m, down)[2]]
+
+    def walk(down):
+        owned = orders._owned(down, [], orders._extension_ideals(down))
+        return ([_orbit_row(k, down, []) for k in range(1, 5)],
+                [(D, inherit()) for D, inherit in owned])
+
+    before = [walk(down) for down in rigid]
+
+    def no_search(items, images):
+        raise AssertionError("an orbit search at a rigid node")
+
+    monkeypatch.setattr(engine, "_orbits", no_search)
+    monkeypatch.setattr(orders, "_orbits", no_search)
+    monkeypatch.setattr(orders, "_point_orbits", lambda n, gens: [
+        min(g[x] for g in _closure(n, gens)) for x in range(n)])
+    assert [walk(down) for down in rigid] == before
+    assert len(rigid) == 109
+
+
 def _three_below_by_listed_automorphisms(E):
     """(Clifford, Brandt) classes of order |E| + 3 over E, from orbits under
     every automorphism of E, listed, and D-partitions by their definition."""
@@ -934,8 +1007,9 @@ def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
     # their generators from their parents), 140 for the canonical levels
     # 1..6 built from a cold cache (the 24 semilattices of orders 1..5
     # labelled for their children, and the 116 children put in canonical
-    # form), and 481 for the children whose ownership neither the deletion
-    # key nor a twin rival settles: 21, 85 and 375 of orders 7, 8 and 9
+    # form), and 241 for the children whose ownership neither the deletion
+    # key, a twin rival nor the refined colors settle: 13, 46 and 182 of
+    # orders 7, 8 and 9
     calls = []
 
     def counted(*args):
@@ -946,8 +1020,8 @@ def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
     monkeypatch.setattr(orders, "_canonical_labeling", counted)
     monkeypatch.setattr(engine, "_canonical_labeling", counted)
     assert enumerate_counts_only(9).totals() == TOTALS[9]
-    assert len(calls) == 698
-    assert calls.count(9) == 375
+    assert len(calls) == 458
+    assert calls.count(9) == 182
 
 
 @pytest.mark.stretch

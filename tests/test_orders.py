@@ -375,6 +375,15 @@ def test_rigid_semilattices_own_pairwise_distinct_children():
     assert rigid == 109  # 1, 1, 1, 2, 5, 18 and 81 of orders 1..7
 
 
+def test_labeling_from_given_colors_matches_its_own():
+    # `_owned` refines a tied child's colors once and passes them on
+    for m in range(1, 8):
+        for down in semilattice_level(m):
+            colors = orders._refined_colors(m, *orders._neighbors(down))
+            assert orders._canonical_labeling(m, down, colors) == (
+                orders._canonical_labeling(m, down))
+
+
 def test_twin_rival_keeps_the_child_unlabeled(monkeypatch):
     # the chain 0 < 1 extended below 1: the new element and 1 have equal
     # keys and are twins, so the child (a vee) is kept with no labeling

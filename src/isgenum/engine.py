@@ -43,8 +43,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import cache, partial
 from time import perf_counter
 
@@ -89,28 +87,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class EnumerationConfig:
     """Knobs for one enumeration run."""
-    order: int
-    out: str | None = None          # a full run's directory of .tbl files
-    threads: int = 1
-    progress: bool = False
 
-    def __post_init__(self):
-        if self.order < 1:
+    __slots__ = ("order", "out", "threads", "progress")
+
+    def __init__(self, order: int, out: str | None = None, threads: int = 1,
+                 progress: bool = False):
+        if order < 1:
             raise ValueError("order must be positive")
-        if self.order > _groups.MAX_CATALOG_ORDER:
+        if order > _groups.MAX_CATALOG_ORDER:
             raise ValueError("group catalog is limited to order "
                              f"{_groups.MAX_CATALOG_ORDER}")
-        if self.threads < 1:
+        if threads < 1:
             raise ValueError("thread count must be positive")
         # the pool forks every worker at its first task
         limit = max(2, os.cpu_count() or 1)
-        if self.threads > limit:
+        if threads > limit:
             raise ValueError(f"thread count is limited to {limit} here")
-        if self.out is not None:  # an unusable directory fails before a run
-            os.makedirs(self.out, exist_ok=True)
+        if out is not None:  # an unusable directory fails before a run
+            os.makedirs(out, exist_ok=True)
+        self.order = order
+        self.out = out          # a full run's directory of .tbl files
+        self.threads = threads
+        self.progress = progress
 
 
 class CountLedger:
@@ -129,18 +129,15 @@ class CountLedger:
         self.iso_tests = 0
 
     def add_cell(self, m, shape, isgs, comm, is_lattice):
-        if isgs == 0:
-            return
-        cell = self.cells.get((m, shape))
-        if cell is None:
-            cell = self.cells[m, shape] = [0, 0, 0, 0, 0, 0]
-        cell[0] += isgs
-        cell[1] += comm
-        cell[4] += 1
-        if is_lattice:
-            cell[2] += isgs
-            cell[3] += comm
-            cell[5] += 1
+        if isgs:
+            self.add(m, shape, (isgs, comm, isgs, comm, 1, 1) if is_lattice
+                     else (isgs, comm, 0, 0, 1, 0))
+
+    def add(self, m, shape, vals):
+        """Add the six tallies `vals` to the cell (m, shape)."""
+        cell = self.cells.setdefault((m, shape), [0, 0, 0, 0, 0, 0])
+        for i, v in enumerate(vals):
+            cell[i] += v
 
     def add_stats(self, generated, immediate, iso_tests):
         self.generated += generated
@@ -149,10 +146,8 @@ class CountLedger:
 
     def merge(self, other):
         """Add another ledger's cells and statistics to this one."""
-        for key, vals in other.cells.items():
-            cell = self.cells.setdefault(key, [0, 0, 0, 0, 0, 0])
-            for i, v in enumerate(vals):
-                cell[i] += v
+        for (m, shape), vals in other.cells.items():
+            self.add(m, shape, vals)
         self.add_stats(other.generated, other.immediate, other.iso_tests)
 
     def totals(self):
@@ -180,9 +175,13 @@ class CountLedger:
         return f"CountLedger(isgs={t[0]}, comm={t[1]}, ims={t[2]}, cims={t[3]})"
 
 
-@dataclass
 class RunResult:
-    ledger: CountLedger
+    """What a run returns: its merged ledger."""
+
+    __slots__ = ("ledger",)
+
+    def __init__(self, ledger: CountLedger):
+        self.ledger = ledger
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +307,13 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
         if k <= _WALK_ROWS:
             ledger.add_cell(m, (2,) + (1,) * (m - 2), brandt, 0, lattice)
             owned = _owned(down, gens, ideals or _extension_ideals(down))
-            for D, inherit in owned:
-                if k == 1:  # E + z is its own class, a lattice iff z is top
-                    ledger.add_cell(n, (1,) * n, 1, 1, D == (1 << m) - 1)
-                else:
+            if k == 1:  # each E + z is its own class, a lattice iff z is top
+                tops = [D == (1 << m) - 1 for D, _ in owned]
+                if tops:
+                    c, top = len(tops), sum(tops)
+                    ledger.add(n, (1,) * n, (c, c, top, top, c, top))
+            else:
+                for D, inherit in owned:
                     _semilattice_task(n, collect, down + (D | 1 << m,),
                                       ledger, inherit())
             return ledger, []
@@ -513,6 +515,12 @@ def _ahead(maps):
     """Chain the iterables of `maps`, taking each before the last runs out."""
     for last, _ in itertools.pairwise(itertools.chain(maps, [()])):
         yield from last
+
+
+def ProcessPoolExecutor(max_workers):
+    """The process pool, imported only by a run that makes one."""
+    import concurrent.futures
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def run_enumeration(config: EnumerationConfig) -> RunResult:

@@ -203,29 +203,24 @@ _NONABELIAN_BUILDERS = {
     14: (lambda: _metacyclic(7, 0, "D7"),),
 }
 
-_MASTER: tuple | None = None
-
-
-def _master_catalog():
-    global _MASTER
-    if _MASTER is None:
-        all_groups = []
-        for o in range(1, MAX_CATALOG_ORDER + 1):
-            # the trivial group's factor list is empty; it is C1
-            batch = [_abelian(f or (1,)) for f in _invariant_factor_lists(o)]
-            batch.extend(build() for build in _NONABELIAN_BUILDERS.get(o, ()))
-            batch.sort(key=lambda G: G.name)
-            for i, G in enumerate(batch):
-                assert not any(is_isomorphic(G, H) for H in batch[:i]), G.name
-            all_groups.extend(batch)
-        _MASTER = tuple(all_groups)
-    return _MASTER
+# _BY_ORDER[o - 1]: the catalog groups of order o, sorted by name, each
+# built once per process: caches elsewhere key on the objects themselves
+_BY_ORDER: list[tuple] = []
 
 
 def catalog(n: int) -> list:
-    """One group per isomorphism class of order <= n, sorted by (order, name)."""
+    """One group per isomorphism class of order <= n, sorted by (order, name);
+    the orders up to n are built on first use."""
     if n < 1:
         raise ValueError("order must be positive")
     if n > MAX_CATALOG_ORDER:
         raise ValueError(f"group catalog is limited to order {MAX_CATALOG_ORDER}")
-    return [G for G in _master_catalog() if G.order <= n]
+    for o in range(len(_BY_ORDER) + 1, n + 1):
+        # the trivial group's factor list is empty; it is C1
+        batch = [_abelian(f or (1,)) for f in _invariant_factor_lists(o)]
+        batch.extend(build() for build in _NONABELIAN_BUILDERS.get(o, ()))
+        batch.sort(key=lambda G: G.name)
+        for i, G in enumerate(batch):
+            assert not any(is_isomorphic(G, H) for H in batch[:i]), G.name
+        _BY_ORDER.append(tuple(batch))
+    return [G for batch in _BY_ORDER[:n] for G in batch]

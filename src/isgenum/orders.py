@@ -497,15 +497,17 @@ def _owned(pdown, gens, ideals):
     its own orbit with no generators), and owns the child iff its new
     element shares an Aut(child)-orbit with the canonical deletion element,
     a maximal element of largest (key, color), labeled last among those.
-    The key of x, (|down x|, the sorted down-set sizes of the y <= x), is
-    the same in P and in the child, and the color is the child's
-    `_refined_colors`; no automorphism changes either.  A rival is an old
-    maximal element outside D with a key at least the new element's, so
-    with at least as large a down-set, and a larger down-set means a larger
-    key.  A rival of larger key, or of equal key and larger color, rejects
-    the child.  A twin (equal strict down-sets, both maximal: swapped by an
-    automorphism) shares its orbit, so only a tie with a non-twin needs the
-    colors, and only a non-twin of equal color needs the child's labeling.
+    The key of x is (|down x|, the sorted pairs (|down y|, |up y|) over the
+    y <= x), both read in the child, where z is above every y in D, and the
+    color is the child's `_refined_colors`; no automorphism changes either.
+    A rival is an old maximal element outside D with a key at least the new
+    element's, so with at least as large a down-set, and a larger down-set
+    means a larger key: the pairs are built only for rivals of equal
+    down-set size.  A rival of larger key, or of equal key and larger
+    color, rejects the child.  A twin (equal strict down-sets, both
+    maximal: swapped by an automorphism) shares its orbit, so only a tie
+    with a non-twin needs the colors, and only a non-twin of equal color
+    needs the child's labeling.
     """
     n = len(pdown)
     covered = 0  # the elements below some other element
@@ -517,8 +519,16 @@ def _owned(pdown, gens, ideals):
         tall[size[x]] |= 1 << x
     for h in range(n, 0, -1):
         tall[h] |= tall[h + 1]
-    keys = {x: (size[x], sorted(size[y] for y in _bits(pdown[x])))
-            for x in _bits(tall[1])}
+    up = []  # up[y]: |up y| in P, counted when a tie first reads a key
+
+    def key(down, D):  # over the y in `down`, in the child with z above D
+        if not up:
+            up.extend([0] * n)
+            for d in pdown:
+                for y in _bits(d):
+                    up[y] += 1
+        return sorted([(size[y], up[y] + (D >> y & 1)) for y in _bits(down)])
+
     images = _mask_images(n, gens)
     # a rival of larger down-set rejects D and all its images: drop them first
     kept = [D for D in ideals if not tall[D.bit_count() + 2] & ~D]
@@ -527,11 +537,11 @@ def _owned(pdown, gens, ideals):
         height = D.bit_count() + 1  # the new element's down-set size
         ties, cgens = [], None
         if tall[height] & ~D:
-            key = (height, sorted(size[y] for y in _bits(D)) + [height])
-            rivals = list(_bits(tall[height] & ~D))
-            if any(keys[x] > key for x in rivals):
+            new = key(D, D) + [(height, 1)]  # z's own pair is the largest
+            rivals = [(x, key(pdown[x], D)) for x in _bits(tall[height] & ~D)]
+            if any(rival > new for _, rival in rivals):
                 continue
-            ties = [x for x in rivals if keys[x] == key]
+            ties = [x for x, rival in rivals if rival == new]
             if any(pdown[x] ^ 1 << x != D for x in ties):
                 child = pdown + (D | 1 << n,)
                 colors = _refined_colors(n + 1, *_neighbors(child))

@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from isgenum import cli, engine
 from isgenum.cli import main
@@ -272,3 +275,23 @@ def test_fixed_groups_follow_their_blocks(tmp_path, capsys):
             (out / name).read_text() for name in sorted(os.listdir(out))
         ])
     assert tables[0] and tables[0] == tables[1]
+
+
+def test_one_thread_count_imports_no_process_pool():
+    # in a fresh interpreter, since pytest may have imported them itself
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "from isgenum.cli import main\n"
+        "assert main(['count', '--order', '6', '--threads', '1']) == 0\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'}"
+        " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("n=6 inverse_semigroups=208 ")
+    assert lines[-1] == "[]"

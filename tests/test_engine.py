@@ -274,6 +274,16 @@ def test_ledger_ignores_empty_contribution():
     assert a.cells == {}
 
 
+def test_ledger_adds_a_cell_in_one_update():
+    # a walk node at k = 1 adds its owned children, each its own class, to
+    # the all-points cell at once, as one add_cell per child would
+    one, each = CountLedger(), CountLedger()
+    one.add(3, (1, 1, 1), (3, 3, 1, 1, 3, 1))
+    for lattice in (False, True, False):
+        each.add_cell(3, (1, 1, 1), 1, 1, lattice)
+    assert one.cells == each.cells == {(3, (1, 1, 1)): [3, 3, 1, 1, 3, 1]}
+
+
 def test_breakdown_csv_format():
     ledger = enumerate_counts_only(5)
     text = breakdown_csv(ledger, 5)

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
+from isgenum import groups
 from isgenum.groups import Group, catalog, is_isomorphic
 
 CLASS_COUNTS = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1)
@@ -166,6 +168,29 @@ def test_catalog_pairwise_non_isomorphic(group_catalog):
                     for images in [(0,) + p]
                 )
                 assert not found
+
+
+def test_catalog_builds_each_order_once(monkeypatch):
+    # orders are built on first use, up to the one asked for, and each
+    # group stays one object: every catalog(k) is a prefix of catalog(15),
+    # asked for in ascending or in descending order.  The digest is of the
+    # names and tables that one build of all 15 orders gave before the
+    # catalog was built per order
+    digest = "19bbd9d6ee048352605dcafc3d36fe3696fe058d2f803039ca97e15356cb5f79"
+    builds = []
+    for ks in (range(1, 16), range(15, 0, -1)):
+        monkeypatch.setattr(groups, "_BY_ORDER", [])
+        cats = {k: catalog(k) for k in ks}
+        assert len(groups._BY_ORDER) == 15
+        for k, cat in cats.items():
+            assert len(cat) == sum(CLASS_COUNTS[:k])
+            assert all(G is H for G, H in zip(cat, cats[15]))
+        builds.append([(G.name, G.mul) for G in cats[15]])
+    assert builds[0] == builds[1]
+    assert hashlib.sha256(repr(builds[0]).encode()).hexdigest() == digest
+    monkeypatch.setattr(groups, "_BY_ORDER", [])
+    catalog(9)
+    assert len(groups._BY_ORDER) == 9
 
 
 def test_catalog_rejects_out_of_range():

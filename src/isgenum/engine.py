@@ -17,15 +17,15 @@ first skeletons keep the classes, and their order, of a search over all.
 
 `run_enumeration` maps `_semilattice_task` over the canonical levels
 (`semilattice_level`) an eighth of a level at a time: counts mode the
-levels 1..max(1, n - 3), full mode the levels 1..n, whose labels its
+levels 1..max(1, n - 4), full mode the levels 1..n, whose labels its
 tables follow.  Ledgers merge in task order, so ledgers and output files
 do not depend on the worker count.  A task is E's down-set masks alone.
 Each step picks E's rows by k = n - |E|; at k = 0, E is its own class.
-Counts mode reads the rows k <= 3 and row 4's all-points cell off
-Aut(E)-orbits (`_orbit_row`; C2 at k points by a rule on covers,
-`_c2_classes`), every other all-points cell off orbits on strong
+Counts mode reads the rows k <= 4 off Aut(E)-orbits (`_orbit_row`; C2 at
+k points by a rule on covers, `_c2_classes`, and the Brandt cells from
+twin blocks), every other all-points cell off orbits on strong
 semilattices of groups (`_clifford_cell`), and searches the rest.  From
-k = 3 on, a step also runs on each semilattice that E owns under
+k = 4 on, a step also runs on each semilattice that E owns under
 canonical augmentation (`_owned`: keys and refined colors settle most
 ties), with generators and extension ideals from E's, and at k = 1 only
 counts them.  A rigid E (no generators) searches no orbits.  Full mode
@@ -271,7 +271,7 @@ def _classes(n, E, gens, clifford=True):
 # counts mode reads the rows k = n - |E| <= _WALK_ROWS off Aut(E)-orbits,
 # walking from each E of order n - _WALK_ROWS through the semilattices that
 # it owns, so its tasks are the canonical levels up to that order
-_WALK_ROWS = 3
+_WALK_ROWS = 4
 
 
 def _semilattice_task(n, collect, down, ledger=None, inherited=None):
@@ -283,9 +283,9 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
     the step then runs on each semilattice that E owns, into the same
     ledger, with the generators of its automorphism group and its extension
     ideals (`inherited`) from E's; at k = 1 it only counts those children.
-    At k = 4 it reads the all-points cell, and at k > 4 `_clifford_cell`
-    counts it; the search finds the other shapes.  Full mode searches every
-    row.  A task, with no `inherited`, labels E.
+    At k > _WALK_ROWS, `_clifford_cell` counts the all-points cell and the
+    search finds the other shapes.  Full mode searches every row.  A task,
+    with no `inherited`, labels E.
     """
     m = len(down)
     k = n - m
@@ -297,26 +297,26 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
         ledger.add_cell(n, (1,) * n, 1, 1, lattice)
         return ledger, [(MeetSemilattice(down).meet, n)] if collect else []
     gens, ideals = inherited or (_canonical_labeling(m, down)[2], None)
-    if not collect and k > 4:
-        ledger.add_cell(m, (1,) * m, *_clifford_cell(n, down, gens), lattice)
-    elif not collect:
-        # Clifford classes are commutative and Brandt ones are not; at
-        # m = 1 there is no Brandt class, and add_cell skips a count of 0
+    if not collect and k <= _WALK_ROWS:
+        # Clifford classes are commutative and Brandt ones are not, and
+        # add_cell skips a count of 0
         clifford, brandt = _orbit_row(k, down, gens)
         ledger.add_cell(m, (1,) * m, clifford, clifford, lattice)
-        if k <= _WALK_ROWS:
-            ledger.add_cell(m, (2,) + (1,) * (m - 2), brandt, 0, lattice)
-            owned = _owned(down, gens, ideals or _extension_ideals(down))
-            if k == 1:  # each E + z is its own class, a lattice iff z is top
-                tops = [D == (1 << m) - 1 for D, _ in owned]
-                if tops:
-                    c, top = len(tops), sum(tops)
-                    ledger.add(n, (1,) * n, (c, c, top, top, c, top))
-            else:
-                for D, inherit in owned:
-                    _semilattice_task(n, collect, down + (D | 1 << m,),
-                                      ledger, inherit())
-            return ledger, []
+        for j, b in enumerate(brandt, 1):  # j blocks of two
+            ledger.add_cell(m, (2,) * j + (1,) * (m - 2 * j), b, 0, lattice)
+        owned = _owned(down, gens, ideals or _extension_ideals(down))
+        if k == 1:  # each E + z is its own class, a lattice iff z is top
+            tops = [D == (1 << m) - 1 for D, _ in owned]
+            if tops:
+                c, top = len(tops), sum(tops)
+                ledger.add(n, (1,) * n, (c, c, top, top, c, top))
+        else:
+            for D, inherit in owned:
+                _semilattice_task(n, collect, down + (D | 1 << m,), ledger,
+                                  inherit())
+        return ledger, []
+    if not collect:
+        ledger.add_cell(m, (1,) * m, *_clifford_cell(n, down, gens), lattice)
     tables = []
     for shape, kept, stats in _classes(n, MeetSemilattice(down), gens,
                                        collect):
@@ -328,24 +328,32 @@ def _semilattice_task(n, collect, down, ledger=None, inherited=None):
     return ledger, tables
 
 
+def _closed(down, covers, S):
+    """Whether each b < a joined by a chain of covers in S (a mask over the
+    sorted `covers`) has every cover of [b, a] in S."""
+    if not S & S - 1:  # one cover spans its own interval
+        return True
+    reach = [0] * len(down)  # reach[a]: the points below a by S-covers
+    for b, a in map(covers.__getitem__, _bits(S)):
+        reach[a] |= reach[b] | 1 << b  # by lower end: reach[b] is whole
+    return not any(  # a cover outside S in some [b, a]
+        down[x] & r and down[a] >> y & 1 for a, r in enumerate(reach) if r
+        for j, (x, y) in enumerate(covers) if not S >> j & 1)
+
+
 def _c2_classes(k, down, covers, gens, images):
     """Classes of order m + k over E (these down-set masks, sorted `covers`,
     Aut(E) generated by `gens`, their `_mask_images` `images`) with C2 at a
     k-set T, C1 elsewhere: one per orbit of (T, S), S the covers in T with
     identity maps.  A map is the identity iff every chain composes to it, so
     S is valid iff each b < a joined by S-covers has [b, a] in T and all its
-    covers in S.  T is S's points and any others: with no generators, sum
-    C(m - |pts S|, k - |pts S|) over the valid S."""
+    covers in S (`_closed`).  T is S's points and any others: with no
+    generators, sum C(m - |pts S|, k - |pts S|) over the valid S."""
     m = len(down)
     ends = [1 << b | 1 << a for b, a in covers]
     valid, sets = [], [(0, 0, 0)]  # (points, S as a cover mask, next cover)
     for pts, S, first in sets:  # grows as it is read
-        reach = [0] * m  # reach[a]: the points below a by S-covers
-        for b, a in map(covers.__getitem__, _bits(S)):
-            reach[a] |= reach[b] | 1 << b  # by lower end: reach[b] is whole
-        if not (S & S - 1 and any(  # a cover outside S in some [b, a]
-                down[x] & reach[a] and down[a] >> y & 1 for a in _bits(pts)
-                for j, (x, y) in enumerate(covers) if not S >> j & 1)):
+        if _closed(down, covers, S):
             valid.append((pts, S))
         sets += [(pts | ends[j], S | 1 << j, j + 1) for j in range(
             first, len(covers)) if (pts | ends[j]).bit_count() <= k]
@@ -365,65 +373,105 @@ def _c2_classes(k, down, covers, gens, images):
 
 
 def _orbit_row(k, down, gens):
-    """(Clifford, Brandt) classes of order m + k over the semilattice E of
-    order m with these down-set masks, for k = 1..4; `gens` generate
-    Aut(E).  At k = 4 the Brandt count is None: the search finds it.
+    """(Clifford classes, Brandt cells) of order m + k over the semilattice
+    E of order m with these down-set masks, for k = 1..4; `gens` generate
+    Aut(E).  The Brandt cells count the classes with one block of two
+    points and, at k = 4, with two.
 
     The non-idempotents number sum p * (p * |G| - 1) = k over the blocks.  A
     group of order k + 1 at a point gives one class per orbit of points for
     each such group, and C2 at a k-set those of `_c2_classes`.  The other
-    Clifford classes are one per orbit of the items (A, B, t): C3 at e with
-    C2 at f (A = (e,), B = (f,)); at k = 4, C4, and again C2 x C2, at e
-    with C2 at f (the same items), C3 at e and f (A = {e, f}, B = ()), and
-    C3 at e with C2 at f and g (A = (e,), B = {f, g}).  t = 1 marks a
-    nontrivial structure map between the pair (e, f), {e, f} or {f, g},
-    unique up to the groups' automorphisms; it needs one point of the pair
-    to cover the other, since a point between has a trivial group, and no
-    map between C3 and C2 is nontrivial.  A Brandt class has a twin block
-    {a, b} (equal strict down-sets) over C1: at k = 2 one per orbit of
-    ({a, b}, (), 0), and at k = 3, with C2 at c, one per orbit of
-    ({a, b}, (c,), t), where t = 1 marks a second class when c = a ^ b (the
-    arrow a -> b restricts to either element of C2 at c) or c covers a and
-    b (C2 may swap them).  With no generators each item is its own orbit.
+    classes are one per orbit of items, tuples of point sets.  Clifford: C3
+    at e with C2 at f (({e}, {f}, t)); at k = 4, C4, and again C2 x C2, at
+    e with C2 at f (the same items), C3 at e and f (({e, f}, t)), and C3 at
+    e with C2 at f and g (({e}, {f, g}, t)).  t = {e, f} or {f, g} marks a
+    nontrivial structure map between the pair, unique up to the groups'
+    automorphisms; it needs one point of the pair to cover the other, since
+    a point between has a trivial group, and no map between C3 and C2 is
+    nontrivial.  Brandt: a twin block X = {a, b} (equal strict down-sets,
+    so each covers only their meet) over C1, whose arrow a -> b restricts
+    to the meet's group, and a group at a point that covers a and b may
+    swap them: those are X's flag points, and F holds the ones whose maps
+    are nontrivial.  One class per orbit of (X,) at k = 2; (X, {c}, F)
+    with C2 at c at k = 3; at k = 4, (X, {c}, F) with C3 at c, which can
+    flag only the meet, and (X, {c, d}, F, S) with C2 at c and d, S = {c,
+    d} for an identity map on a cover between them, if the nontrivial maps
+    compose alike along every chain (`_closed`); and one per orbit of the
+    pair {X, Y} of 2-blocks, Y twins or over X (c > a, d > b), with no
+    nontrivial map.  With no generators each item is its own orbit.
     """
     m = len(down)
     # a group of order k + 1 at one point: C2; C3; C4 or C2 x C2; C5
     clifford = (1, 1, 2, 1)[k - 1] * (
         len(set(_point_orbits(m, gens))) if gens else m)
     if k == 1:
-        return clifford, 0
+        return clifford, ()
     covers, images = Poset(down).covers, _mask_images(m, gens)
     clifford += _c2_classes(k, down, covers, gens, images)
     pairs = list(itertools.combinations(range(m), 2))
+    at = {cover: 1 << j for j, cover in enumerate(covers)}
 
-    def orbits(items):  # the point sets A and B as masks
+    def orbits(items, order=tuple):  # order: how an image is written
         if not gens:
             return len(items)
-        return len(list(_orbits(items, lambda i: [
-            (a, b, i[2]) for a, b in zip(images(i[0]), images(i[1]))])))
+        return len(list(_orbits(items, lambda item: [
+            order(masks) for masks in zip(*map(images, item))])))
 
     def ts(x, y):  # at k = 3 every pair is C3 and C2
-        return range(1 + (k == 4 and ((x, y) in covers or (y, x) in covers)))
+        return (0, 1 << x | 1 << y)[:1 + (k == 4 and (
+            (x, y) in at or (y, x) in at))]
 
     if k > 2:  # at k = 4 twice: C4, and C2 x C2, at e
         clifford += (k - 2) * orbits([(1 << e, 1 << f, t) for e, f in
                                       itertools.permutations(range(m), 2)
                                       for t in ts(e, f)])
     if k == 4:
-        return (clifford
-                + orbits([(1 << e | 1 << f, 0, t) for e, f in pairs
-                          for t in ts(e, f)])
-                + orbits([(1 << e, 1 << f | 1 << g, t) for e in range(m)
-                          for f, g in pairs if e != f and e != g
-                          for t in ts(f, g)]), None)
-    twins = [(a, b) for a, b in pairs if down[a] ^ 1 << a == down[b] ^ 1 << b]
-    if k == 2:
-        return clifford, orbits([(1 << a | 1 << b, 0, 0) for a, b in twins])
-    return clifford, orbits([
-        (1 << a | 1 << b, 1 << c, t) for a, b in twins for c in range(m)
-        if c != a and c != b for t in range(1 + (
-            c == (down[a] & down[b]).bit_length() - 1
-            or (a, c) in covers and (b, c) in covers))])
+        clifford += (orbits([(1 << e | 1 << f, t) for e, f in pairs
+                             for t in ts(e, f)])
+                     + orbits([(1 << e, 1 << f | 1 << g, t) for e in range(m)
+                               for f, g in pairs if e != f and e != g
+                               for t in ts(f, g)]))
+    sdown = [d ^ 1 << x for x, d in enumerate(down)]
+    over = [0] * m  # over[x]: the points that cover x
+    for x, y in covers:
+        over[x] |= 1 << y
+    one, two = [], set()  # the items with one and with two 2-blocks
+    for a, b in pairs:
+        if sdown[a] != sdown[b]:
+            continue
+        X = 1 << a | 1 << b
+        if k == 2:
+            one.append((X,))
+            continue
+        meet = sdown[a].bit_length() - 1
+        flags = 1 << meet | over[a] & over[b]
+        rest = [c for c in range(m) if not X >> c & 1]
+        if k == 3:  # C2 at c
+            one += [(X, 1 << c, F) for c in rest
+                    for F in {0, flags & 1 << c}]
+        else:  # C3 at c, which can flag only the meet
+            one += [(X, 1 << c, F) for c in rest
+                    for F in {0, 1 << meet & 1 << c}]
+            # the covers along which a flag point's group acts
+            maps = {x: at[meet, a] | at[meet, b] if x == meet
+                    else at[a, x] | at[b, x] for x in _bits(flags)}
+            for c, d in itertools.combinations(rest, 2):  # C2 at c and d
+                B, link = 1 << c | 1 << d, at.get((c, d), 0)
+                f = flags & B
+                one += [(X, B, F, S and B)
+                        for F in {0, f & 1 << c, f & 1 << d, f}
+                        for S in {0, link} if _closed(
+                            down, covers, S | sum(map(maps.get, _bits(F))))]
+                # Y = {c, d} is a block iff as many points lie below c as
+                # below d in each block
+                below = sdown[c] & X, sdown[d] & X
+                if not (sdown[c] ^ sdown[d]) & ~X and (
+                        below[0].bit_count() == below[1].bit_count()):
+                    two.add(tuple(sorted((X, B))))
+    brandt = (orbits(one),)
+    if k == 4:  # {X, Y} is unordered
+        brandt += (orbits(sorted(two), lambda p: tuple(sorted(p))),)
+    return clifford, brandt
 
 
 @cache
@@ -575,11 +623,11 @@ def run_enumeration(config: EnumerationConfig) -> RunResult:
 
 def enumerate_counts_only(n: int, threads: int = 1,
                           progress: bool = False) -> CountLedger:
-    """Count ledger for order n, over the canonical levels 1..max(1, n - 3)
-    and the semilattices that those of the top level own; searches the rows
-    of at most n - 4 idempotents, building candidates' tables but keeping
-    none, except their all-points cells, which it reads off orbits, as it
-    does the rows n - 3 to n."""
+    """Count ledger for order n, over the canonical levels 1..max(1, n - 4)
+    and the semilattices that those of the top level own; reads the rows of
+    n - 4 to n idempotents off Aut(E)-orbits, and the all-points cells of
+    the rows below off `_clifford_cell`, and searches their other shapes,
+    building candidates' tables but keeping none."""
     cfg = EnumerationConfig(order=n, threads=threads, progress=progress)
     return run_enumeration(cfg).ledger
 

@@ -254,10 +254,11 @@ def _neighbors(down):
     return below, above
 
 
-def _canonical_labeling(n, down, colors=None):
+def _canonical_labeling(n, down, colors=None, neighbors=None):
     """Minimal (color, predecessors-mask) sequence over all linear extensions,
     the first labeling that spells it, and generators of Aut(poset).
-    `colors` are the poset's `_refined_colors`, if the caller has them.
+    `colors` are the poset's `_refined_colors` and `neighbors` its
+    `_neighbors`, if the caller has them.
 
     Returns (key, labels, gens).  The key determines the poset up to
     isomorphism.  Entry i is the (color, mask) of the element labeled i, and
@@ -285,7 +286,7 @@ def _canonical_labeling(n, down, colors=None):
     generate Aut (McKay and Piperno, "Practical graph isomorphism, II").
     """
     sdown = [down[x] ^ (1 << x) for x in range(n)]
-    below, above = _neighbors(down)
+    below, above = neighbors or _neighbors(down)
     colors = colors or _refined_colors(n, below, above)
     # earlier[x]: the twins of x with smaller indices
     earlier = [0] * n
@@ -507,7 +508,7 @@ def _owned(pdown, gens, ideals):
     color, rejects the child.  A twin (equal strict down-sets, both
     maximal: swapped by an automorphism) shares its orbit, so only a tie
     with a non-twin needs the colors, and only a non-twin of equal color
-    needs the child's labeling.
+    needs the child's labeling, which takes the colors and neighbor lists.
     """
     n = len(pdown)
     covered = 0  # the elements below some other element
@@ -544,12 +545,14 @@ def _owned(pdown, gens, ideals):
             ties = [x for x, rival in rivals if rival == new]
             if any(pdown[x] ^ 1 << x != D for x in ties):
                 child = pdown + (D | 1 << n,)
-                colors = _refined_colors(n + 1, *_neighbors(child))
+                neighbors = _neighbors(child)
+                colors = _refined_colors(n + 1, *neighbors)
                 if any(colors[x] > colors[n] for x in ties):
                     continue
                 ties = [x for x in ties if colors[x] == colors[n]]
             if any(pdown[x] ^ 1 << x != D for x in ties):
-                _, labels, cgens = _canonical_labeling(n + 1, child, colors)
+                _, labels, cgens = _canonical_labeling(n + 1, child, colors,
+                                                       neighbors)
                 orbits = _point_orbits(n + 1, cgens)
                 if orbits[max([n] + ties, key=labels.index)] != orbits[n]:
                     continue

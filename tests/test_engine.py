@@ -431,10 +431,11 @@ def test_thread_count_does_not_change_tables(tmp_path):
 
 def test_thread_count_does_not_change_counters():
     # CountLedger.__eq__ compares cells only; the counters are checked here
+    # (order 7 searches nothing, order 9 rows k = 5..8)
     for threads in (1, 2):
-        ledger = enumerate_counts_only(7, threads=threads)
+        ledger = enumerate_counts_only(9, threads=threads)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            3, 2, 1
+            71, 49, 23
         )
 
 
@@ -443,7 +444,7 @@ def test_thread_count_does_not_change_order_8():
     ledgers = [enumerate_counts_only(8, threads=k) for k in (1, 2)]
     for ledger in ledgers:
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
-            38, 28, 11
+            8, 5, 3
         )
     assert ledgers[0].cells == ledgers[1].cells
     assert breakdown_csv(ledgers[0], 8) == breakdown_csv(ledgers[1], 8)
@@ -451,7 +452,7 @@ def test_thread_count_does_not_change_order_8():
 
 def test_pool_maps_each_level_in_eighths(monkeypatch):
     # counts mode maps like full mode: each canonical level 1..5 of a count
-    # of order 8 (1, 1, 2, 5 and 15 semilattices) in slices of
+    # of order 9 (1, 1, 2, 5 and 15 semilattices) in slices of
     # 1 + len(level) // 8 tasks, in level order
     maps = []
 
@@ -468,8 +469,8 @@ def test_pool_maps_each_level_in_eighths(monkeypatch):
             pass
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcess)
-    ledger = enumerate_counts_only(8, threads=2)
-    one = enumerate_counts_only(8)
+    ledger = enumerate_counts_only(9, threads=2)
+    one = enumerate_counts_only(9)
     assert ledger == one
     assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
         one.generated, one.immediate, one.iso_tests)
@@ -478,11 +479,11 @@ def test_pool_maps_each_level_in_eighths(monkeypatch):
         down for m in range(1, 6) for down in semilattice_level(m)]
 
 
-def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
-    # at n = 8 the parent takes the canonical levels 1..5 and extends none
+def test_parent_grows_only_the_orders_below_n_minus_4(monkeypatch):
+    # at n = 8 the parent takes the canonical levels 1..4 and extends none
     # of them: canonical augmentation runs only in the walk from each
-    # semilattice of order r = 5, whose steps of orders 5, 6 and 7 find the
-    # owned children of orders 6, 7 and 8
+    # semilattice of order r = 4, whose steps of orders 4, 5, 6 and 7 find
+    # the owned children of orders 5, 6, 7 and 8
     calls = []
     owned = engine._owned
 
@@ -492,13 +493,13 @@ def test_parent_grows_only_the_orders_below_n_minus_3(monkeypatch):
 
     monkeypatch.setattr(engine, "_owned", counted)
     assert enumerate_counts_only(8).totals() == TOTALS[8]
-    assert sorted(set(calls)) == [5, 6, 7]
+    assert sorted(set(calls)) == [4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_count_tasks_are_the_canonical_levels(monkeypatch, n):
     # the top-level steps (each with a new ledger) take the canonical levels
-    # 1..r, r = max(1, n - 3), in order; the walk's steps share their
+    # 1..r, r = max(1, n - 4), in order; the walk's steps share their
     # root's ledger
     tasks = []
 
@@ -509,14 +510,15 @@ def test_count_tasks_are_the_canonical_levels(monkeypatch, n):
 
     monkeypatch.setattr(engine, "_semilattice_task", counted)
     assert enumerate_counts_only(n).totals() == TOTALS[n]
-    assert tasks == [down for m in range(1, max(1, n - 3) + 1)
+    assert tasks == [down for m in range(1, max(1, n - 4) + 1)
                      for down in semilattice_level(m)]
 
 
 def test_count_and_enumerate_ledgers_agree(tmp_path):
-    # full mode also searches rows n - 3, n - 2 and n - 1, and the Clifford
-    # cell of every row, which counts mode reads off the Aut(E)-orbits or
-    # `_clifford_cell`, so the counters differ by exactly that search
+    # full mode also searches rows n - 4 to n - 1, and the Clifford cell of
+    # every row, which counts mode reads off the Aut(E)-orbits or
+    # `_clifford_cell`, so the counters differ by exactly that search; at
+    # n = 6 that is every candidate
     counts = enumerate_counts_only(6)
     full = run_enumeration(EnumerationConfig(order=6,
                                              out=str(tmp_path))).ledger
@@ -525,7 +527,7 @@ def test_count_and_enumerate_ledgers_agree(tmp_path):
     for m in range(1, 6):
         for E in meet_semilattices(m):
             for shape, _, stats in _search(6, E):
-                if m > 2 or shape[0] == 1:
+                if m >= 6 - 4 or shape[0] == 1:
                     gap = tuple(a + b for a, b in zip(gap, stats))
     assert gap == (161, 153, 8)
     assert (full.generated - counts.generated,
@@ -535,8 +537,8 @@ def test_count_and_enumerate_ledgers_agree(tmp_path):
 
 def _read_off_orbits(n, m, shape):
     """Whether counts mode fills the cell (m, shape) of order n from orbits:
-    rows n - 3 to n, and every all-points cell."""
-    return m > n - 4 or shape == (1,) * m
+    rows n - 4 to n, and every all-points cell."""
+    return m > n - 5 or shape == (1,) * m
 
 
 def _top_rows_by_search(n):
@@ -558,12 +560,13 @@ def _top_rows_by_search(n):
 
 def _check_top_rows(n):
     searched = _top_rows_by_search(n)
-    # m = n - 1 admits only singleton D-classes, and m = n - 2 and n - 3
-    # besides them only one 2-block over C1; of the rows below only the
-    # all-points cells are read off orbits
+    # m = n - 1 admits only singleton D-classes, m = n - 2 and n - 3
+    # besides them only one 2-block over C1, and m = n - 4 one or two; of
+    # the rows below only the all-points cells are read off orbits
     assert set(searched.cells) <= {
         (m, (1,) * m) for m in range(1, n + 1)} | {
-        (n - 2, (2,) + (1,) * (n - 4)), (n - 3, (2,) + (1,) * (n - 5))}
+        (n - 2, (2,) + (1,) * (n - 4)), (n - 3, (2,) + (1,) * (n - 5)),
+        (n - 4, (2,) + (1,) * (n - 6)), (n - 4, (2, 2) + (1,) * (n - 8))}
     for threads in (1, 2):
         ledger = enumerate_counts_only(n, threads=threads)
         top = {k: v for k, v in ledger.cells.items()
@@ -596,8 +599,8 @@ def test_two_below_counts_match_listed_automorphisms():
                 rest = tuple((z,) for z in range(m) if z not in (a, b))
                 brandt += is_d_partition(E, ((a, b),) + rest)
             _, _, gens = _canonical_labeling(m, E.down)
-            assert _orbit_row(1, E.down, gens) == (len(points), 0)
-            assert _orbit_row(2, E.down, gens) == (clifford, brandt)
+            assert _orbit_row(1, E.down, gens) == (len(points), ())
+            assert _orbit_row(2, E.down, gens) == (clifford, (brandt,))
 
 
 def _c2_orbits(E, gens, k):
@@ -671,6 +674,8 @@ def test_rigid_nodes_search_no_orbits(monkeypatch):
         min(g[x] for g in _closure(n, gens)) for x in range(n)])
     assert [walk(down) for down in rigid] == before
     assert len(rigid) == 109
+    # the Brandt branch of row 4 is exercised: one and two 2-blocks
+    assert all(sum(rows[3][1][j] for rows, _ in before) for j in (0, 1))
 
 
 def _three_below_by_listed_automorphisms(E):
@@ -715,7 +720,7 @@ def _three_below_by_listed_automorphisms(E):
         if is_d_partition(E, ((a, b),) + rest):
             brandt += 1 + (c == E.meet[a][b] or covered(a, c)
                            and covered(b, c))
-    return 2 * len(points) + len(ordered) + len(maps), brandt
+    return 2 * len(points) + len(ordered) + len(maps), (brandt,)
 
 
 def _check_three_below_by_listed_automorphisms(m):
@@ -744,7 +749,7 @@ def _check_three_below_by_search(n):
         counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
                   for shape, kept, _ in _search(n, E)}
         _, _, gens = _canonical_labeling(m, E.down)
-        clifford, brandt = _orbit_row(3, E.down, gens)
+        clifford, (brandt,) = _orbit_row(3, E.down, gens)
         assert counts.pop((1,) * m, (0, 0)) == (clifford, clifford)
         assert counts.pop((2,) + (1,) * (m - 2), (0, 0)) == (brandt, 0)
         assert not any(count for count, _ in counts.values())
@@ -761,15 +766,19 @@ def test_three_below_stretch_order_10():
 
 
 def _check_four_below_by_search(n):
-    """`_orbit_row(4)`'s Clifford count against the search's all-points
-    cell, per semilattice of order n - 4: every class in it is commutative."""
+    """`_orbit_row(4)` against the search, per semilattice of order n - 4:
+    the Clifford classes are the commutative ones, all of one shape, and
+    the Brandt cells have one and two 2-blocks, none commutative."""
     m = n - 4
     for E in meet_semilattices(m):
         counts = {shape: (len(kept), sum(map(_commutative_by_table, kept)))
                   for shape, kept, _ in _search(n, E)}
         _, _, gens = _canonical_labeling(m, E.down)
-        clifford = _orbit_row(4, E.down, gens)[0]
-        assert counts[(1,) * m] == (clifford, clifford)
+        clifford, (one, two) = _orbit_row(4, E.down, gens)
+        assert counts.pop((1,) * m) == (clifford, clifford)
+        assert counts.pop((2,) + (1,) * (m - 2), (0, 0)) == (one, 0)
+        assert counts.pop((2, 2) + (1,) * (m - 4), (0, 0)) == (two, 0)
+        assert not any(count for count, _ in counts.values())
 
 
 @pytest.mark.parametrize("n", range(5, 10))
@@ -964,12 +973,10 @@ def _closure(n, gens):
     return group
 
 
-def _check_inherited(top):
-    """Walk from the one-element semilattice as counts mode does, every
-    child with the generators and extension ideals its parent passes down,
-    and check them against a fresh labeling and fold for every child of a
-    semilattice of order below `top`; the number of children checked."""
-    checked = 0
+def _walked(top):
+    """Walk from the one-element semilattice as counts mode does: yield
+    (n, child, generators, extension ideals) for every child of order n
+    <= `top`, with the generators and ideals its parent passes down."""
     stack = [((1,), [], [1])]
     while stack:
         pdown, gens, ideals = stack.pop()
@@ -977,27 +984,36 @@ def _check_inherited(top):
         for D, inherit in orders._owned(pdown, gens, ideals):
             child = pdown + (D | 1 << n - 1,)
             cgens, cideals = inherit()
-            assert len(set(cideals)) == len(cideals)
-            assert set(cideals) == set(orders._extension_ideals(child))
-            fresh = _canonical_labeling(n, child)[2]
-            # every generator is an automorphism, and they generate every
-            # fresh one, so the two generate one group of the same order
-            for g in cgens:
-                assert sorted(g) == list(range(n))
-                for x in range(n):
-                    assert child[g[x]] == sum(
-                        1 << g[y] for y in range(n) if child[x] >> y & 1)
-            group = _closure(n, cgens)
-            assert all(g in group for g in fresh)
-            assert orders._point_orbits(n, cgens) == (
-                orders._point_orbits(n, fresh))
-            assert [set(o) for o in orders._orbits(
-                cideals, orders._mask_images(n, cgens))] == [
-                set(o) for o in orders._orbits(
-                    cideals, orders._mask_images(n, fresh))]
-            checked += 1
+            yield n, child, cgens, cideals
             if n < top:
                 stack.append((child, cgens, cideals))
+
+
+def _check_inherited(top):
+    """Check the generators and extension ideals of every child in the walk
+    up to order `top` against a fresh labeling and fold; the number of
+    children checked."""
+    checked = 0
+    for n, child, cgens, cideals in _walked(top):
+        assert len(set(cideals)) == len(cideals)
+        assert set(cideals) == set(orders._extension_ideals(child))
+        fresh = _canonical_labeling(n, child)[2]
+        # every generator is an automorphism, and they generate every
+        # fresh one, so the two generate one group of the same order
+        for g in cgens:
+            assert sorted(g) == list(range(n))
+            for x in range(n):
+                assert child[g[x]] == sum(
+                    1 << g[y] for y in range(n) if child[x] >> y & 1)
+        group = _closure(n, cgens)
+        assert all(g in group for g in fresh)
+        assert orders._point_orbits(n, cgens) == (
+            orders._point_orbits(n, fresh))
+        assert [set(o) for o in orders._orbits(
+            cideals, orders._mask_images(n, cgens))] == [
+            set(o) for o in orders._orbits(
+                cideals, orders._mask_images(n, fresh))]
+        checked += 1
     return checked
 
 
@@ -1006,20 +1022,39 @@ def test_inherited_generators_and_ideals_match_a_fresh_labeling():
     assert _check_inherited(8) == sum(SEMILATTICES[m] for m in range(2, 9))
 
 
+def test_orbit_rows_agree_under_three_generating_sets():
+    # `_orbit_row` counts orbits, so every generating set of Aut(E) gives
+    # the same rows: the labelling's generators, every automorphism that
+    # `colored_isomorphisms` lists, and the Schreier generators and twin
+    # swaps that the walk passes down, on every semilattice of order 2..7
+    checked = 0
+    for n, child, cgens, _ in _walked(7):
+        ones = (0,) * n
+        listed = list(colored_isomorphisms(MeetSemilattice(child), ones,
+                                           ones))
+        fresh = _canonical_labeling(n, child)[2]
+        for k in range(1, 5):
+            rows = [_orbit_row(k, child, gens)
+                    for gens in (fresh, listed, cgens)]
+            assert rows[0] == rows[1] == rows[2], (child, k, rows)
+        checked += 1
+    assert checked == sum(SEMILATTICES[m] for m in range(2, 8))
+
+
 @pytest.mark.stretch
 def test_inherited_stretch_orders_8_and_9():
     assert _check_inherited(10) == sum(SEMILATTICES[m] for m in range(2, 11))
 
 
 def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
-    # 77 for the top-level steps (one per semilattice of order 1..6, each
-    # labelled in its own step; the walk's steps of orders 7 and 8 take
-    # their generators from their parents), 140 for the canonical levels
-    # 1..6 built from a cold cache (the 24 semilattices of orders 1..5
-    # labelled for their children, and the 116 children put in canonical
-    # form), and 241 for the children whose ownership neither the deletion
-    # key, a twin rival nor the refined colors settle: 13, 46 and 182 of
-    # orders 7, 8 and 9
+    # 24 for the top-level steps (one per semilattice of order 1..5, each
+    # labelled in its own step; the walk's steps of orders 6, 7 and 8 take
+    # their generators from their parents), 39 for the canonical levels
+    # 1..5 built from a cold cache (the 9 semilattices of orders 1..4
+    # labelled for their children, and the 30 children put in canonical
+    # form), and 244 for the children whose ownership neither the deletion
+    # key, a twin rival nor the refined colors settle: 3, 13, 46 and 182 of
+    # orders 6, 7, 8 and 9
     calls = []
 
     def counted(*args):
@@ -1030,7 +1065,7 @@ def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
     monkeypatch.setattr(orders, "_canonical_labeling", counted)
     monkeypatch.setattr(engine, "_canonical_labeling", counted)
     assert enumerate_counts_only(9).totals() == TOTALS[9]
-    assert len(calls) == 458
+    assert len(calls) == 307
     assert calls.count(9) == 182
 
 
@@ -1049,17 +1084,36 @@ def test_top_rows_stretch_order_10():
     _check_top_rows(10)
 
 
+def _check_lattice_row(ledger, n):
+    """A lattice of order n is a semilattice of order n - 1 with a new top:
+    the lattices in cell (n, 1^n) number the semilattices in the cell
+    (n - 1, 1^(n - 1)), every one of order n - 1 (C2 at any point)."""
+    lattices = ledger.cell(n, (1,) * n)[5]
+    assert lattices == ledger.cell(n - 1, (1,) * (n - 1))[4]
+    return lattices
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_lattices_of_order_n_are_the_semilattices_below(n):
+    assert _check_lattice_row(enumerate_counts_only(n), n) == (
+        SEMILATTICES[n - 1])
+
+
 @pytest.mark.stretch
 def test_counts_stretch_order_11():
-    # S(11) as published; 9.5-9.8 s at two threads on a 2-core host
-    assert enumerate_counts_only(11, threads=2).totals() == TOTALS[11]
+    # S(11) as published; 4.0-4.2 s at two threads on a 2-core host
+    ledger = enumerate_counts_only(11, threads=2)
+    assert ledger.totals() == TOTALS[11]
+    _check_lattice_row(ledger, 11)
 
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; 65-70 s at two threads on a 2-core host, so CI
+    # S(12) as published; 27-29 s at two threads on a 2-core host, so CI
     # runs it on one Python version only
-    assert enumerate_counts_only(12, threads=2).totals() == TOTALS[12]
+    ledger = enumerate_counts_only(12, threads=2)
+    assert ledger.totals() == TOTALS[12]
+    _check_lattice_row(ledger, 12)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -1223,13 +1277,13 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, name,
 
 
 def test_progress_reports_rate_and_eta(capsys, tmp_path):
-    enumerate_counts_only(5, progress=True)
+    enumerate_counts_only(6, progress=True)
     err = capsys.readouterr().err
     # captured stderr is not a terminal: one plain line per level
     assert "\r" not in err
     lines = [line.split("\r")[-1] for line in err.rstrip("\n").split("\n")]
     # one line per order of the tasks: row 1 is searched, and the one
-    # semilattice of order r = 2 roots the subtree task that fills rows 2-5
+    # semilattice of order r = 2 roots the subtree task that fills rows 2-6
     assert [line.split(":")[0] for line in lines] == ["m=1", "m=2"]
     assert lines[1].startswith("m=2: 1/1 semilattices, ")
     for line in lines:
@@ -1249,15 +1303,15 @@ def test_progress_rewrites_a_terminal_line(capsys, monkeypatch):
     # on a terminal every update starts with a carriage return, over the
     # last, and each order ends its line
     monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
-    enumerate_counts_only(5, progress=True)
+    enumerate_counts_only(6, progress=True)
     err = capsys.readouterr().err
     assert err.count("\n") == 2
     lines = err.rstrip("\n").split("\n")
     assert all(line.startswith("\r") for line in lines)
     assert [line.split("\r")[-1].split(":")[0] for line in lines] == ["m=1",
                                                                      "m=2"]
-    # at n = 7 the five semilattices of order 4 rewrite one line five times
-    enumerate_counts_only(7, progress=True)
+    # at n = 8 the five semilattices of order 4 rewrite one line five times
+    enumerate_counts_only(8, progress=True)
     last = capsys.readouterr().err.rstrip("\n").split("\n")[-1]
     assert [update.split(" semilattices")[0]
             for update in last.split("\r")[1:]] == [
@@ -1269,7 +1323,7 @@ def test_progress_is_the_same_at_two_threads(capsys):
     # a timing, may differ
     finals = []
     for threads in (1, 2):
-        enumerate_counts_only(7, threads=threads, progress=True)
+        enumerate_counts_only(8, threads=threads, progress=True)
         lines = capsys.readouterr().err.rstrip("\n").split("\n")
         finals.append([(line.split(", ")[0], line.split(", ")[2])
                        for line in lines])
@@ -1292,12 +1346,14 @@ def test_stats_diagnostic_present():
     assert (TOTALS[5][0] - semilattice_count(5)
             == row4 + row3 + row2 + row1)
     assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (0, 0, 0)
-    # order 6 searches nothing either: row 1's all-points cell comes from
-    # `_clifford_cell`, and row 2 admits no 2-block; order 7 searches row
-    # 3's Brandt cell
-    ledger = enumerate_counts_only(6)
-    assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (0, 0, 0)
-    ledger = enumerate_counts_only(7)
+    # orders 6 and 7 search nothing either: the all-points cells of rows 1
+    # and 2 come from `_clifford_cell`, and row 2 of order 7 admits no
+    # 2-block; order 8 searches the Brandt cell of row 3
+    for n in (6, 7):
+        ledger = enumerate_counts_only(n)
+        assert (ledger.generated, ledger.immediate, ledger.iso_tests) == (
+            0, 0, 0)
+    ledger = enumerate_counts_only(8)
     assert 0 < ledger.immediate <= ledger.generated
     assert ledger.iso_tests >= 0
 

@@ -375,13 +375,28 @@ def test_rigid_semilattices_own_pairwise_distinct_children():
     assert rigid == 109  # 1, 1, 1, 2, 5, 18 and 81 of orders 1..7
 
 
-def test_labeling_from_given_colors_matches_its_own():
-    # `_owned` refines a tied child's colors once and passes them on
+def test_labeling_from_given_colors_matches_its_own(monkeypatch):
+    # `_owned` builds a tied child's neighbor lists and refines its colors
+    # once, and passes both on; given both, the labeling builds no lists
+    given = []
     for m in range(1, 8):
         for down in semilattice_level(m):
-            colors = orders._refined_colors(m, *orders._neighbors(down))
-            assert orders._canonical_labeling(m, down, colors) == (
-                orders._canonical_labeling(m, down))
+            neighbors = orders._neighbors(down)
+            colors = orders._refined_colors(m, *neighbors)
+            own = orders._canonical_labeling(m, down)
+            assert orders._canonical_labeling(m, down, colors) == own
+            given.append((m, down, colors, neighbors, own))
+
+    def no_lists(down):
+        raise AssertionError("neighbor lists built again")
+
+    monkeypatch.setattr(orders, "_neighbors", no_lists)
+    for m, down, colors, neighbors, own in given:
+        assert orders._canonical_labeling(m, down, colors, neighbors) == own
+    monkeypatch.undo()
+    # the lists are read, not changed
+    assert all(neighbors == orders._neighbors(down)
+               for _, down, _, neighbors, _ in given)
 
 
 def test_twin_rival_keeps_the_child_unlabeled(monkeypatch):

@@ -26,8 +26,8 @@ k points by a rule on covers, `_c2_classes`, and the Brandt cells from
 twin blocks), every other all-points cell off orbits on strong
 semilattices of groups (`_clifford_cell`), and searches the rest.  From
 k = 4 on, a step also runs on each semilattice that E owns under
-canonical augmentation (`_owned`: keys and refined colors settle most
-ties), with generators and extension ideals from E's, and at k = 1 only
+canonical augmentation (`_owned`: keys, swaps and refined colors settle
+most ties), with generators and extension ideals from E's, and at k = 1 only
 counts them.  A rigid E (no generators) searches no orbits.  Full mode
 writes each task's tables as they arrive.  `enumerate_semigroups` streams
 `_classes` over every E; `enumerate_fixed` runs `_keep_new` on one skeleton.
@@ -410,12 +410,14 @@ def _orbit_row(k, down, gens):
     clifford += _c2_classes(k, down, covers, gens, images)
     pairs = list(itertools.combinations(range(m), 2))
     at = {cover: 1 << j for j, cover in enumerate(covers)}
+    zeros = [0] * len(gens)  # the images of an empty mask
 
     def orbits(items, order=tuple):  # order: how an image is written
         if not gens:
             return len(items)
         return len(list(_orbits(items, lambda item: [
-            order(masks) for masks in zip(*map(images, item))])))
+            order(masks) for masks in zip(*[
+                images(mask) if mask else zeros for mask in item])])))
 
     def ts(x, y):  # at k = 3 every pair is C3 and C2
         return (0, 1 << x | 1 << y)[:1 + (k == 4 and (

@@ -21,11 +21,13 @@ level, order and labels for every mapper.
 The canonical search also yields automorphism generators, from which
 `owned_children` finds the children a semilattice owns under canonical
 augmentation, in its labels with the new element last: over level m, one
-per class of order m + 1.  Invariant keys and colors of the maximal
-elements and swaps of twins settle most ties, so few children are labeled.
-The engine's walk runs the same test (`_owned`), which also derives each
-owned child's generators and extension ideals from the parent's
-(`_inherit`); the engine's orbit counts use those generators and `_orbits`.
+per class of order m + 1.  Invariant keys of the maximal elements settle
+most children; a tie is settled by an automorphism that swaps the new
+element with the tied one (`_swap`), or else by colors, so few children
+are labeled.  The engine's walk runs the same test (`_owned`), which also
+derives each owned child's generators and extension ideals from the
+parent's (`_inherit`: the stabilizer of the new element plus those swaps);
+the engine's orbit counts use those generators and `_orbits`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
 directly, and `colored_isomorphisms` searches the automorphisms of one
@@ -35,6 +37,7 @@ poset that carry one coloring of its elements to another.
 from __future__ import annotations
 
 from functools import partial
+from itertools import permutations
 
 __all__ = [
     "Poset",
@@ -452,39 +455,73 @@ def _mask_images(n, gens):
     return lambda D: [lo[D & low] | hi[D >> h] for lo, hi in tables]
 
 
-def _inherit(pdown, gens, ideals, images, orbit, ties, cgens):
+def _inherit(pdown, gens, ideals, images, orbit, swaps, cgens):
     """(generators of Aut(E), E's extension ideals in some order) for the
     child E = P + z of `_owned`, z = |P| with the strict down-set orbit[0],
     from P's generators and extension ideals (`ideals`).
 
-    If E was labeled on a tie, `cgens` are its generators.  Else every
-    maximal element of E with z's key and color is z or a twin of z
-    (`ties`), so Aut(E) is the stabilizer of orbit[0] in Aut(P), fixing z,
-    and the swaps of z with its twins.  The stabilizer has the Schreier
-    generators u_{g(y)}^-1 g u_y over the y of the orbit and g of `gens`,
-    where u_y maps orbit[0] to y (Seress, "Permutation Group Algorithms",
-    2003): a replay of the breadth-first search of `_orbits` builds u.  The
-    ideals are one more step of the fold.
+    If E was labeled on a tie, `cgens` are its generators.  Else z's orbit
+    is z and the rivals that `swaps` swap with it, so Aut(E) is generated
+    by the stabilizer of z, which is the stabilizer of orbit[0] in Aut(P)
+    fixing z, and the swaps.  An orbit of one ideal is fixed by every
+    generator.  Else the stabilizer has the Schreier generators
+    u_{g(y)}^-1 g u_y over the y of the orbit and g of `gens`, where u_y
+    maps orbit[0] to y (Seress, "Permutation Group Algorithms", 2003): a
+    replay of the breadth-first search of `_orbits` builds u.  The ideals
+    are one more step of the fold.
     """
     n = len(pdown)
     if cgens is None:
-        u = {orbit[0]: tuple(range(n))}
-        cgens = {}
-        for y in orbit:
-            for g, gy in zip(gens, images(y)):
-                gu = tuple([g[x] for x in u[y]])
-                if gy not in u:
-                    u[gy] = gu
-                    continue
-                inv = sorted(range(n), key=u[gy].__getitem__)
-                cgens[tuple([inv[x] for x in gu]) + (n,)] = None
-        cgens.pop(tuple(range(n + 1)), None)
-        cgens = list(cgens)
-        for x in ties:
-            swap = list(range(n + 1))
-            swap[x], swap[n] = n, x
-            cgens.append(tuple(swap))
+        if len(orbit) == 1:
+            cgens = [g + (n,) for g in gens]
+        else:
+            u = {orbit[0]: tuple(range(n))}
+            cgens = {}
+            for y in orbit:
+                for g, gy in zip(gens, images(y)):
+                    gu = tuple([g[x] for x in u[y]])
+                    if gy not in u:
+                        u[gy] = gu
+                        continue
+                    inv = sorted(range(n), key=u[gy].__getitem__)
+                    cgens[tuple([inv[x] for x in gu]) + (n,)] = None
+            cgens.pop(tuple(range(n + 1)), None)
+            cgens = list(cgens)
+        cgens += swaps
     return cgens, _grow(pdown + (orbit[0] | 1 << n,), ideals, n)
+
+
+def _swap(child, x):
+    """An automorphism of the semilattice with these down-set masks that
+    swaps its last element z with the maximal element x, as an involution's
+    image tuple, or None if none is found.  It pairs each point of D - X
+    with one of X - D, D and X the strict down-sets of z and x, and fixes
+    the rest: every pairing is tried while the two sets have one size of at
+    most 3, and one is kept if it maps each down-set mask onto the mask of
+    its element's image.  Twins (D = X) give the plain swap unchecked."""
+    n = len(child) - 1
+    D, X = child[n] ^ 1 << n, child[x] ^ 1 << x
+    swap = list(range(n + 1))
+    swap[x], swap[n] = n, x
+    if D == X:
+        return tuple(swap)
+    lose, gain = list(_bits(D & ~X)), list(_bits(X & ~D))
+    if len(lose) != len(gain) or len(lose) > 3:
+        return None
+    for pairing in permutations(gain):
+        pairs = [(x, n), *zip(lose, pairing)]
+        g = swap[:]
+        for a, b in pairs[1:]:
+            g[a], g[b] = b, a
+        for y, mask in enumerate(child):
+            for a, b in pairs:  # the image of mask: swap its bits a and b
+                if (mask >> a ^ mask >> b) & 1:
+                    mask ^= 1 << a | 1 << b
+            if mask != child[g[y]]:
+                break
+        else:
+            return tuple(g)
+    return None
 
 
 def _owned(pdown, gens, ideals):
@@ -498,17 +535,20 @@ def _owned(pdown, gens, ideals):
     its own orbit with no generators), and owns the child iff its new
     element shares an Aut(child)-orbit with the canonical deletion element,
     a maximal element of largest (key, color), labeled last among those.
-    The key of x is (|down x|, the sorted pairs (|down y|, |up y|) over the
-    y <= x), both read in the child, where z is above every y in D, and the
-    color is the child's `_refined_colors`; no automorphism changes either.
-    A rival is an old maximal element outside D with a key at least the new
-    element's, so with at least as large a down-set, and a larger down-set
-    means a larger key: the pairs are built only for rivals of equal
-    down-set size.  A rival of larger key, or of equal key and larger
-    color, rejects the child.  A twin (equal strict down-sets, both
-    maximal: swapped by an automorphism) shares its orbit, so only a tie
-    with a non-twin needs the colors, and only a non-twin of equal color
-    needs the child's labeling, which takes the colors and neighbor lists.
+    The key of x is the sorted codes |down y| << 6 | |up y| over the y <= x
+    (|up y| < 64, so the codes order as the pairs do), read in the child,
+    where z is above every y in D, and the color is the child's
+    `_refined_colors`; no automorphism changes either.  A rival is an old
+    maximal element outside D with a key at least the new element's, so
+    with at least as large a down-set, and a larger down-set means a larger
+    key: the codes are built only for rivals of equal down-set size.  A
+    rival of larger key, or of equal key and larger color, rejects the
+    child.  A tie (a rival of equal key) that `_swap` swaps with z shares
+    its orbit, so the child is kept at once when every tie has a swap, and
+    the candidates of largest (key, color) then all lie in z's orbit.  Only
+    a tie with no swap needs the colors, and only one of equal color with
+    no swap needs the child's labeling, which takes the colors and
+    neighbor lists.
     """
     n = len(pdown)
     covered = 0  # the elements below some other element
@@ -520,15 +560,16 @@ def _owned(pdown, gens, ideals):
         tall[size[x]] |= 1 << x
     for h in range(n, 0, -1):
         tall[h] |= tall[h + 1]
-    up = []  # up[y]: |up y| in P, counted when a tie first reads a key
+    code = []  # code[y]: |down y| << 6 | |up y| in P, built on the first tie
 
     def key(down, D):  # over the y in `down`, in the child with z above D
-        if not up:
-            up.extend([0] * n)
+        if not code:
+            up = [0] * n
             for d in pdown:
                 for y in _bits(d):
                     up[y] += 1
-        return sorted([(size[y], up[y] + (D >> y & 1)) for y in _bits(down)])
+            code.extend([s << 6 | u for s, u in zip(size, up)])
+        return sorted([code[y] + (D >> y & 1) for y in _bits(down)])
 
     images = _mask_images(n, gens)
     # a rival of larger down-set rejects D and all its images: drop them first
@@ -536,27 +577,30 @@ def _owned(pdown, gens, ideals):
     for orbit in _orbits(kept, images) if gens else ([D] for D in kept):
         D = orbit[0]
         height = D.bit_count() + 1  # the new element's down-set size
-        ties, cgens = [], None
+        swaps, cgens = [], None
         if tall[height] & ~D:
-            new = key(D, D) + [(height, 1)]  # z's own pair is the largest
+            new = key(D, D) + [height << 6 | 1]  # z's own code is the largest
             rivals = [(x, key(pdown[x], D)) for x in _bits(tall[height] & ~D)]
             if any(rival > new for _, rival in rivals):
                 continue
             ties = [x for x, rival in rivals if rival == new]
-            if any(pdown[x] ^ 1 << x != D for x in ties):
-                child = pdown + (D | 1 << n,)
+            child = pdown + (D | 1 << n,)
+            swaps = [_swap(child, x) for x in ties]
+            if None in swaps:
                 neighbors = _neighbors(child)
                 colors = _refined_colors(n + 1, *neighbors)
                 if any(colors[x] > colors[n] for x in ties):
                     continue
+                swaps = [s for x, s in zip(ties, swaps)
+                         if colors[x] == colors[n]]
                 ties = [x for x in ties if colors[x] == colors[n]]
-            if any(pdown[x] ^ 1 << x != D for x in ties):
+            if None in swaps:
                 _, labels, cgens = _canonical_labeling(n + 1, child, colors,
                                                        neighbors)
                 orbits = _point_orbits(n + 1, cgens)
                 if orbits[max([n] + ties, key=labels.index)] != orbits[n]:
                     continue
-        yield D, partial(_inherit, pdown, gens, ideals, images, orbit, ties,
+        yield D, partial(_inherit, pdown, gens, ideals, images, orbit, swaps,
                          cgens)
 
 

@@ -410,6 +410,54 @@ def test_twin_rival_keeps_the_child_unlabeled(monkeypatch):
         (0b001, 0b011, 0b101), (0b001, 0b011, 0b111)]
 
 
+def _is_automorphism(down, g):
+    return sorted(g) == list(range(len(down))) and all(
+        down[g[y]] == sum(1 << g[v] for v in range(len(down)) if d >> v & 1)
+        for y, d in enumerate(down))
+
+
+def test_swap_is_an_automorphism_exchanging_the_new_element(monkeypatch):
+    # on every semilattice of order 2..7, for each maximal x below no other
+    # element, other than the last element z: a swap found is an involution
+    # and an automorphism that exchanges x and z, and twins give the plain
+    # swap; some non-twins have a swap and some rivals have none
+    found = {True: 0, False: 0}
+    for m in range(2, 8):
+        for down in semilattice_level(m):
+            z = m - 1
+            for x in range(z):
+                if any(d >> x & 1 for y, d in enumerate(down) if y != x):
+                    continue
+                swap = orders._swap(down, x)
+                if down[x] ^ 1 << x == down[z] ^ 1 << z:
+                    plain = list(range(m))
+                    plain[x], plain[z] = z, x
+                    assert swap == tuple(plain)
+                elif swap is None:
+                    found[False] += 1
+                else:
+                    found[True] += 1
+                if swap is not None:
+                    assert swap[x] == z and swap[z] == x
+                    assert all(swap[swap[y]] == y for y in range(m))
+                    assert _is_automorphism(down, swap), (down, x, swap)
+    assert found[True] and found[False]
+    # 0 < 1, 2 and 1 < 3: z over 2 mirrors 3 over 1, a non-twin rival
+    child = (0b1, 0b11, 0b101, 0b1011, 0b10101)
+    assert orders._swap(child, 3) == (0, 2, 1, 4, 3)
+    # with a second element 4 over 1, the rival 3 and z = 5 have down-sets
+    # of one size, but 1 lies under three elements and 2 under two
+    assert orders._swap((0b1, 0b11, 0b101, 0b1011, 0b10011, 0b100101),
+                        3) is None
+
+    def no_labeling(*args):
+        raise AssertionError("child labeled")
+
+    # every tie of this rigid parent's children has a swap
+    monkeypatch.setattr(orders, "_canonical_labeling", no_labeling)
+    assert child in orders.owned_children(child[:-1], [])
+
+
 # ---------------------------------------------------------------------------
 # cover-relation file format
 

@@ -155,6 +155,8 @@ def _cmd_fixed(args) -> int:
     P = _parse_dpartition(args.dpartition, E.size)
     by_name = {G.name: G for G in catalog(MAX_CATALOG_ORDER)}
     names = [t.strip() for t in args.groups.split(",")]
+    if "" in names:
+        raise ValueError("empty group name in --groups")
     missing = [t for t in names if t not in by_name]
     if missing:
         raise ValueError(f"unknown group name(s): {', '.join(missing)}")

@@ -26,9 +26,8 @@ k points by a rule on covers, `_c2_classes`, and the Brandt cells from
 twin blocks), every other all-points cell off orbits on strong
 semilattices of groups (`_clifford_cell`), and searches the rest.  From
 k = 4 on, a step also runs on each semilattice that E owns under
-canonical augmentation (`_owned`: keys, swaps and refined colors settle
-most ties), with generators and extension ideals from E's, and at k = 1 only
-counts them.  A rigid E (no generators) searches no orbits.  Full mode
+canonical augmentation (`_owned`: keys and swaps settle most ties), with
+generators and extension ideals from E's, and at k = 1 only counts them.  A rigid E (no generators) searches no orbits.  Full mode
 writes each task's tables as they arrive.  `enumerate_semigroups` streams
 `_classes` over every E; `enumerate_fixed` runs `_keep_new` on one skeleton.
 

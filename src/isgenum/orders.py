@@ -23,11 +23,12 @@ The canonical search also yields automorphism generators, from which
 augmentation, in its labels with the new element last: over level m, one
 per class of order m + 1.  Invariant keys of the maximal elements settle
 most children; a tie is settled by an automorphism that swaps the new
-element with the tied one (`_swap`), or else by colors, so few children
-are labeled.  The engine's walk runs the same test (`_owned`), which also
-derives each owned child's generators and extension ideals from the
-parent's (`_inherit`: the stabilizer of the new element plus those swaps);
-the engine's orbit counts use those generators and `_orbits`.
+element with the tied one (`_swap`), or else by the child's canonical
+labeling, which few children need.  The engine's walk runs the same test
+(`_owned`), which also derives each owned child's generators and extension
+ideals from the parent's (`_inherit`: the stabilizer of the new element
+plus those swaps); the engine's orbit counts use those generators and
+`_orbits`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
 directly, and `colored_isomorphisms` searches the automorphisms of one
@@ -247,21 +248,10 @@ def _refined_colors(n, below, above):
         colors = nxt
 
 
-def _neighbors(down):
-    """below[x] and above[x]: the elements strictly below and above x."""
-    below = [list(_bits(d ^ 1 << x)) for x, d in enumerate(down)]
-    above = [[] for _ in down]
-    for x, ys in enumerate(below):
-        for y in ys:
-            above[y].append(x)
-    return below, above
-
-
-def _canonical_labeling(n, down, colors=None, neighbors=None):
+def _canonical_labeling(n, down):
     """Minimal (color, predecessors-mask) sequence over all linear extensions,
-    the first labeling that spells it, and generators of Aut(poset).
-    `colors` are the poset's `_refined_colors` and `neighbors` its
-    `_neighbors`, if the caller has them.
+    the first labeling that spells it, and generators of Aut(poset); the
+    colors are the poset's `_refined_colors`.
 
     Returns (key, labels, gens).  The key determines the poset up to
     isomorphism.  Entry i is the (color, mask) of the element labeled i, and
@@ -289,8 +279,12 @@ def _canonical_labeling(n, down, colors=None, neighbors=None):
     generate Aut (McKay and Piperno, "Practical graph isomorphism, II").
     """
     sdown = [down[x] ^ (1 << x) for x in range(n)]
-    below, above = neighbors or _neighbors(down)
-    colors = colors or _refined_colors(n, below, above)
+    below = [list(_bits(d)) for d in sdown]
+    above = [[] for _ in range(n)]
+    for x, ys in enumerate(below):
+        for y in ys:
+            above[y].append(x)
+    colors = _refined_colors(n, below, above)
     # earlier[x]: the twins of x with smaller indices
     earlier = [0] * n
     twins = {}
@@ -534,21 +528,18 @@ def _owned(pdown, gens, ideals):
     generation", 1998): P extends by one ideal per Aut(P)-orbit (each ideal
     its own orbit with no generators), and owns the child iff its new
     element shares an Aut(child)-orbit with the canonical deletion element,
-    a maximal element of largest (key, color), labeled last among those.
-    The key of x is the sorted codes |down y| << 6 | |up y| over the y <= x
+    a maximal element of largest key, labeled last among those.  The key
+    of x is the sorted codes |down y| << 6 | |up y| over the y <= x
     (|up y| < 64, so the codes order as the pairs do), read in the child,
-    where z is above every y in D, and the color is the child's
-    `_refined_colors`; no automorphism changes either.  A rival is an old
-    maximal element outside D with a key at least the new element's, so
-    with at least as large a down-set, and a larger down-set means a larger
-    key: the codes are built only for rivals of equal down-set size.  A
-    rival of larger key, or of equal key and larger color, rejects the
-    child.  A tie (a rival of equal key) that `_swap` swaps with z shares
-    its orbit, so the child is kept at once when every tie has a swap, and
-    the candidates of largest (key, color) then all lie in z's orbit.  Only
-    a tie with no swap needs the colors, and only one of equal color with
-    no swap needs the child's labeling, which takes the colors and
-    neighbor lists.
+    where z is above every y in D; no automorphism changes it.  A rival is
+    an old maximal element outside D with a key at least the new element's,
+    so with at least as large a down-set, and a larger down-set means a
+    larger key: the codes are built only for rivals of equal down-set size.
+    A rival of larger key rejects the child.  A tie (a rival of equal key)
+    that `_swap` swaps with z shares its orbit, so the child is kept at
+    once when every tie has a swap, and the candidates of largest key then
+    all lie in z's orbit.  Only a tie with no swap needs the child's
+    labeling.
     """
     n = len(pdown)
     covered = 0  # the elements below some other element
@@ -587,16 +578,7 @@ def _owned(pdown, gens, ideals):
             child = pdown + (D | 1 << n,)
             swaps = [_swap(child, x) for x in ties]
             if None in swaps:
-                neighbors = _neighbors(child)
-                colors = _refined_colors(n + 1, *neighbors)
-                if any(colors[x] > colors[n] for x in ties):
-                    continue
-                swaps = [s for x, s in zip(ties, swaps)
-                         if colors[x] == colors[n]]
-                ties = [x for x in ties if colors[x] == colors[n]]
-            if None in swaps:
-                _, labels, cgens = _canonical_labeling(n + 1, child, colors,
-                                                       neighbors)
+                _, labels, cgens = _canonical_labeling(n + 1, child)
                 orbits = _point_orbits(n + 1, cgens)
                 if orbits[max([n] + ties, key=labels.index)] != orbits[n]:
                     continue

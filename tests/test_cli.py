@@ -146,6 +146,20 @@ def test_empty_dpartition_block_is_named(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_empty_group_name_is_named(tmp_path, capsys):
+    # an empty name is reported as one, not as an unknown name ''
+    sl = tmp_path / "s.txt"
+    sl.write_text("3:0<1,0<2\n")
+    out = tmp_path / "G"
+    for groups in ("C2,,C2", "C2,C2,", ",C2,C2", "C2, ,C2"):
+        assert main(["fixed", "--semilattice", f"{sl}:1", "--dpartition",
+                     "0|1|2", "--groups", groups, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "empty group name in --groups" in err, groups
+        assert "unknown group name" not in err
+        assert not out.exists()
+
+
 def test_order_beyond_catalog_fails_fast(tmp_path, capsys, monkeypatch):
     # rejected with the config, before any semilattice level is built
     def no_levels(*args):

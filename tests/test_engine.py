@@ -1052,9 +1052,9 @@ def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
     # their generators from their parents), 39 for the canonical levels
     # 1..5 built from a cold cache (the 9 semilattices of orders 1..4
     # labelled for their children, and the 30 children put in canonical
-    # form), and 24 for the children whose ownership neither the deletion
-    # key, a swap of the new element with each tied rival nor the refined
-    # colors settle: 0, 1, 4 and 19 of orders 6, 7, 8 and 9
+    # form), and 32 for the children whose ownership neither the deletion
+    # key nor a swap of the new element with each tied rival settles: 0, 1,
+    # 4 and 27 of orders 6, 7, 8 and 9
     calls = []
 
     def counted(*args):
@@ -1065,14 +1065,14 @@ def test_canonical_labelings_of_a_count_of_order_9(monkeypatch):
     monkeypatch.setattr(orders, "_canonical_labeling", counted)
     monkeypatch.setattr(engine, "_canonical_labeling", counted)
     assert enumerate_counts_only(9).totals() == TOTALS[9]
-    assert len(calls) == 87
-    assert calls.count(9) == 19
+    assert len(calls) == 95
+    assert calls.count(9) == 27
 
 
 def _check_walk_without_swaps(top, monkeypatch):
     """The walk up to order `top` owns the same children, in the same order,
     whether the ties are settled by `_swap` or, with no swap ever found, by
-    the colors and labelings alone; the number of children."""
+    the labelings alone; the number of children."""
     swapped = [(n, child) for n, child, _, _ in _walked(top)]
     monkeypatch.setattr(orders, "_swap", lambda child, x: None)
     assert [(n, child) for n, child, _, _ in _walked(top)] == swapped

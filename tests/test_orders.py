@@ -375,30 +375,6 @@ def test_rigid_semilattices_own_pairwise_distinct_children():
     assert rigid == 109  # 1, 1, 1, 2, 5, 18 and 81 of orders 1..7
 
 
-def test_labeling_from_given_colors_matches_its_own(monkeypatch):
-    # `_owned` builds a tied child's neighbor lists and refines its colors
-    # once, and passes both on; given both, the labeling builds no lists
-    given = []
-    for m in range(1, 8):
-        for down in semilattice_level(m):
-            neighbors = orders._neighbors(down)
-            colors = orders._refined_colors(m, *neighbors)
-            own = orders._canonical_labeling(m, down)
-            assert orders._canonical_labeling(m, down, colors) == own
-            given.append((m, down, colors, neighbors, own))
-
-    def no_lists(down):
-        raise AssertionError("neighbor lists built again")
-
-    monkeypatch.setattr(orders, "_neighbors", no_lists)
-    for m, down, colors, neighbors, own in given:
-        assert orders._canonical_labeling(m, down, colors, neighbors) == own
-    monkeypatch.undo()
-    # the lists are read, not changed
-    assert all(neighbors == orders._neighbors(down)
-               for _, down, _, neighbors, _ in given)
-
-
 def test_twin_rival_keeps_the_child_unlabeled(monkeypatch):
     # the chain 0 < 1 extended below 1: the new element and 1 have equal
     # keys and are twins, so the child (a vee) is kept with no labeling
@@ -456,6 +432,59 @@ def test_swap_is_an_automorphism_exchanging_the_new_element(monkeypatch):
     # every tie of this rigid parent's children has a swap
     monkeypatch.setattr(orders, "_canonical_labeling", no_labeling)
     assert child in orders.owned_children(child[:-1], [])
+
+
+def _owned_by_brute_force(pdown, gens):
+    """The first ideal of each Aut(P)-orbit whose child P owns, by the rule
+    itself: rank each maximal element x of the child by (|down x|, the
+    sorted (|down y|, |up y|) over the y <= x); the child is owned iff the
+    new element z has the top rank and the top-rank element that the
+    child's canonical labeling places last lies in z's orbit."""
+    m = len(pdown)
+    kept = []
+    for orbit in orders._orbits(orders._extension_ideals(pdown),
+                                orders._mask_images(m, gens)):
+        child = pdown + (orbit[0] | 1 << m,)
+        size = [d.bit_count() for d in child]
+        up = [sum(d >> y & 1 for d in child) for y in range(m + 1)]
+        rank = {x: (size[x], sorted((size[y], up[y])
+                                    for y in orders._bits(child[x])))
+                for x in range(m + 1) if up[x] == 1}
+        top = max(rank.values())
+        if rank[m] != top:
+            continue
+        _, labels, cgens = orders._canonical_labeling(m + 1, child)
+        last = max([x for x in rank if rank[x] == top], key=labels.index)
+        roots = orders._point_orbits(m + 1, cgens)
+        if roots[last] == roots[m]:
+            kept.append(orbit[0])
+    return kept
+
+
+def _check_ownership_by_brute_force(levels):
+    """`_owned` against the brute-force rule on every semilattice of the
+    given orders, with fresh generators; the number of children owned."""
+    owned = 0
+    for m in levels:
+        for pdown in semilattice_level(m):
+            gens = orders._canonical_labeling(m, pdown)[2]
+            got = [D for D, _ in orders._owned(
+                pdown, gens, orders._extension_ideals(pdown))]
+            assert got == _owned_by_brute_force(pdown, gens), pdown
+            owned += len(got)
+    return owned
+
+
+def test_ownership_matches_the_brute_force_rule():
+    # each semilattice of order m + 1 is owned once over level m
+    assert _check_ownership_by_brute_force(range(1, 8)) == sum(
+        SEMILATTICES[m] for m in range(2, 9))
+
+
+@pytest.mark.stretch
+def test_ownership_brute_force_stretch_orders_8_and_9():
+    assert _check_ownership_by_brute_force((8, 9)) == (
+        SEMILATTICES[9] + SEMILATTICES[10])
 
 
 # ---------------------------------------------------------------------------

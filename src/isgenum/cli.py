@@ -131,7 +131,7 @@ def _parse_dpartition(text: str, size: int):
             tok = tok.strip()
             if tok.startswith("e"):
                 tok = tok[1:]
-            if not tok.isdigit():
+            if not tok.isdecimal():  # exactly what int() reads
                 raise ValueError(f"bad element {tok!r} in --dpartition")
             members.append(int(tok))
         blocks.append(tuple(sorted(members)))
@@ -143,7 +143,7 @@ def _parse_dpartition(text: str, size: int):
 
 def _cmd_fixed(args) -> int:
     path, sep, lineno_txt = args.semilattice.rpartition(":")
-    if not sep or not lineno_txt.isdigit():
+    if not sep or not lineno_txt.isdecimal():
         raise ValueError("--semilattice must be FILE:LINE with a 1-based line")
     lineno = int(lineno_txt)
     with open(path, "r", encoding="ascii") as fh:

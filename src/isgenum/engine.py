@@ -24,11 +24,13 @@ Each step picks E's rows by k = n - |E|; at k = 0, E is its own class.
 Counts mode reads the rows k <= 4 off Aut(E)-orbits (`_orbit_row`; C2 at
 k points by a rule on covers, `_c2_classes`, and the Brandt cells from
 twin blocks), every other all-points cell off orbits on strong
-semilattices of groups (`_clifford_cell`), and searches the rest.  From
-k = 4 on, a step also runs on each semilattice that E owns under
-canonical augmentation (`_owned`: keys and swaps settle most ties), with
-generators and extension ideals from E's, and at k = 1 only counts them.  A rigid E (no generators) searches no orbits.  Full mode
-writes each task's tables as they arrive.  `enumerate_semigroups` streams
+semilattices of groups (`_clifford_cell`: one placement of groups per
+Aut(E)-orbit, then the orbits of its maps under its stabilizer), and
+searches the rest.  From k = 4 on, a step also runs on each semilattice
+that E owns under canonical augmentation (`_owned`: keys and swaps settle
+most ties), with generators and extension ideals from E's, and at k = 1
+only counts them.  A rigid E (no generators) searches no orbits.  Full
+mode writes each task's tables as they arrive.  `enumerate_semigroups` streams
 `_classes` over every E; `enumerate_fixed` runs `_keep_new` on one skeleton.
 
 The pipeline calls every layer through this module's own names (`esn`,
@@ -59,6 +61,7 @@ from .orders import (
     _orbits,
     _owned,
     _point_orbits,
+    _stabilizer,
     format_cover_line,
     meet_semilattices,
     semilattice_level,
@@ -499,61 +502,122 @@ def _aut_gens(G):
 
 def _clifford_cell(n, down, gens):
     """(classes, commutative classes) of order n whose D-classes are the
-    points of E, with these down-set masks and `gens` generating Aut(E).  An
-    item, a strong semilattice of groups, is a catalog group G_x per point,
-    sum(|G_x| - 1) = n - |E|, and a map G_a -> G_b per cover b < a, with one
-    composite along all maximal chains from a to b.  Classes are orbits under
-    Aut(E) and each Aut(G_x), whose a sends the maps phi out of x to phi a^-1
-    and into x to a phi; the commutative ones have abelian groups."""
-    m = len(down)
-    catalog = _groups.catalog(n - m + 1)
-    auts = [_aut_gens(G) for G in catalog]
+    points of E, with these down-set masks and `gens` generating Aut(E).  A
+    class is a strong semilattice of groups: a placement of catalog groups
+    G_x, sum(|G_x| - 1) = n - |E|, and a map G_a -> G_b per cover b < a,
+    one composite along all chains from a to b, up to Aut(E) and each
+    Aut(G_x); the commutative ones have abelian groups.  Per Aut(E)-orbit
+    of placements, the first one p counts once if it has no live cover
+    (both ends nontrivial: maps to or from C1 are trivial), and else by
+    `_map_systems` under p's stabilizer (`_stabilizer`)."""
+    m, k = len(down), n - len(down)
+    catalog = _groups.catalog(k + 1)
     # by upper end: the maps into the points below a come before a's own
     covers = sorted(Poset(down).covers, key=lambda cover: cover[::-1])
-    moves = [(h, [covers.index((h[b], h[a])) for b, a in covers])  # h = g^-1
-             for h in (sorted(range(m), key=g.__getitem__) for g in gens)]
     lower = [[b for b, a in covers if a == x] for x in range(m)]
-    touch = [[(j, a == x) for j, (b, a) in enumerate(covers) if x in (b, a)]
-             for x in range(m)]  # (cover, whether its map is out of x)
-    # each b < a with the lower covers of a above it
-    chains = [[(b, [c for c in lower[a] if down[c] >> b & 1])
-               for b in _bits(down[a] ^ 1 << a)] for a in range(m)]
-    items, phi = [], {}  # phi[a, b]: the map G_a -> G_b
+    places = _placements(m, k)
+    hs = [sorted(range(m), key=g.__getitem__) for g in gens]  # g^-1
 
-    def extend(a, left, place, maps):  # the group at a, then its maps down
-        if a == m:
-            return items.append((place, maps))
-        for i, G in enumerate(catalog):  # by order; the last point takes all
-            if G.order > left + 1 or a == m - 1 and G.order <= left:
-                continue
-            phi[a, a] = tuple(range(G.order))
-            for fs in itertools.product(*(_homs(G, catalog[place[c]])
-                                          for c in lower[a])):
-                phi.update(zip([(a, c) for c in lower[a]], fs))
-                for b, above in chains[a]:  # maps to or from C1 are trivial
-                    ends = {tuple(phi[c, b][y] for y in phi[a, c]) for c in
-                            above} if i and place[b] else {(0,) * G.order}
-                    if len(ends) > 1:
-                        break
-                    phi[a, b] = ends.pop()
-                else:
-                    extend(a + 1, left + 1 - G.order, place + (i,), maps + fs)
+    def moved(p):
+        return [tuple([p[x] for x in h]) for h in hs]
 
-    def images(item):
-        place, maps = item
-        for h, js in moves:
-            yield tuple(place[x] for x in h), tuple(maps[j] for j in js)
-        for x, i in enumerate(place):
-            for a, inv in auts[i]:
-                f = list(maps)
-                for j, out in touch[x]:
-                    f[j] = tuple(f[j][y] for y in inv) if out else tuple(
-                        a[y] for y in f[j])
-                yield place, tuple(f)
+    @cache
+    def shape(support):  # the live covers, in E's and in local labels
+        live = [(b, a) for b, a in covers if support >> b & support >> a & 1]
+        ends = sorted({x for cover in live for x in cover})
+        local = {x: i for i, x in enumerate(ends)}
+        # a check per b < a that chains of two or more live covers join
+        steps, reach = [], set(live)  # reach: the (b, a) so joined
+        for a in sorted({a for _, a in live}):
+            checks = []
+            for b in _bits(down[a] & support ^ 1 << a):
+                above = [c for c in lower[a] if down[c] >> b & 1]
+                cs = [c for c in above if (b, c) in reach]
+                if cs:
+                    reach.add((b, a))
+                    checks.append((local[b], tuple(map(local.get, cs)),
+                                   len(cs) < len(above)))
+            steps.append((local[a], tuple(checks)))
+        return live, ends, (tuple((local[b], local[a]) for b, a in live),
+                            tuple(steps))
 
-    extend(0, n - m, (), ())
-    roots = [orbit[0][0] for orbit in _orbits(items, images)]
-    return len(roots), sum(all(catalog[i].abelian for i in p) for p in roots)
+    classes = comm = 0
+    for orbit in _orbits(places, moved):
+        p = orbit[0]
+        support, abelian = places[p]
+        live, ends, key = shape(support)
+        count, moves = 1, set()
+        if len(live) > 1:  # the stabilizer fixes a single live cover
+            at = {cover: j for j, cover in enumerate(live)}
+            moves = {tuple([at[g[b], g[a]] for b, a in live])
+                     for g in _stabilizer(m, gens, orbit, moved)}
+            moves.discard(tuple(range(len(live))))
+        if live:
+            count = _map_systems(tuple([catalog[p[x]] for x in ends]), *key,
+                                 tuple(sorted(moves)))
+        classes += count
+        comm += abelian and count
+    return classes, comm
+
+
+@cache
+def _placements(m, k):
+    """{p: (p's nontrivial points as a mask, whether p's groups are
+    abelian)} over the placements p on m points with excess k, p[x] a
+    catalog index, in lexicographic order."""
+    catalog = _groups.catalog(k + 1)
+    places = [((), k)]  # (groups at the points so far, excess left)
+    for x in range(m):
+        places = [(p + (i,), left - G.order + 1) for p, left in places
+                  for i, G in enumerate(catalog) if G.order <= left + 1
+                  and (x < m - 1 or G.order == left + 1)]
+    return {p: (sum(1 << x for x, i in enumerate(p) if i),
+                all(catalog[i].abelian for i in p)) for p, _ in places}
+
+
+@cache
+def _map_systems(groups, live, steps, moves):
+    """Orbits of the maps on the `live` covers (b, a) of one placement,
+    in local labels (groups[x] at x), under the stabilizer's `moves` of
+    the live covers and each Aut(G_x), whose a sends maps phi out of x to
+    phi a^-1 and into x to a phi.  `steps` lists the upper ends a in order
+    with the checks (b, cs, flat) of their chains: the composites through
+    the covers cs of a agree, and are trivial if `flat`."""
+    auts = [(a, inv, [(j, c[1] == x) for j, c in enumerate(live) if x in c])
+            for x, G in enumerate(groups) for a, inv in _aut_gens(G)]
+    systems, phi = [], {}  # phi[a, b]: the map G_a -> G_b
+
+    def extend(t, maps):
+        if t == len(steps):
+            return systems.append(maps)
+        a, checks = steps[t]
+        G = groups[a]
+        up = [b for b, c in live if c == a]
+        trivial = (0,) * G.order
+        for fs in itertools.product(*(_homs(G, groups[c]) for c in up)):
+            phi.update(zip([(a, c) for c in up], fs))
+            for b, cs, flat in checks:
+                ends = {tuple([phi[c, b][y] for y in phi[a, c]]) for c in cs}
+                if flat:
+                    ends.add(trivial)
+                if len(ends) > 1:
+                    break
+                phi[a, b] = ends.pop()
+            else:
+                extend(t + 1, maps + fs)
+
+    def images(maps):
+        for js in moves:
+            yield tuple([maps[j] for j in js])
+        for a, inv, touch in auts:
+            f = list(maps)
+            for j, out in touch:
+                f[j] = tuple([f[j][y] for y in inv]) if out else tuple(
+                    [a[y] for y in f[j]])
+            yield tuple(f)
+
+    extend(0, ())
+    return len(list(_orbits(systems, images)))
 
 
 # ---------------------------------------------------------------------------

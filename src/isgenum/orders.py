@@ -357,7 +357,7 @@ def _canonical_form(n, down):
 
 def _orbits(items, images):
     """The orbits of `items` under a list of generators, each from its first
-    item in list order, in breadth-first order (`_inherit` replays that
+    item in list order, in breadth-first order (`_stabilizer` replays that
     search).  images(item) lists the item's images under the generators;
     every image must be among the items."""
     seen = set()
@@ -457,32 +457,39 @@ def _inherit(pdown, gens, ideals, images, orbit, swaps, cgens):
     If E was labeled on a tie, `cgens` are its generators.  Else z's orbit
     is z and the rivals that `swaps` swap with it, so Aut(E) is generated
     by the stabilizer of z, which is the stabilizer of orbit[0] in Aut(P)
-    fixing z, and the swaps.  An orbit of one ideal is fixed by every
-    generator.  Else the stabilizer has the Schreier generators
-    u_{g(y)}^-1 g u_y over the y of the orbit and g of `gens`, where u_y
-    maps orbit[0] to y (Seress, "Permutation Group Algorithms", 2003): a
-    replay of the breadth-first search of `_orbits` builds u.  The ideals
-    are one more step of the fold.
+    (`_stabilizer`) fixing z, and the swaps.  The ideals are one more step
+    of the fold.
     """
     n = len(pdown)
     if cgens is None:
-        if len(orbit) == 1:
-            cgens = [g + (n,) for g in gens]
-        else:
-            u = {orbit[0]: tuple(range(n))}
-            cgens = {}
-            for y in orbit:
-                for g, gy in zip(gens, images(y)):
-                    gu = tuple([g[x] for x in u[y]])
-                    if gy not in u:
-                        u[gy] = gu
-                        continue
-                    inv = sorted(range(n), key=u[gy].__getitem__)
-                    cgens[tuple([inv[x] for x in gu]) + (n,)] = None
-            cgens.pop(tuple(range(n + 1)), None)
-            cgens = list(cgens)
+        cgens = [g + (n,) for g in _stabilizer(n, gens, orbit, images)]
         cgens += swaps
     return cgens, _grow(pdown + (orbit[0] | 1 << n,), ideals, n)
+
+
+def _stabilizer(n, gens, orbit, images):
+    """Generators of the stabilizer of orbit[0] in the group that the
+    permutations `gens` of n points generate, where `orbit` is an orbit of
+    `_orbits` and images(y) lists y's images under `gens`.  An orbit of one
+    item is fixed by every generator, so they are `gens`.  Else they are
+    the Schreier generators u_{g(y)}^-1 g u_y over the y of the orbit and g
+    of `gens`, where u_y maps orbit[0] to y (Seress, "Permutation Group
+    Algorithms", 2003), found in order by a replay of the breadth-first
+    search of `_orbits`, without duplicates or the identity."""
+    if len(orbit) == 1:
+        return list(gens)
+    u = {orbit[0]: tuple(range(n))}
+    out = {}
+    for y in orbit:
+        for g, gy in zip(gens, images(y)):
+            gu = tuple([g[x] for x in u[y]])
+            if gy not in u:
+                u[gy] = gu
+                continue
+            inv = sorted(range(n), key=u[gy].__getitem__)
+            out[tuple([inv[x] for x in gu])] = None
+    out.pop(tuple(range(n)), None)
+    return list(out)
 
 
 def _swap(child, x):

@@ -146,6 +146,23 @@ def test_empty_dpartition_block_is_named(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_non_decimal_digits_are_named(tmp_path, capsys):
+    # '²' is a digit to str.isdigit but no number to int(): the flag that
+    # holds it is named, not int()'s own message
+    sl = tmp_path / "s.txt"
+    sl.write_text("3:0<1,0<2\n")
+    out = tmp_path / "N"
+    for semilattice, blocks, message in (
+            (f"{sl}:1", "0|\u00b2", "bad element '\u00b2' in --dpartition"),
+            (f"{sl}:\u00b2", "0|1|2", "--semilattice must be FILE:LINE")):
+        assert main(["fixed", "--semilattice", semilattice, "--dpartition",
+                     blocks, "--groups", "C1,C1,C1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err, err
+        assert "invalid literal" not in err
+        assert not out.exists()
+
+
 def test_empty_group_name_is_named(tmp_path, capsys):
     # an empty name is reported as one, not as an unknown name ''
     sl = tmp_path / "s.txt"

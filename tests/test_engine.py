@@ -804,6 +804,48 @@ def test_clifford_cell_matches_orbit_row():
                     clifford, clifford)
 
 
+def _check_clifford_cell_by_search(top):
+    """`_clifford_cell` against the all-points shape of the search, per
+    semilattice E of order m <= top - 5, at every k >= 5 with m + k <= top:
+    the classes kept and the commutative ones."""
+    for m in range(1, top - 4):
+        for E in meet_semilattices(m):
+            _, _, gens = _canonical_labeling(m, E.down)
+            for n in range(m + 5, top + 1):
+                kept = [kept for shape, kept, _ in _classes(n, E, gens)
+                        if shape == (1,) * m][0]
+                assert _clifford_cell(n, E.down, gens) == (
+                    len(kept), sum(map(_commutative_by_table, kept))), (
+                    n, E.down)
+
+
+def test_clifford_cell_matches_search():
+    _check_clifford_cell_by_search(10)
+
+
+@pytest.mark.stretch
+def test_clifford_cell_stretch_n_11():
+    _check_clifford_cell_by_search(11)
+
+
+def test_clifford_cell_agrees_under_three_generating_sets():
+    # the placements' stabilizers come from Schreier generators of the
+    # generators given, so every generating set of Aut(E) must give the same
+    # cell: the labelling's generators, the ones the walk passes down, and
+    # a redundant set (each twice, the identity and the pairwise products),
+    # on every semilattice of order 2..6 at k = 5
+    checked = 0
+    for n, child, cgens, _ in _walked(6):
+        fresh = _canonical_labeling(n, child)[2]
+        redundant = fresh + fresh + [tuple(range(n))] + [
+            tuple(g[x] for x in h) for g in fresh for h in fresh]
+        cells = [_clifford_cell(n + 5, child, gens)
+                 for gens in (fresh, cgens, redundant)]
+        assert cells[0] == cells[1] == cells[2], (child, cells)
+        checked += 1
+    assert checked == sum(SEMILATTICES[m] for m in range(2, 7))
+
+
 def _cyclic(k):
     return tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
 
@@ -1122,7 +1164,7 @@ def test_lattices_of_order_n_are_the_semilattices_below(n):
 
 @pytest.mark.stretch
 def test_counts_stretch_order_11():
-    # S(11) as published; 4.0-4.2 s at two threads on a 2-core host
+    # S(11) as published; 3.0 s at two threads on a 2-core host
     ledger = enumerate_counts_only(11, threads=2)
     assert ledger.totals() == TOTALS[11]
     _check_lattice_row(ledger, 11)
@@ -1130,7 +1172,7 @@ def test_counts_stretch_order_11():
 
 @pytest.mark.stretch
 def test_counts_stretch_order_12():
-    # S(12) as published; 27-29 s at two threads on a 2-core host, so CI
+    # S(12) as published; 21-25 s at two threads on a 2-core host, so CI
     # runs it on one Python version only
     ledger = enumerate_counts_only(12, threads=2)
     assert ledger.totals() == TOTALS[12]

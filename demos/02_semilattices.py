@@ -20,8 +20,7 @@ for E in meet_semilattices(4):
     tag = "lattice" if E.has_maximum() else "       "
     print(f"  {format_cover_line(E):<24} {tag}")
 
-# Down-levels of E order the block search, and those of a semigroup's
-# natural order are its isomorphism key; down_levels takes the down-set
+# Down-levels of E order the block search; down_levels takes the down-set
 # masks, so it works on any poset.
 print("\ndown-levels of each order-5 semilattice:")
 for E in meet_semilattices(5):

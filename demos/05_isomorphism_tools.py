@@ -4,8 +4,9 @@
 Generation visits isomorphic semigroups more than once, but only within
 one skeleton (semilattice, D-partition, group map): the engine searches
 one skeleton per orbit of the semilattice's automorphisms and keeps one
-store per skeleton.  Inside a store, a cheap invariant key, the level sizes
-of the natural order, buckets candidates first; only same-key candidates
+store per skeleton.  Inside a store, a cheap invariant key, the sorted
+(|down s|, |down s & E|, |up s|) of the natural order over the
+non-idempotents s, buckets candidates first; only same-key candidates
 are compared, by the automorphisms of their shared semilattice that carry
 one idempotent coloring to the other, each extended by the groupoid
 isomorphisms of the D-blocks (one group automorphism and a shift per
@@ -29,11 +30,12 @@ from isgenum import (
 
 by_name = {G.name: G for G in catalog(15)}
 
-# Two same-key semigroups of order 6 that are NOT isomorphic: over a
-# three-element chain with C2 at every idempotent the search finds four
-# orders, and the second and third semigroups share their invariant key.
-E = parse_cover_line("3:0<1,1<2")
-basis = e_groupoid(E, ((0,), (1,), (2,)), (by_name["C2"],) * 3)
+# Two same-key semigroups of order 7 that are NOT isomorphic: over the
+# semilattice 4:0<1,0<2,2<3 with C2 at 0, 1 and 2, the second order puts the
+# non-identity at 0 below the one at 1, the third below the one at 2.
+E = parse_cover_line("4:0<1,0<2,2<3")
+basis = e_groupoid(E, ((0,), (1,), (2,), (3,)),
+                   tuple(by_name[t] for t in ("C2", "C2", "C2", "C1")))
 a, b = [esn(basis, o) for o in g_posets(basis)][1:3]
 print("invariant keys:")
 print("  first: ", invariants(a))
@@ -43,7 +45,8 @@ print("is_isoc:", is_isoc(a, b), "| brute force:", brute_force_isomorphic(a, b))
 
 print("\nidempotent coloring of the first one:", a.colors)
 # is_isoc only tries the automorphisms of E that carry one coloring to the
-# other; here E is a chain, so the identity is the only one.
+# other; here 2 lies below 3 and 1 does not, so the identity is the only
+# one.
 print("E automorphisms matching the colorings:",
       list(colored_isomorphisms(E, a.colors, b.colors)))
 

@@ -7,8 +7,9 @@ time.  Over one E, `_classes` runs one pipeline per block-size shape:
                of each Aut(E)-orbit
   _candidates  the semigroup of every order on one basis
   _keep_new    one representative per isomorphism class of one skeleton:
-               candidates are bucketed by `invariants`, then tested with
-               `is_isoc` against their bucket
+               candidates are bucketed by `invariants` (the order profile
+               of their non-idempotents), then tested with `is_isoc`
+               against their bucket
 
 An isomorphism of candidates over E restricts to an automorphism of E that
 carries one skeleton to the other, so every skeleton of an orbit holds a

@@ -1,7 +1,9 @@
 """Isomorphism machinery: invariant keys and pairwise isomorphism testing.
 The keep-if-new filter that combines them is `engine._keep_new`: it keeps
-one store per skeleton, so the key that buckets a store, `invariants`, is
-just the level sizes of the natural order, and `is_isoc` runs in a bucket.
+one store per skeleton, so the key that buckets a store, `invariants`, need
+only tell apart orders on one basis.  It is the order profile of the
+non-idempotents, read off the down-set masks alone, and `is_isoc` runs in a
+bucket.
 
 `is_isoc` compares two semigroups over the same E as inductive groupoids
 (ESN): an isomorphism restricts to an automorphism of E that carries one
@@ -16,7 +18,7 @@ import itertools
 
 from .esn import InverseSemigroup, _as_table
 from .gposets import _block_cells
-from .orders import _bits, colored_isomorphisms, down_levels
+from .orders import _bits, colored_isomorphisms
 
 __all__ = [
     "invariants",
@@ -26,15 +28,32 @@ __all__ = [
 
 
 def invariants(S: InverseSemigroup):
-    """Isomorphism-invariant key: the level sizes of the natural order."""
-    return tuple(len(L) for L in down_levels(S.order_down))
+    """Isomorphism-invariant key: the sorted triples (|down s|,
+    |down s & E|, |up s|) over the non-idempotents s.
+
+    An isomorphism keeps the natural order and the idempotents, and nothing
+    below an idempotent is a non-idempotent, so up s counts only the
+    non-idempotents above s.  The key reads no label of E.
+    """
+    m, down = S.E.size, S.order_down
+    moving = down[m:]
+    up = [0] * len(down)  # up[t]: the non-idempotents above t, t included
+    for d in moving:
+        while d >> m:
+            t = d.bit_length() - 1
+            up[t] += 1
+            d ^= 1 << t
+    low = (1 << m) - 1
+    return tuple(sorted([(d.bit_count(), (d & low).bit_count(), u)
+                         for d, u in zip(moving, up[m:])]))
 
 
 def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
     """Decide S isomorphic to T for semigroups sharing the same E labels.
 
     An isomorphism restricts to an automorphism p of E that maps each block
-    i of S onto a block pb[i] of T with the same group, and to a groupoid
+    i of S onto a block pb[i] of T with the same group (compared by its
+    table, as the caches in `gposets` compare groups), and to a groupoid
     isomorphism over p: (i, x, y, g) -> (pb[i], p[x], p[y], g') with g'
     from `_block_cells`.  Such a map is an isomorphism iff it carries the
     natural order of S onto that of T.
@@ -51,7 +70,7 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
     maps = None
     for p in colored_isomorphisms(S.E, S.colors, T.colors):
         pb = [t_block[p[X[0]]] for X in S.d_restriction]
-        if any(T.groups[j] is not G or any(t_block[p[x]] != j for x in X)
+        if any(T.groups[j].mul != G.mul or any(t_block[p[x]] != j for x in X)
                for X, G, j in zip(S.d_restriction, S.groups, pb)):
             continue
         if maps is None:

@@ -24,7 +24,7 @@ from isgenum.esn import (
 )
 from isgenum.gposets import g_posets
 from isgenum.iso import brute_force_isomorphic, invariants, is_isoc
-from isgenum.orders import semilattice_count
+from isgenum.orders import down_levels, semilattice_count
 
 from expected_counts import BREAKDOWN, SEMILATTICES, TOTALS, check_consistency
 from test_gposets import _all_bases_up_to, _orders_bruteforce
@@ -127,26 +127,34 @@ def test_criterion_6_property_suite():
 
 
 def test_criterion_7_isomorphism_oracle():
-    # every same-key pair seen by the generation loop, duplicates included
+    # every pair of one (E, shape) context seen by the generation loop,
+    # duplicates included, that shares the engine's key or the level sizes
+    # of the natural order, recomputed here from the table: the level sizes
+    # join many more non-isomorphic pairs than the engine's key, so is_isoc
+    # meets more of the pairs it must reject
     from test_engine import _raw_generated
 
     same_key_pairs = 0
+    level_pairs = 0
     positives = 0
     for n in range(1, 7):
         per_context = {}
         for S in _raw_generated(n):
             shape = tuple(len(X) for X in S.d_restriction)
-            per_context.setdefault((S.E.down, shape), {}).setdefault(
-                invariants(S), []
-            ).append(S)
-        for buckets in per_context.values():
-            for bucket in buckets.values():
-                for A, B in itertools.combinations(bucket, 2):
-                    got = is_isoc(A, B)
-                    assert got == brute_force_isomorphic(A, B)
-                    same_key_pairs += 1
-                    positives += got
-    assert positives > 0  # duplicate generation really happens
+            levels = tuple(map(len, down_levels(
+                natural_order_from_table(S.table))))
+            per_context.setdefault((S.E.down, shape), []).append(
+                (invariants(S), levels, S))
+        for context in per_context.values():
+            for (ka, la, A), (kb, lb, B) in itertools.combinations(context, 2):
+                if ka != kb and la != lb:
+                    continue
+                got = is_isoc(A, B)
+                assert got == brute_force_isomorphic(A, B)
+                same_key_pairs += 1
+                level_pairs += la == lb
+                positives += got
+    assert (level_pairs, positives) == (695, 66)
     pair_count = 0
     for n in range(1, 7):
         semis = list(enumerate_semigroups(n))
@@ -154,7 +162,8 @@ def test_criterion_7_isomorphism_oracle():
             assert not brute_force_isomorphic(A, B), (n, A, B)
             pair_count += 1
     print(f"\nPASS criterion 7: is_isoc agrees with the brute-force oracle "
-          f"on {same_key_pairs} same-key pairs ({positives} isomorphic); "
+          f"on {same_key_pairs} pairs sharing a key ({level_pairs} sharing "
+          f"the level sizes, {positives} isomorphic); "
           f"{pair_count} emitted pairs (n<=6) are pairwise non-isomorphic")
 
 

@@ -110,7 +110,7 @@ def test_tables_of_order_7(tmp_path):
 
 
 def test_ledger_counters():
-    for n, expected in ((7, (0, 0, 0)), (8, (8, 5, 3)), (9, (71, 49, 23))):
+    for n, expected in ((7, (0, 0, 0)), (8, (8, 5, 3)), (9, (71, 50, 21))):
         ledger = enumerate_counts_only(n)
         assert (ledger.generated, ledger.immediate, ledger.iso_tests) == expected
 

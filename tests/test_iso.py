@@ -6,8 +6,9 @@ import pytest
 
 from isgenum import engine
 from isgenum.engine import _keep_new, enumerate_semigroups
-from isgenum.esn import esn, natural_order_from_table
+from isgenum.esn import esn, idempotents_of_table, natural_order_from_table
 from isgenum.gposets import BasisOrder, e_groupoid, g_posets
+from isgenum.groups import Group
 from isgenum.iso import brute_force_isomorphic, invariants, is_isoc
 from isgenum.orders import _bits, parse_cover_line
 
@@ -67,39 +68,34 @@ def _e_automorphisms(E):
 
 
 def test_invariants_chain3(groups_by_name):
+    # a semilattice has no non-idempotents, so its key is empty
     S = _semilattice_semigroup(CHAIN3, groups_by_name)
-    assert invariants(S) == (1, 1, 1)
+    assert invariants(S) == ()
 
 
 def test_invariants_c2(groups_by_name):
+    # in a group the natural order is equality: g alone lies below and above g
     (S,) = _build_one(parse_cover_line("1:"), ((0,),), ("C2",), groups_by_name)
-    assert invariants(S) == (2,)
+    assert invariants(S) == ((1, 0, 1),)
 
 
 def test_invariants_brandt(groups_by_name):
+    # B2 with a zero 0 below it: each of the two non-idempotents of the
+    # block {1, 2} lies above itself and 0, and below itself alone
     (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
-    assert invariants(S) == (4, 1)
+    assert invariants(S) == ((2, 1, 1), (2, 1, 1))
 
 
 def _invariants_from_table(table):
-    """Independent recomputation of the key from a bare Cayley table: the
-    sizes of the levels peeled off the natural order from the top."""
+    """Independent recomputation of the key from a bare Cayley table: over
+    the non-idempotents s, the sorted triples (|down s|, |down s & E|,
+    |up s|) of the natural order."""
     down = natural_order_from_table(table)
-    n = len(table)
-    up = [0] * n
-    for j in range(n):
-        for i in _bits(down[j]):
-            up[i] |= 1 << j
-    removed, lev = 0, []
-    while removed != (1 << n) - 1:
-        level = [
-            x for x in range(n)
-            if not (removed >> x) & 1 and not (up[x] & ~removed & ~(1 << x))
-        ]
-        lev.append(len(level))
-        for x in level:
-            removed |= 1 << x
-    return tuple(lev)
+    idem = sum(1 << e for e in idempotents_of_table(table))
+    return tuple(sorted(
+        ((down[s].bit_count(), (down[s] & idem).bit_count(),
+          sum(d >> s & 1 for d in down))
+         for s in range(len(table)) if not idem >> s & 1)))
 
 
 def test_invariants_stable_under_relabeling():
@@ -127,6 +123,35 @@ def test_invariants_stable_under_e_automorphism(groups_by_name):
                 twin = _relabeled_twin(S, list(sigma))
                 assert invariants(twin) == invariants(S)
                 assert is_isoc(S, twin)
+
+
+def _isomorphic_pairs_share_keys(n):
+    """Check that every pair of the raw search of order n (duplicates
+    included) in one (E, shape) context that brute force calls isomorphic
+    has one key; return the number of such pairs."""
+    from test_engine import _raw_generated
+
+    contexts = {}
+    for S in _raw_generated(n):
+        shape = tuple(len(X) for X in S.d_restriction)
+        contexts.setdefault((S.E.down, shape), []).append(S)
+    pairs = 0
+    for group in contexts.values():
+        for A, B in itertools.combinations(group, 2):
+            if brute_force_isomorphic(A, B):
+                assert invariants(A) == invariants(B), (A.table, B.table)
+                pairs += 1
+    return pairs
+
+
+def test_invariants_agree_on_isomorphic_candidates():
+    counts = [_isomorphic_pairs_share_keys(n) for n in range(1, 7)]
+    assert counts == [0, 0, 0, 1, 8, 57]
+
+
+@pytest.mark.stretch
+def test_invariants_agree_on_isomorphic_candidates_order_7():
+    assert _isomorphic_pairs_share_keys(7) == 348
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +195,19 @@ def test_is_isoc_distinguishes_groups(groups_by_name):
     (S4,) = _build_one(E1, ((0,),), ("C4",), groups_by_name)
     (S22,) = _build_one(E1, ((0,),), ("C2xC2",), groups_by_name)
     assert not is_isoc(S4, S22)
+
+
+def test_is_isoc_compares_groups_by_table(groups_by_name):
+    # a group given as an equal but distinct object is the same group
+    P = ((0,), (1,))
+    ours = _build_one(CHAIN2, P, ("C2", "C2"), groups_by_name)
+    copy = {"C2": Group(groups_by_name["C2"].mul, "C2")}
+    theirs = _build_one(CHAIN2, P, ("C2", "C2"), copy)
+    assert [S.table for S in ours] == [T.table for T in theirs]
+    assert theirs[0].groups[0] is not ours[0].groups[0]
+    for i, S in enumerate(ours):
+        for j, T in enumerate(theirs):
+            assert is_isoc(S, T) == (i == j) == brute_force_isomorphic(S, T)
 
 
 def test_is_isoc_table7_pair(groups_by_name):
@@ -259,13 +297,16 @@ def test_is_new_keeps_same_key_sibling(groups_by_name):
     stats = [0, 0, 0]
     assert list(_keep_new(pair, stats)) == pair
     assert stats == [2, 2, 0]
-    # over a 3-chain with C2 at every idempotent, two of the four semigroups
-    # share an invariant key without being isomorphic
-    semis = _build_one(CHAIN3, ((0,), (1,), (2,)), ("C2",) * 3, groups_by_name)
-    by_key = {}
-    for S in semis:
-        by_key.setdefault(invariants(S), []).append(S)
-    ((A, B),) = [b for b in by_key.values() if len(b) == 2]
+    # over 4:0<1,0<2,2<3 with C2 at 0, 1 and 2, the order that puts the
+    # non-identity at 0 below the one at 1 alone and the order that puts it
+    # below the one at 2 alone share their key: in both, one non-idempotent
+    # lies below one other and the third above the idempotent 0.  No
+    # automorphism of E swaps 1 and 2, as 2 lies below 3.
+    E = parse_cover_line("4:0<1,0<2,2<3")
+    P = ((0,), (1,), (2,), (3,))
+    semis = _build_one(E, P, ("C2", "C2", "C2", "C1"), groups_by_name)
+    A, B = semis[1], semis[2]
+    assert invariants(A) == invariants(B) == ((1, 0, 2), (2, 0, 1), (2, 1, 1))
     assert not brute_force_isomorphic(A, B)
     for pair in ((A, B), (B, A)):
         stats = [0, 0, 0]
@@ -279,15 +320,15 @@ def test_is_new_keeps_same_key_sibling(groups_by_name):
 BRANDT_SKELETONS = (
     ("3:0<1,0<2", ((1, 2), (0,)), ("C2", "C2"), 3, [4, 2, 3],
      "8f4c55ab5bc4261a61a906db5e4a4b5b7aab151bbbfa96b0e2cc9b643607e83f"),
-    ("3:0<1,0<2", ((1, 2), (0,)), ("C3", "C3"), 3, [9, 2, 12],
+    ("3:0<1,0<2", ((1, 2), (0,)), ("C3", "C3"), 3, [9, 3, 6],
      "0f5abca90cd53b1338ed33886522a79fe97b0b88a4c7476f125507a984b0e9fc"),
     ("4:0<1,0<2,1<3,2<3", ((1, 2), (0,), (3,)), ("C2", "C2", "C2"),
-     12, [20, 5, 27],
+     12, [20, 7, 20],
      "60a40a63b2044a91306967a37dae99c93a594f5bbae6f3d05ce3ed5e5a59bc6b"),
-    ("4:0<1,0<2,0<3", ((1, 2), (0,), (3,)), ("C2", "C3", "C3"), 4, [9, 2, 15],
+    ("4:0<1,0<2,0<3", ((1, 2), (0,), (3,)), ("C2", "C3", "C3"), 4, [9, 4, 5],
      "27848b838d08cac30e941bfa84c4c2a5bd72b4189e0bda8b9adae47d4419e708"),
     ("5:0<1,0<2,0<3,1<4,2<4", ((1, 2), (0,), (3,), (4,)), ("C2",) * 4,
-     24, [40, 5, 115],
+     24, [40, 14, 40],
      "f6476c8314442f7d9736e92fb8d62c1521ec7cf9718bb7a0d9efd41f41e68959"),
 )
 

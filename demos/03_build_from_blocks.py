@@ -41,7 +41,8 @@ for row in S.table:
     print("   ", " ".join(str(v) for v in row))
 print("valid inverse semigroup:", validate_inverse_semigroup(S.table))
 print("commutative:", S.is_commutative(), "| monoid:", S.is_monoid())
-print("idempotent colors (D-class size, group):", S.colors)
+print("D-restriction and groups:", S.d_restriction,
+      [G.name for G in S.groups])
 
 # Swapping the bottom group for C2 doubles the element count and splits the
 # search into two order choices, giving two non-isomorphic semigroups.

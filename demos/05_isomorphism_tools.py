@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""How duplicate structures get rejected: invariants, colors, and testing.
+"""How duplicate structures get rejected: invariants, then testing.
 
 Generation visits isomorphic semigroups more than once, but only within
 one skeleton (semilattice, D-partition, group map): the engine searches
@@ -7,18 +7,18 @@ one skeleton per orbit of the semilattice's automorphisms and keeps one
 store per skeleton.  Inside a store, a cheap invariant key, the sorted
 (|down s|, |down s & E|, |up s|) of the natural order over the
 non-idempotents s, buckets candidates first; only same-key candidates
-are compared, by the automorphisms of their shared semilattice that carry
-one idempotent coloring to the other, each extended by the groupoid
-isomorphisms of the D-blocks (one group automorphism and a shift per
-idempotent of a block) and checked against the natural orders.
+are compared, by the automorphisms of their shared semilattice that map
+each D-block onto a block over the same group, each extended by the
+groupoid isomorphisms of the D-blocks (one group automorphism and a shift
+per idempotent of a block) and checked against the natural orders.
 """
 
 from collections import Counter
 
 from isgenum import (
+    automorphisms,
     brute_force_isomorphic,
     catalog,
-    colored_isomorphisms,
     e_groupoid,
     enumerate_semigroups,
     esn,
@@ -43,12 +43,9 @@ print("  second:", invariants(b))
 print("equal keys:", invariants(a) == invariants(b))
 print("is_isoc:", is_isoc(a, b), "| brute force:", brute_force_isomorphic(a, b))
 
-print("\nidempotent coloring of the first one:", a.colors)
-# is_isoc only tries the automorphisms of E that carry one coloring to the
-# other; here 2 lies below 3 and 1 does not, so the identity is the only
-# one.
-print("E automorphisms matching the colorings:",
-      list(colored_isomorphisms(E, a.colors, b.colors)))
+# is_isoc tries the automorphisms of E; here 2 lies below 3 and 1 does
+# not, so the identity is the only one.
+print("\nE automorphisms:", list(automorphisms(E)))
 
 # How well does the key separate the order-7 classes of one skeleton?
 buckets = Counter()

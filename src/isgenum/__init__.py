@@ -27,7 +27,6 @@ from .esn import (
     validate_inverse_semigroup,
 )
 from .gposets import (
-    BasisOrder,
     GroupoidBasis,
     e_groupoid,
     g_posets,
@@ -48,7 +47,7 @@ from .iso import (
 from .orders import (
     MeetSemilattice,
     Poset,
-    colored_isomorphisms,
+    automorphisms,
     down_levels,
     format_cover_line,
     meet_semilattices,
@@ -66,7 +65,6 @@ from .shapes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisOrder",
     "CountLedger",
     "EnumerationConfig",
     "Group",
@@ -77,10 +75,10 @@ __all__ = [
     "Poset",
     "RunResult",
     "admissible_compositions",
+    "automorphisms",
     "breakdown_csv",
     "brute_force_isomorphic",
     "catalog",
-    "colored_isomorphisms",
     "d_partitions",
     "d_restriction_from_table",
     "down_levels",

@@ -215,8 +215,8 @@ def _skeletons(E, comps, dparts, catalog, gens):
 
 def _candidates(basis):
     """The semigroup of every order on the basis, isomorphic copies included."""
-    for order in g_posets(basis):
-        yield esn(basis, order)
+    for down in g_posets(basis):
+        yield esn(basis, down)
 
 
 def _keep_new(candidates, stats):

@@ -6,12 +6,12 @@ one below t with that range off the down-set masks, and composes them in the
 basis groupoid.  Idempotents keep their semilattice labels, so E(S) is
 literally 0..|E|-1.  The semigroup holds only its table and order; its
 skeleton (E, D-restriction, maximal subgroups) and element labels are the
-basis's own, as is the coloring of E by (D-class size, maximal subgroup).
+basis's own.
 """
 
 from __future__ import annotations
 
-from .gposets import BasisOrder, GroupoidBasis
+from .gposets import GroupoidBasis
 
 __all__ = [
     "InverseSemigroup",
@@ -29,7 +29,7 @@ class InverseSemigroup:
 
     __slots__ = (
         "size", "table", "E", "d_restriction", "groups",
-        "elem", "index", "order_down", "label_block", "colors",
+        "elem", "index", "order_down", "label_block",
     )
 
     def __init__(self, basis: GroupoidBasis, table, order_down):
@@ -42,7 +42,6 @@ class InverseSemigroup:
         self.index = basis.index
         self.order_down = order_down
         self.label_block = basis.block_of  # block of every element
-        self.colors = basis.colors
 
     def __len__(self):
         return self.size
@@ -60,13 +59,13 @@ class InverseSemigroup:
         return self.E.has_maximum()
 
 
-def esn(basis: GroupoidBasis, order: BasisOrder) -> InverseSemigroup:
-    """Apply the order to the basis; sums of down-sets under matrix product.
+def esn(basis: GroupoidBasis, down) -> InverseSemigroup:
+    """Apply the order, one down-set mask per basis element as `g_posets`
+    yields it, to the basis; sums of down-sets under matrix product.
 
     The restriction of s to e is the highest element of down[s] & with_dom[e],
     the corestriction of t to e that of down[t] & with_ran[e].
     """
-    down = order.down
     dom, ran = basis.dom, basis.ran
     with_dom, with_ran = basis.with_dom, basis.with_ran
     meet = basis.E.meet

@@ -10,7 +10,7 @@ semigroup downstream.  The search relates one block at a time, in
 element: a point block over C1 is an idempotent, whose down-set is already
 E's, so its one extension is its parent.  The state is the number of steps
 done and the tuple of down-set masks, and each complete order is yielded as
-a `BasisOrder`.
+that tuple, one down-set mask per basis element.
 
 Orders are stored as per-element bitmasks over a global element index in
 which idempotent (block, e, e, identity) is element e of E, and the
@@ -28,10 +28,10 @@ written after it is built:
   it holds that does not read E (elements, `compose`, `index`,
   `block_of`/`dom`/`ran`, `with_dom`/`with_ran`, `offsets`, each block's
   members and mask).  Every basis over that (P, f) shares it and adds only
-  E, the caller's groups, their coloring of E and the search order that E
-  sets.  `enumerate_semigroups(9)` builds 421 layouts for 23004 bases.
-  Their compose rows, elements and small tuples repeat from one layout to
-  the next, so `_SHARED` holds one copy of each (1896 tuples there).
+  E, the caller's groups and the search order that E sets.
+  `enumerate_semigroups(9)` builds 421 layouts for 23004 bases.  Their
+  compose rows, elements and small tuples repeat from one layout to the
+  next, so `_SHARED` holds one copy of each (1896 tuples there).
 - `_POSS_CACHE`, under (G, H, |X|, |Y|, below): the cross-block
   possibilities between two blocks, which depend only on their groups, the
   block sizes and which positions of the lower block lie under each element
@@ -50,14 +50,12 @@ with a known table adds none.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 from .groups import Group
 from .orders import _bits
 
 __all__ = [
     "GroupoidBasis",
-    "BasisOrder",
     "e_groupoid",
     "poset_possibilities",
     "g_posets",
@@ -208,13 +206,13 @@ class GroupoidBasis:
 
     Its element list, `compose` rows, `index`, `dom`/`ran`/`block_of`,
     `with_dom`/`with_ran` and `offsets` are those of its shared `_Layout`;
-    it adds E, the caller's own groups, the coloring of E they give, and the
-    search order that E sets (`pos_blocks`, `pos_elems`, `pos_mask`,
-    `covered_positions`, `root_down`).
+    it adds E, the caller's own groups and the search order that E sets
+    (`pos_blocks`, `pos_elems`, `pos_mask`, `covered_positions`,
+    `root_down`).
     """
 
     __slots__ = _Layout.__slots__ + (
-        "E", "groups", "colors",
+        "E", "groups",
         "pos_blocks", "pos_elems", "pos_mask", "covered_positions",
     )
 
@@ -230,9 +228,6 @@ class GroupoidBasis:
         self.groups = groups
         partition = self.partition
         idem_block = self.block_of[:E.size]
-        # per idempotent: (size of its D-class, name of its maximal subgroup)
-        color = [(len(X), G.name) for X, G in zip(partition, groups)]
-        self.colors = tuple(map(color.__getitem__, idem_block))
 
         # search order: deepest-reaching blocks first
         lev = E.down_level
@@ -262,11 +257,6 @@ class GroupoidBasis:
     def root_down(self):
         """Order on idempotents inherited from E; everything else reflexive."""
         return self.E.down + self.tail
-
-
-class BasisOrder(NamedTuple):
-    """A partial order on a basis satisfying the construction hypotheses."""
-    down: tuple         # per-element down-set masks
 
 
 def e_groupoid(E, P, f) -> GroupoidBasis:
@@ -439,14 +429,15 @@ def _children(basis: GroupoidBasis, down, new_pos: int):
 
 def g_posets(basis: GroupoidBasis):
     """Stream every partial order on the basis usable by the construction,
-    stepping over no point block over C1: its one child is its parent."""
+    each as its tuple of down-set masks, one per basis element, stepping
+    over no point block over C1: its one child is its parent."""
     steps = [p for p in range(1, len(basis.pos_blocks))
              if len(basis.pos_elems[p]) > 1]
     k = len(steps)
 
     def rec(depth, down):
         if depth == k:
-            yield BasisOrder(down)
+            yield down
             return
         for child in _children(basis, down, steps[depth]):
             yield from rec(depth + 1, child)

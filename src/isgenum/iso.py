@@ -6,10 +6,9 @@ non-idempotents, read off the down-set masks alone, and `is_isoc` runs in a
 bucket.
 
 `is_isoc` compares two semigroups over the same E as inductive groupoids
-(ESN): an isomorphism restricts to an automorphism of E that carries one
-coloring of the idempotents to the other (the basis's `colors`: D-class
-size and maximal subgroup), maps each D-block by a groupoid isomorphism
-and preserves the natural order.  It reads no Cayley table.
+(ESN): an isomorphism restricts to an automorphism of E that maps each
+D-block onto a block with the same group, maps each D-block by a groupoid
+isomorphism and preserves the natural order.  It reads no Cayley table.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import itertools
 
 from .esn import InverseSemigroup, _as_table
 from .gposets import _block_cells
-from .orders import _bits, colored_isomorphisms
+from .orders import _bits, automorphisms
 
 __all__ = [
     "invariants",
@@ -68,7 +67,13 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
     moving = S.elem[m:]
     t_index, t_block, t_down = T.index, T.label_block, T.order_down
     maps = None
-    for p in colored_isomorphisms(S.E, S.colors, T.colors):
+    for p in automorphisms(S.E):
+        # p must map each block X of S into one block pb[i] of T over the
+        # same group.  As |S| = |T|, it then maps X onto pb[i]: p is a
+        # bijection of E, so a block of T over G is the union of the
+        # blocks X_1, ..., X_r it takes and holds (sum |X_i|)^2 |G|
+        # elements, more than the sum of |X_i|^2 |G| they hold in S
+        # whenever r >= 2
         pb = [t_block[p[X[0]]] for X in S.d_restriction]
         if any(T.groups[j].mul != G.mul or any(t_block[p[x]] != j for x in X)
                for X, G, j in zip(S.d_restriction, S.groups, pb)):

@@ -31,8 +31,7 @@ plus those swaps); the engine's orbit counts use those generators and
 `_orbits`.
 
 A poset is its tuple of down-set masks: `down_levels` takes that tuple
-directly, and `colored_isomorphisms` searches the automorphisms of one
-poset that carry one coloring of its elements to another.
+directly, and `automorphisms` lists the automorphisms of one poset.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ __all__ = [
     "semilattice_level",
     "owned_children",
     "down_levels",
-    "colored_isomorphisms",
+    "automorphisms",
     "format_cover_line",
     "parse_cover_line",
 ]
@@ -175,27 +174,17 @@ def down_levels(down):
 
 
 # ---------------------------------------------------------------------------
-# colored isomorphism search
+# automorphism search
 
 
-def colored_isomorphisms(poset: Poset, ca, cb):
-    """Yield every automorphism p of the poset with cb[p[x]] == ca[x] for
-    all x, as an image tuple; ca and cb hold one orderable color per element."""
+def automorphisms(poset: Poset):
+    """Yield every automorphism of the poset as an image tuple, the identity
+    first; an element maps only to one with as many elements below and as
+    many above it."""
     n = poset.size
-    if len(ca) != n or len(cb) != n:
-        raise ValueError("one color per element required")
-    if sorted(ca) != sorted(cb):
-        return
     down = poset.down
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(down, poset.up)]
-    cand = []
-    for a in range(n):
-        opts = [
-            b for b in range(n) if cb[b] == ca[a] and sizes[b] == sizes[a]
-        ]
-        if not opts:
-            return
-        cand.append(opts)
+    cand = [[b for b in range(n) if sizes[b] == sizes[a]] for a in range(n)]
     images = [-1] * n
     used = [False] * n
 
@@ -649,17 +638,16 @@ def parse_cover_line(line: str) -> MeetSemilattice:
     head, sep, body = line.partition(":")
     if not sep:
         raise ValueError(f"malformed cover line: {line!r}")
-    try:
-        n = int(head)
-    except ValueError:
-        raise ValueError(f"malformed order in cover line: {line!r}") from None
+    if not head.isdecimal():  # int() also reads signs, '_' and spaces
+        raise ValueError(f"malformed order {head!r} in cover line {line!r}")
+    n = int(head)
     if n < 1:
         raise ValueError("order must be positive")
     pairs = []
     if body:
         for tok in body.split(","):
             lo, sep, hi = tok.partition("<")
-            if not sep:
+            if not (sep and lo.isdecimal() and hi.isdecimal()):
                 raise ValueError(f"malformed cover {tok!r}")
             u, v = int(lo), int(hi)
             if not (0 <= u < n and 0 <= v < n):

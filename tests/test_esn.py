@@ -25,11 +25,11 @@ def _brandt(groups_by_name):
     return basis, orders[0], esn(basis, orders[0])
 
 
-def _multiply(basis, order, s, t):
+def _multiply(basis, down, s, t):
     """Single product under the order, without building the full table."""
     e = basis.E.meet[basis.dom[s]][basis.ran[t]]
-    (u1,) = [u for u in _bits(order.down[s]) if basis.dom[u] == e]
-    (u2,) = [u for u in _bits(order.down[t]) if basis.ran[u] == e]
+    (u1,) = [u for u in _bits(down[s]) if basis.dom[u] == e]
+    (u2,) = [u for u in _bits(down[t]) if basis.ran[u] == e]
     return basis.compose[u1][u2]
 
 

@@ -338,7 +338,7 @@ def test_cardinality_test_accepts_children(groups_by_name):
 def test_cardinality_test_rejects_lopsided_order(groups_by_name):
     # hand-built: one unit of the 2x2 block omits its bottom restriction
     basis = _vee_c2_basis(groups_by_name)
-    valid = next(iter(g_posets(basis))).down
+    valid = next(iter(g_posets(basis)))
     down = list(valid)
     upper = basis.pos_elems[1]
     bottom_mask = basis.pos_mask[0]
@@ -366,7 +366,7 @@ def test_g_posets_no_duplicates_and_validates(groups_by_name):
                      ((1, 2), (0,), (3,), (4,)), ("C1", "C1", "C1", "C2"),
                      groups_by_name)
     for basis in itertools.chain(_all_bases_up_to(5, 5), [closure]):
-        downs = [o.down for o in g_posets(basis)]
+        downs = list(g_posets(basis))
         assert len(downs) == len(set(downs))
         for d in downs:
             assert validate_hypotheses(basis, d)
@@ -374,16 +374,16 @@ def test_g_posets_no_duplicates_and_validates(groups_by_name):
 
 def test_g_posets_within_block_is_equality(groups_by_name):
     for basis in (_brandt_basis(groups_by_name), _vee_c2_basis(groups_by_name)):
-        for order in g_posets(basis):
+        for down in g_posets(basis):
             for t in range(basis.size):
                 own = basis.pos_mask[basis.pos_blocks.index(basis.block_of[t])]
-                assert order.down[t] & own == 1 << t
+                assert down[t] & own == 1 << t
 
 
 def test_g_posets_matches_bruteforce_oracle(groups_by_name):
     seen = 0
     for basis in _all_bases_up_to(6, 6):
-        got = {o.down for o in g_posets(basis)}
+        got = set(g_posets(basis))
         assert got == _orders_bruteforce(basis), repr(basis)
         seen += 1
     assert seen > 100
@@ -393,8 +393,7 @@ def test_cross_block_covers_have_idempotent_witnesses(groups_by_name):
     # if t covers u across blocks in an emitted order, the block of t covers
     # the block of u (so some idempotent pair covers correspondingly)
     for basis in _all_bases_up_to(6, 6):
-        for order in g_posets(basis):
-            down = order.down
+        for down in g_posets(basis):
             for t in range(basis.size):
                 for u_mask in [down[t] & ~(1 << t)]:
                     u = u_mask
@@ -444,7 +443,7 @@ def test_validate_hypotheses_rejects_order_not_closed_under_inverses(
     # over h_k and its inverse over h_k^-1, for each k in C3
     basis = _basis(VEE, ((1, 2), (0,)), ("C1", "C3"), groups_by_name)
     u, u_inv = (0, 1, 2, 0), (0, 2, 1, 0)
-    orders = [o.down for o in g_posets(basis)]
+    orders = list(g_posets(basis))
     assert sorted(orders) == sorted(
         _down_with(basis, [((1, 0, 0, k), u), ((1, 0, 0, (3 - k) % 3), u_inv)])
         for k in range(3)
@@ -517,7 +516,7 @@ def _check_against_reference(ns, m_max):
     bases = orders = 0
     for n in ns:
         for basis in _representative_bases(n, m_max):
-            got = [o.down for o in g_posets(basis)]
+            got = list(g_posets(basis))
             assert got == list(_reference_search(basis, [])), repr(basis)
             bases += 1
             orders += len(got)
@@ -614,5 +613,5 @@ def test_debug_validation_flag(groups_by_name):
     basis = _vee_c2_basis(groups_by_name)
     orders = list(g_posets(basis))
     assert len(orders) == 2
-    for o in orders:
-        assert validate_hypotheses(basis, o.down)
+    for down in orders:
+        assert validate_hypotheses(basis, down)

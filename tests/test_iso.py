@@ -7,7 +7,7 @@ import pytest
 from isgenum import engine
 from isgenum.engine import _keep_new, enumerate_semigroups
 from isgenum.esn import esn, idempotents_of_table, natural_order_from_table
-from isgenum.gposets import BasisOrder, e_groupoid, g_posets
+from isgenum.gposets import e_groupoid, g_posets
 from isgenum.groups import Group
 from isgenum.iso import brute_force_isomorphic, invariants, is_isoc
 from isgenum.orders import _bits, parse_cover_line
@@ -50,7 +50,7 @@ def _relabeled_twin(S, sigma):
         for u in _bits(S.order_down[t]):
             mask |= 1 << emap[u]
         down2[emap[t]] = mask
-    return esn(basis2, BasisOrder(tuple(down2)))
+    return esn(basis2, tuple(down2))
 
 
 def _e_automorphisms(E):
@@ -155,33 +155,6 @@ def test_invariants_agree_on_isomorphic_candidates_order_7():
 
 
 # ---------------------------------------------------------------------------
-# coloring
-
-
-def test_e_coloring_brandt(groups_by_name):
-    (S,) = _build_one(VEE, ((1, 2), (0,)), ("C1", "C1"), groups_by_name)
-    assert S.colors == ((1, "C1"), (2, "C1"), (2, "C1"))
-
-
-def test_e_coloring_vee_semilattice(groups_by_name):
-    S = _semilattice_semigroup(VEE, groups_by_name)
-    assert S.colors == ((1, "C1"), (1, "C1"), (1, "C1"))
-
-
-def test_e_coloring_c2_with_identity(groups_by_name):
-    (S,) = _build_one(CHAIN2, ((0,), (1,)), ("C2", "C1"), groups_by_name)
-    assert S.colors == ((1, "C2"), (1, "C1"))
-
-
-def test_e_coloring_multiset_is_invariant(groups_by_name):
-    for S in enumerate_semigroups(6):
-        base = sorted(S.colors)
-        for sigma in _e_automorphisms(S.E):
-            twin = _relabeled_twin(S, list(sigma))
-            assert sorted(twin.colors) == base
-
-
-# ---------------------------------------------------------------------------
 # is_isoc
 
 
@@ -198,16 +171,19 @@ def test_is_isoc_distinguishes_groups(groups_by_name):
 
 
 def test_is_isoc_compares_groups_by_table(groups_by_name):
-    # a group given as an equal but distinct object is the same group
+    # a group given as an equal but distinct object is the same group,
+    # whatever its name
     P = ((0,), (1,))
     ours = _build_one(CHAIN2, P, ("C2", "C2"), groups_by_name)
-    copy = {"C2": Group(groups_by_name["C2"].mul, "C2")}
-    theirs = _build_one(CHAIN2, P, ("C2", "C2"), copy)
-    assert [S.table for S in ours] == [T.table for T in theirs]
-    assert theirs[0].groups[0] is not ours[0].groups[0]
-    for i, S in enumerate(ours):
-        for j, T in enumerate(theirs):
-            assert is_isoc(S, T) == (i == j) == brute_force_isomorphic(S, T)
+    for name in ("C2", "Z2"):
+        copy = {"C2": Group(groups_by_name["C2"].mul, name)}
+        theirs = _build_one(CHAIN2, P, ("C2", "C2"), copy)
+        assert [S.table for S in ours] == [T.table for T in theirs]
+        assert theirs[0].groups[0] is not ours[0].groups[0]
+        for i, S in enumerate(ours):
+            for j, T in enumerate(theirs):
+                assert (is_isoc(S, T) == is_isoc(T, S) == (i == j)
+                        == brute_force_isomorphic(S, T))
 
 
 def test_is_isoc_table7_pair(groups_by_name):
@@ -242,6 +218,39 @@ def test_is_isoc_symmetric_and_matches_bruteforce(groups_by_name):
             assert got == brute_force_isomorphic(A, B)
             checked += 1
     assert checked > 200
+
+
+def _cross_restriction_pairs(n):
+    """Check that `is_isoc` rejects, both ways, every pair of classes of
+    order n over one E whose D-restrictions differ; return the number of
+    such pairs and how many of them differ in shape."""
+    by_semilattice = {}
+    for S in enumerate_semigroups(n):
+        by_semilattice.setdefault(S.E.down, []).append(S)
+    pairs = shapes = 0
+    for group in by_semilattice.values():
+        for A, B in itertools.combinations(group, 2):
+            if A.d_restriction == B.d_restriction:
+                continue
+            assert not is_isoc(A, B) and not is_isoc(B, A), (A.table, B.table)
+            pairs += 1
+            shapes += list(map(len, A.d_restriction)) != list(
+                map(len, B.d_restriction))
+    return pairs, shapes
+
+
+def test_is_isoc_rejects_other_d_restrictions():
+    # the pairs that test_is_isoc_symmetric_and_matches_bruteforce and
+    # criterion 7 leave out: every emitted class is its own, so is_isoc
+    # must find no automorphism of E that carries one D-restriction and
+    # its groups onto the other
+    got = [_cross_restriction_pairs(n) for n in range(1, 8)]
+    assert got == [(0, 0)] * 4 + [(5, 5), (56, 56), (557, 554)]
+
+
+@pytest.mark.stretch
+def test_is_isoc_rejects_other_d_restrictions_order_8():
+    assert _cross_restriction_pairs(8) == (5858, 5776)
 
 
 def test_is_isoc_accepts_lonely_permuted_twin(groups_by_name):

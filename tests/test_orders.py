@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -10,7 +11,7 @@ from isgenum.engine import enumerate_semigroups
 from isgenum.orders import (
     MeetSemilattice,
     Poset,
-    colored_isomorphisms,
+    automorphisms,
     down_levels,
     format_cover_line,
     meet_semilattices,
@@ -185,39 +186,20 @@ def test_has_maximum_examples():
 
 
 # ---------------------------------------------------------------------------
-# colored isomorphisms
+# automorphisms
 
 
-def test_colored_isoms_identical_chain():
-    colors = ("a", "b", "c")
-    assert list(colored_isomorphisms(CHAIN3, colors, colors)) == [(0, 1, 2)]
+def test_automorphisms_antichain():
+    assert sorted(automorphisms(ANTICHAIN2)) == [(0, 1), (1, 0)]
 
 
-def test_colored_isoms_antichain_same_color():
-    colors = ("x", "x")
-    got = sorted(colored_isomorphisms(ANTICHAIN2, colors, colors))
-    assert got == [(0, 1), (1, 0)]
+def test_automorphisms_chain_is_rigid():
+    assert list(automorphisms(CHAIN3)) == [(0, 1, 2)]
 
 
-def test_colored_isoms_mismatched_colors():
-    assert list(colored_isomorphisms(ANTICHAIN2, ("x", "x"), ("x", "y"))) == []
-
-
-def test_colored_isoms_reject_wrong_color_count():
-    with pytest.raises(ValueError):
-        list(colored_isomorphisms(ANTICHAIN2, ("x",), ("x",)))
-
-
-def test_colored_isoms_respect_order():
-    colors = ("x", "x", "x")
-    maps = list(colored_isomorphisms(CHAIN3, colors, colors))
-    assert maps == [(0, 1, 2)]  # chain is rigid even with uniform colors
-
-
-def test_colored_isoms_form_group():
+def test_automorphisms_form_group():
     for E in meet_semilattices(5):
-        colors = ("c",) * E.size
-        maps = set(colored_isomorphisms(E, colors, colors))
+        maps = set(automorphisms(E))
         assert tuple(range(E.size)) in maps
         for p in maps:
             inv = [0] * E.size
@@ -228,12 +210,11 @@ def test_colored_isoms_form_group():
                 assert tuple(p[q[i]] for i in range(E.size)) in maps
 
 
-def test_colored_isoms_match_uncolored_oracle():
-    # with a constant coloring these are exactly the poset automorphisms
+def test_automorphisms_match_oracle():
     for E in meet_semilattices(5):
-        colors = (0,) * E.size
-        got = sorted(colored_isomorphisms(E, colors, colors))
-        assert got == _automorphisms(E)
+        got = list(automorphisms(E))
+        assert got[0] == tuple(range(E.size))
+        assert sorted(got) == _automorphisms(E)
 
 
 def _automorphisms(E):
@@ -245,35 +226,6 @@ def _automorphisms(E):
             for i in range(n) for j in range(n)
         )
     ]
-
-
-def test_colored_isoms_between_two_colorings_match_oracle():
-    # cb is ca carried along an automorphism of E (a match exists) or along
-    # an arbitrary relabelling (usually none does), so ca and cb differ
-    # while their multisets agree
-    rng = random.Random(7)
-    checked = differing = matched = 0
-    for m in range(1, 6):
-        for E in meet_semilattices(m):
-            auts = _automorphisms(E)
-            perms = list(itertools.permutations(range(m)))
-            for _ in range(4):
-                ca = tuple(rng.choice("abc") for _ in range(m))
-                for sigma in auts + rng.sample(perms, min(2, len(perms))):
-                    cb = [None] * m
-                    for x in range(m):
-                        cb[sigma[x]] = ca[x]
-                    cb = tuple(cb)
-                    got = sorted(colored_isomorphisms(E, ca, cb))
-                    expect = [
-                        p for p in auts
-                        if all(cb[p[x]] == ca[x] for x in range(m))
-                    ]
-                    assert got == expect
-                    checked += 1
-                    differing += ca != cb
-                    matched += ca != cb and bool(got)
-    assert checked > 400 and differing > 250 and matched > 150
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +245,7 @@ def test_generators_are_automorphisms_and_give_every_orbit():
                 for x in range(m):
                     image = sum(1 << g[i] for i in range(m) if E.leq(i, x))
                     assert image == E.down[g[x]]
-            colors = (0,) * m
-            auts = list(colored_isomorphisms(E, colors, colors))
+            auts = list(automorphisms(E))
             roots = orders._point_orbits(m, gens)
             for x in range(m):
                 assert {p[x] for p in auts} == {
@@ -506,6 +457,13 @@ def test_cover_line_singleton():
 def test_cover_line_rejects_garbage():
     for bad in ["", "x", "3:2<1", "3:0<5", "2:0<1,0<1", "3:0<1,1<2,0<2"]:
         with pytest.raises(ValueError):
+            parse_cover_line(bad)
+    # int() reads a sign, '_' between digits and spaces around them; a
+    # label is decimal digits alone, and the error names the bad token
+    for bad, token in (("2:0<+1", "0<+1"), ("+2:0<1", "+2"),
+                       ("2:0<1_0", "0<1_0"), ("1_1:", "1_1"),
+                       ("2: 0<1", " 0<1")):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
             parse_cover_line(bad)
 
 

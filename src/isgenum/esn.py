@@ -1,12 +1,20 @@
 """Build a concrete inverse semigroup from a basis and one of its orders.
 
 Products are computed by restriction: the product of s and t meets dom(s)
-with ran(t) in E, reads the unique element below s with that domain and the
-one below t with that range off the down-set masks, and composes them in the
-basis groupoid.  Idempotents keep their semilattice labels, so E(S) is
-literally 0..|E|-1.  The semigroup holds only its table and order; its
-skeleton (E, D-restriction, maximal subgroups) and element labels are the
-basis's own.
+with ran(t) in E to e, and composes in the basis groupoid the restriction
+of s to e (the one element below s with domain e) with the corestriction of
+t to e (the one below t with range e), both read off the down-set masks.
+The order's idempotents have E's down-sets and nothing below an idempotent
+is a non-idempotent, so a table has three kinds of cell:
+- the idempotent block, which is E's meet table;
+- the cells with one idempotent f, which read one mask: in f's row a
+  non-idempotent t holds its corestriction to f ^ ran t, and in the row of
+  a non-idempotent s, f's column holds s's restriction to dom s ^ f;
+- the cells of two non-idempotents s, t, which compose two of those: the
+  restriction in (s, ran t) with the corestriction in (dom s, t).
+Idempotents keep their semilattice labels, so E(S) is literally
+0..|E|-1.  The semigroup holds only its table and order; its skeleton (E,
+D-restriction, maximal subgroups) and element labels are the basis's own.
 """
 
 from __future__ import annotations
@@ -63,21 +71,24 @@ def esn(basis: GroupoidBasis, down) -> InverseSemigroup:
     """Apply the order, one down-set mask per basis element as `g_posets`
     yields it, to the basis; sums of down-sets under matrix product.
 
-    The restriction of s to e is the highest element of down[s] & with_dom[e],
-    the corestriction of t to e that of down[t] & with_ran[e].
+    The restriction of s to e is the element of down[s] & with_dom[e], the
+    corestriction of t to e that of down[t] & with_ran[e]; the module
+    docstring lists which cells read them.
     """
-    dom, ran = basis.dom, basis.ran
-    with_dom, with_ran = basis.with_dom, basis.with_ran
+    m = basis.E.size
     meet = basis.E.meet
+    with_dom, with_ran = basis.with_dom, basis.with_ran
     compose = basis.compose
-    table = []
-    for s, ds in enumerate(down):
-        mrow = meet[dom[s]]
-        row = []
-        for r, dt in zip(ran, down):
-            e = mrow[r]
-            row.append(compose[(ds & with_dom[e]).bit_length() - 1]
-                       [(dt & with_ran[e]).bit_length() - 1])
+    dom, ran, moving = basis.dom[m:], basis.ran[m:], down[m:]
+    # cols[j][f]: the cell (f, t) of the j-th non-idempotent t
+    cols = [[(dt & with_ran[e]).bit_length() - 1 for e in meet[r]]
+            for r, dt in zip(ran, moving)]
+    if not cols:
+        return InverseSemigroup(basis, meet, down)
+    table = [mrow + crow for mrow, crow in zip(meet, zip(*cols))]
+    for d, ds in zip(dom, moving):
+        row = [(ds & with_dom[e]).bit_length() - 1 for e in meet[d]]
+        row += [compose[row[r]][c[d]] for r, c in zip(ran, cols)]
         table.append(tuple(row))
     return InverseSemigroup(basis, tuple(table), down)
 

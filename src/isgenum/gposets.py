@@ -21,7 +21,8 @@ block-local index; `compose` rows are written from its per-(block size,
 group) product table through the block's element list.
 
 Every cache here is keyed by what it depends on, and nothing in them is
-written after it is built:
+written after it is built (an entry of `_POSS_CACHE` only gains placed
+lists):
 - `_BLOCK_CELLS`, under (|X|, G): a block's cells, their products and the
   groupoid automorphisms that fix its idempotents.
 - `_LAYOUTS`, under (P, f) with P labelled: a basis's `_Layout`, everything
@@ -36,12 +37,15 @@ written after it is built:
   possibilities between two blocks, which depend only on their groups, the
   block sizes and which positions of the lower block lie under each element
   of the upper one.  They are computed once per process in block-local
-  coordinates, and each search step that reads them moves them into its
-  basis's global index by one table lookup for the idempotent bits and one
-  shift for the rest.  The key holds no E labels or global indices, so the
-  cache stays small: 25 entries for a whole order-9 count, 65 for
-  `enumerate_semigroups(9)`.  The wreath-group homomorphisms are rebuilt
-  for each new entry.
+  coordinates.  The key holds no E labels or global indices, so the cache
+  stays small: 19 entries for a whole order-9 count, 47 for a pass of the
+  `fixed-n10` benchmark sample, 65 for `enumerate_semigroups(9)`.  Each
+  entry also holds, under the lower block's E labels and offset, the list
+  placed in a basis's global index (one table lookup for the idempotent
+  bits and one shift for the rest), as a tuple that every search step over
+  such a pair reads as it is: 24, 274 and 269 placed lists there, for
+  51, 8840 and 26784 reads.  Clearing the cache clears them with it.  The
+  wreath-group homomorphisms are rebuilt for each new entry.
 Groups enter every key as their Cayley tables (`G.mul`): two groups that
 share a name but not a table never share an entry, and a new `Group` object
 with a known table adds none.
@@ -297,7 +301,8 @@ def _wreath_homs(G: Group, H: Group, m: int):
     return elements, table, tuple(G.homomorphisms(cands, table))
 
 
-# (G.mul, H.mul, |X|, |Y|, below) -> _local_possibilities(G, H, |Y|, below)
+# (G.mul, H.mul, |X|, |Y|, below) -> (_local_possibilities(G, H, |Y|,
+# below), {(Y, offset of Y): those possibilities placed})
 _POSS_CACHE: dict = {}
 
 
@@ -338,42 +343,44 @@ def _local_possibilities(G: Group, H: Group, y: int, below):
 def poset_possibilities(basis: GroupoidBasis, hi_pos: int, lo_pos: int):
     """All cross-block partial orders between two blocks of the basis.
 
-    Returns a list of possibilities, each a tuple of direct-down masks (over
-    elements of the lower block) aligned with basis.pos_elems[hi_pos].  Each
-    possibility restricts to the idempotent order between the two blocks, to
-    equality inside them, and satisfies closure under inverses and products
-    as well as unique restriction/corestriction on the pair.
+    Returns a tuple of possibilities, each a tuple of direct-down masks
+    (over elements of the lower block) aligned with
+    basis.pos_elems[hi_pos].  Each possibility restricts to the idempotent
+    order between the two blocks, to equality inside them, and satisfies
+    closure under inverses and products as well as unique
+    restriction/corestriction on the pair.
     """
     down = basis.E.down
     i_hi = basis.pos_blocks[hi_pos]
     i_lo = basis.pos_blocks[lo_pos]
     X, Y = basis.partition[i_hi], basis.partition[i_lo]
     G, H = basis.groups[i_hi], basis.groups[i_lo]
-    # spread[v]: the E labels of the Y-local idempotent bits in v
     y = len(Y)
     if y == 1:
         yb = Y[0]
         below = tuple([(0,) if down[a] >> yb & 1 else () for a in X])
-        spread = (0, 1 << yb)
     else:
         below = tuple(
             tuple([c for c in range(y) if down[a] >> Y[c] & 1]) for a in X
         )
-        spread = [
-            sum(1 << Y[c] for c in range(y) if v >> c & 1)
-            for v in range(1 << y)
-        ]
     key = (G.mul, H.mul, len(X), y, below)
-    local = _POSS_CACHE.get(key)
-    if local is None:
-        local = _POSS_CACHE[key] = _local_possibilities(G, H, y, below)
-    # the non-idempotent bits shift onto the lower block's contiguous range
-    ymask = (1 << y) - 1
+    entry = _POSS_CACHE.get(key)
+    if entry is None:
+        entry = _POSS_CACHE[key] = (_local_possibilities(G, H, y, below), {})
+    local, placed = entry
     off = basis.offsets[i_lo]
-    return [
-        tuple([spread[lm & ymask] | ((lm >> y) << off) for lm in poss])
-        for poss in local
-    ]
+    got = placed.get((Y, off))
+    if got is None:
+        # spread[v]: the E labels of the Y-local idempotent bits in v; the
+        # non-idempotent bits shift onto the lower block's contiguous range
+        spread = [sum(1 << Y[c] for c in range(y) if v >> c & 1)
+                  for v in range(1 << y)]
+        ymask = (1 << y) - 1
+        got = placed[Y, off] = tuple([
+            tuple([spread[lm & ymask] | ((lm >> y) << off) for lm in poss])
+            for poss in local
+        ])
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +407,8 @@ def _children(basis: GroupoidBasis, down, new_pos: int):
     order, over the next block in every valid way.
 
     Each covered pair's possibilities come from `poset_possibilities`, whose
-    block-local lists `_POSS_CACHE` holds for the whole process.
+    lists `_POSS_CACHE` holds, block-local and placed, for the whole
+    process.
     `_passes_cardinality_test` is the only check after the closure: a pair
     the closure adds beyond the chosen possibility on a covered block (an
     earlier one, by the D-partition condition) lifts an element's count in

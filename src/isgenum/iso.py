@@ -55,7 +55,8 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
     table, as the caches in `gposets` compare groups), and to a groupoid
     isomorphism over p: (i, x, y, g) -> (pb[i], p[x], p[y], g') with g'
     from `_block_cells`.  Such a map is an isomorphism iff it carries the
-    natural order of S onto that of T.
+    natural order of S onto that of T.  The search over Aut(E) takes each
+    point only to one whose block has the same size and group table.
     """
     if S is T:
         return True
@@ -67,16 +68,18 @@ def is_isoc(S: InverseSemigroup, T: InverseSemigroup) -> bool:
     moving = S.elem[m:]
     t_index, t_block, t_down = T.index, T.label_block, T.order_down
     maps = None
-    for p in automorphisms(S.E):
-        # p must map each block X of S into one block pb[i] of T over the
-        # same group.  As |S| = |T|, it then maps X onto pb[i]: p is a
-        # bijection of E, so a block of T over G is the union of the
-        # blocks X_1, ..., X_r it takes and holds (sum |X_i|)^2 |G|
-        # elements, more than the sum of |X_i|^2 |G| they hold in S
-        # whenever r >= 2
+
+    def colors(A):  # per point of E: its block's size and group table
+        return [(len(A.d_restriction[i]), A.groups[i].mul)
+                for i in A.label_block[:m]]
+
+    for p in automorphisms(S.E, (colors(S), colors(T))):
+        # p maps each point into a block of T of its own block's size and
+        # group, so it maps each block X of S onto the block pb[i] of T
+        # that takes X's first point iff it takes all of X there
         pb = [t_block[p[X[0]]] for X in S.d_restriction]
-        if any(T.groups[j].mul != G.mul or any(t_block[p[x]] != j for x in X)
-               for X, G, j in zip(S.d_restriction, S.groups, pb)):
+        if any(t_block[p[x]] != j
+               for X, j in zip(S.d_restriction, pb) for x in X):
             continue
         if maps is None:
             # p keeps the order of E; a non-idempotent's down-set has one

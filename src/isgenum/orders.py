@@ -177,14 +177,17 @@ def down_levels(down):
 # automorphism search
 
 
-def automorphisms(poset: Poset):
+def automorphisms(poset: Poset, colors=None):
     """Yield every automorphism of the poset as an image tuple, the identity
     first; an element maps only to one with as many elements below and as
-    many above it."""
+    many above it.  Given colors = (ca, cb), one colour per element in
+    each, yield only those that map every a to a b with cb[b] == ca[a]."""
     n = poset.size
     down = poset.down
     sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(down, poset.up)]
-    cand = [[b for b in range(n) if sizes[b] == sizes[a]] for a in range(n)]
+    ca, cb = colors or (sizes, sizes)
+    cand = [[b for b in range(n) if sizes[b] == sizes[a] and cb[b] == ca[a]]
+            for a in range(n)]
     images = [-1] * n
     used = [False] * n
 

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from isgenum.esn import (
     d_restriction_from_table,
     esn,
@@ -10,6 +12,7 @@ from isgenum.esn import (
 from isgenum.gposets import e_groupoid, g_posets
 from isgenum.orders import _bits, parse_cover_line
 from isgenum.engine import enumerate_semigroups
+from test_gposets import _representative_bases
 
 VEE = parse_cover_line("3:0<1,0<2")
 CHAIN2 = parse_cover_line("2:0<1")
@@ -102,6 +105,50 @@ def test_multiply_chain_restriction(groups_by_name):
     top = 1
     assert S.table[top][a] == a == _multiply(basis, orders[0], top, a)
     assert S.table[a][top] == a == _multiply(basis, orders[0], a, top)
+
+
+# ---------------------------------------------------------------------------
+# the table against the restriction product, cell by cell
+
+
+def _table_by_cells(basis, down):
+    """Every cell by the general product: s t is the restriction of s to
+    e = dom s ^ ran t composed with the corestriction of t to e."""
+    dom, ran = basis.dom, basis.ran
+    with_dom, with_ran = basis.with_dom, basis.with_ran
+    meet = basis.E.meet
+    compose = basis.compose
+    table = []
+    for s, ds in enumerate(down):
+        mrow = meet[dom[s]]
+        row = []
+        for r, dt in zip(ran, down):
+            e = mrow[r]
+            row.append(compose[(ds & with_dom[e]).bit_length() - 1]
+                       [(dt & with_ran[e]).bit_length() - 1])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _check_tables_by_cells(ns):
+    """Compare esn's table with the cell-by-cell one on every raw candidate
+    of the orders ns, as the full search generates them; return how many."""
+    checked = 0
+    for n in ns:
+        for basis in _representative_bases(n, n):
+            for down in g_posets(basis):
+                assert esn(basis, down).table == _table_by_cells(basis, down)
+                checked += 1
+    return checked
+
+
+def test_esn_matches_cell_by_cell_product():
+    assert _check_tables_by_cells(range(1, 8)) == 1221
+
+
+@pytest.mark.stretch
+def test_esn_matches_cell_by_cell_product_stretch_order_8():
+    assert _check_tables_by_cells([8]) == 4781
 
 
 # ---------------------------------------------------------------------------

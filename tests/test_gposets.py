@@ -296,7 +296,7 @@ def test_possibilities_match_bruteforce_examples(groups_by_name):
         got = set(poset_possibilities(basis, hi, lo))
         assert got == _possibilities_bruteforce(basis, hi, lo)
     # the last case has nothing below: one possibility, all masks empty
-    assert poset_possibilities(basis, hi, lo) == [(0, 0)]
+    assert poset_possibilities(basis, hi, lo) == ((0, 0),)
 
 
 def test_possibilities_match_bruteforce_sweep(groups_by_name):

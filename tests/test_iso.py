@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from isgenum import engine
+from isgenum import engine, iso
 from isgenum.engine import _keep_new, enumerate_semigroups
 from isgenum.esn import esn, idempotents_of_table, natural_order_from_table
 from isgenum.gposets import e_groupoid, g_posets
 from isgenum.groups import Group
 from isgenum.iso import brute_force_isomorphic, invariants, is_isoc
-from isgenum.orders import _bits, parse_cover_line
+from isgenum.orders import _bits, automorphisms, parse_cover_line
 
 VEE = parse_cover_line("3:0<1,0<2")
 CHAIN2 = parse_cover_line("2:0<1")
@@ -263,6 +263,32 @@ def test_is_isoc_accepts_lonely_permuted_twin(groups_by_name):
     assert invariants(twin) == invariants(S)
     assert is_isoc(S, twin)
     assert brute_force_isomorphic(S, twin)
+
+
+def test_is_isoc_tries_only_automorphisms_that_keep_the_groups(
+        groups_by_name, monkeypatch):
+    # a zero below 8 atoms, all points, C2 at the zero and at atoms 1-3:
+    # the candidates differ in how many of those three atoms lie over the
+    # zero's non-identity, so 4 classes from 4 tests that find a duplicate.
+    # Of the 8! automorphisms of E, is_isoc tries only those that map the
+    # C2 points onto the C2 points, at most 3! 5! = 720 a test; over all
+    # of Aut(E) the 4 tests tried 21604
+    tried = []
+
+    def counted(*args):
+        for p in automorphisms(*args):
+            tried.append(p)
+            yield p
+
+    monkeypatch.setattr(iso, "automorphisms", counted)
+    E = parse_cover_line("9:" + ",".join(f"0<{a}" for a in range(1, 9)))
+    f = tuple(groups_by_name["C2" if x < 4 else "C1"] for x in range(9))
+    basis = e_groupoid(E, tuple((x,) for x in range(9)), f)
+    stats = [0, 0, 0]  # candidates, kept without a test, tests
+    classes = list(_keep_new(engine._candidates(basis), stats))
+    assert (len(classes), stats) == (4, [8, 4, 4])
+    assert all(sorted(p[:4]) == [0, 1, 2, 3] for p in tried)
+    assert len(tried) == 1204
 
 
 # ---------------------------------------------------------------------------

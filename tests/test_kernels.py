@@ -19,6 +19,7 @@ from isgenum.shapes import (
     group_maps,
     partitions,
 )
+from test_gposets import _representative_bases
 
 
 def _skeletons(n_max):
@@ -88,10 +89,43 @@ def test_relabeled_block_pairs_share_one_entry():
         parse_cover_line("3:0<1,1<2"), ((0,), (1,), (2,)), (C1, C1, C2)
     )
     gposets._POSS_CACHE.clear()
-    assert poset_possibilities(chain2, 1, 0) == [(1 << 0, 1 << 0)]
+    assert poset_possibilities(chain2, 1, 0) == ((1 << 0, 1 << 0),)
     assert len(gposets._POSS_CACHE) == 1
-    assert poset_possibilities(chain3, 2, 1) == [(1 << 1, 1 << 1)]
+    assert poset_possibilities(chain3, 2, 1) == ((1 << 1, 1 << 1),)
     assert len(gposets._POSS_CACHE) == 1
+    # the one entry holds the list placed for each basis's lower block
+    ((_, placed),) = gposets._POSS_CACHE.values()
+    assert sorted(placed) == [((0,), 2), ((1,), 3)]
+
+
+def _placed_from_empty_cache(basis, hi_pos, lo_pos):
+    kept = gposets._POSS_CACHE
+    gposets._POSS_CACHE = {}
+    try:
+        return poset_possibilities(basis, hi_pos, lo_pos)
+    finally:
+        gposets._POSS_CACHE = kept
+
+
+def test_placed_possibilities_equal_a_placement_from_empty_cache():
+    # every step of every orbit-representative skeleton of order 7, as
+    # g_posets takes them: the list a second call reads off the placed
+    # level is the one the first call placed, and equals a placement from
+    # an empty cache
+    gposets._POSS_CACHE.clear()
+    steps = 0
+    for basis in _representative_bases(7, 7):
+        for p in range(1, len(basis.pos_blocks)):
+            if len(basis.pos_elems[p]) == 1:
+                continue
+            for q in basis.covered_positions[p]:
+                got = poset_possibilities(basis, p, q)
+                assert type(got) is tuple
+                assert poset_possibilities(basis, p, q) is got
+                assert got == _placed_from_empty_cache(basis, p, q)
+                steps += 1
+    placed = sum(len(entry[1]) for entry in gposets._POSS_CACHE.values())
+    assert (steps, len(gposets._POSS_CACHE), placed) == (705, 26, 70)
 
 
 def _labeled_possibilities(basis, hi_pos, lo_pos):
